@@ -6,6 +6,13 @@
 //! concrete) — once with coverage tracking disabled (baseline) and once
 //! enabled, and report both times plus the overhead.
 //!
+//! "Off" is the test's own work and nothing else: a disabled tracker
+//! returns before touching the BDD manager, so for ToRPingmesh it is the
+//! field-level lookups plus one match-set check per hop (a few µs per
+//! probe), with no packet cube built. Each test runs against a tracker
+//! of its own, so no ToRPingmesh mark is already held by its location:
+//! "on" pays one cube per probe and one union per hop, the dearest case.
+//!
 //! The paper's claims to reproduce: absolute overhead stays small, and
 //! relative overhead is below ~10% whenever the baseline itself takes
 //! over a minute (it is only large in relative terms for sub-second

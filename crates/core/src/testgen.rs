@@ -211,8 +211,7 @@ pub fn run_spec(
         } => {
             let res = traceroute(bdd, net, ms, *start, *packet, MAX_HOPS);
             for hop in &res.hops {
-                let as_set = hop.packet.to_bdd(bdd);
-                tracker.mark_packet(bdd, hop.location, as_set);
+                tracker.mark_concrete(bdd, hop.location, &hop.packet);
             }
             let got = TraceExpectation::of(&res);
             if got == *expect {

@@ -12,12 +12,18 @@
 //!   they looked at. The expensive translation from "rule" to "match
 //!   set" is deferred to phase 2, keeping the testing path fast.
 //!
-//! A tracker can be disabled, which makes both calls no-ops — that is how
-//! the Figure-8 experiment measures tracking overhead (same tests, same
-//! code path, tracking on/off).
+//! Concrete tests (ping, traceroute) report single packets through
+//! [`Tracker::mark_concrete`], which is `mark_packet` of the packet's
+//! singleton set without building that set unless it adds something.
+//!
+//! A tracker can be disabled, which makes every call a no-op that
+//! touches no BDD — that is how the Figure-8 experiment measures
+//! tracking overhead: same tests, same code path, and "off" is the
+//! test's own work alone (for a concrete test: the field-level lookups
+//! and one match-set check per hop, no cubes).
 
 use netbdd::{Bdd, Ref};
-use netmodel::{LocatedPacketSet, Location, RuleId};
+use netmodel::{LocatedPacketSet, Location, Packet, RuleId};
 
 use crate::trace::CoverageTrace;
 
@@ -30,6 +36,10 @@ pub struct Tracker {
     packet_calls: u64,
     /// Number of `mark_rule` calls accepted (diagnostics).
     rule_calls: u64,
+    /// The last packet `mark_concrete` had to build a set for: a
+    /// traceroute marks one packet at every hop. Like the trace's own
+    /// refs it is only good until the manager's next `collect`.
+    last_cube: Option<(Packet, Ref)>,
 }
 
 impl Default for Tracker {
@@ -46,6 +56,7 @@ impl Tracker {
             enabled: true,
             packet_calls: 0,
             rule_calls: 0,
+            last_cube: None,
         }
     }
 
@@ -71,6 +82,30 @@ impl Tracker {
         }
         self.packet_calls += 1;
         self.trace.add_packets(bdd, loc, packets);
+    }
+
+    /// `markPacket({pkt})` for a concrete test: the same trace and the
+    /// same call count as `mark_packet(bdd, loc, pkt.to_bdd(bdd))`. A
+    /// packet the location's set already holds costs one evaluation; the
+    /// singleton set is built only when it has to be unioned in, once
+    /// per run of equal packets.
+    pub fn mark_concrete(&mut self, bdd: &mut Bdd, loc: Location, pkt: &Packet) {
+        if !self.enabled {
+            return;
+        }
+        self.packet_calls += 1;
+        if pkt.matches(bdd, self.trace.packets.at(loc)) {
+            return;
+        }
+        let cube = match self.last_cube {
+            Some((p, cube)) if p == *pkt => cube,
+            _ => {
+                let cube = pkt.to_bdd(bdd);
+                self.last_cube = Some((*pkt, cube));
+                cube
+            }
+        };
+        self.trace.add_packets(bdd, loc, cube);
     }
 
     /// Bulk variant: record a whole located packet set (e.g. the per-hop

@@ -5,7 +5,10 @@
 //! * Algorithm 1's covered sets agree packet by packet;
 //! * every analyzer metric (rule, device, out-interface, in-interface)
 //!   and every aggregator equals the oracle's counting ratio, because the
-//!   dst-only embedding preserves measure up to one global constant.
+//!   dst-only embedding preserves measure up to one global constant;
+//! * `Tracker::mark_concrete`, which skips marks the trace already holds
+//!   and reuses a packet's set across hops, records what
+//!   `mark_packet(pkt.to_bdd())` records.
 
 use netbdd::Bdd;
 use netmodel::header;
@@ -17,7 +20,7 @@ use oracle::{
     ToySpace, ToyTrace,
 };
 use proptest::prelude::*;
-use yardstick::{Aggregator, Analyzer, CoverageTrace, CoveredSets};
+use yardstick::{Aggregator, Analyzer, CoverageTrace, CoveredSets, Tracker};
 
 fn space() -> ToySpace {
     ToySpace::new(4, 2, 1)
@@ -129,6 +132,74 @@ fn close(a: Option<f64>, b: Option<f64>) -> bool {
         (None, None) => true,
         (Some(x), Some(y)) => (x - y).abs() < 1e-9,
         _ => false,
+    }
+}
+
+/// One step of a marking sequence: a toy packet reported at a run of
+/// locations (a traceroute's hops), or — `dst_len` present — a symbolic
+/// destination-prefix mark at the first of them. Locations are
+/// `(device, tagged, iface)` selectors over a 3×3 grid.
+type MarkStep = (u32, Option<u32>, Vec<(u32, bool, u32)>);
+
+fn arb_mark_step() -> impl Strategy<Value = MarkStep> {
+    (
+        any::<u32>(),
+        (any::<bool>(), 0u32..=4).prop_map(|(symbolic, len)| symbolic.then_some(len)),
+        prop::collection::vec((0u32..3, any::<bool>(), 0u32..3), 1..5),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Interleaved symbolic and concrete marks, with packets drawn from
+    /// the 128-packet toy space so that many concrete marks land inside
+    /// what the location already holds: marking concretely leaves the
+    /// same per-location `Ref`s and the same call counts as marking each
+    /// packet's singleton set, and a disabled tracker touches no BDD.
+    #[test]
+    fn mark_concrete_records_what_mark_packet_of_the_singleton_records(
+        steps in prop::collection::vec(arb_mark_step(), 1..24)
+    ) {
+        let s = space();
+        let toy_packets: Vec<_> = s.packets().collect();
+        let mut bdd = Bdd::new();
+        let mut concrete = Tracker::new();
+        let mut by_set = Tracker::new();
+        // The disabled tracker gets a manager of its own, where nothing
+        // else could have built the nodes it must not build.
+        let mut off = Tracker::disabled();
+        let mut off_bdd = Bdd::new();
+        let untouched = off_bdd.node_count();
+        for (raw, symbolic, locs) in &steps {
+            let locs: Vec<Location> = locs
+                .iter()
+                .map(|&(d, tagged, i)| match tagged {
+                    true => Location::at(DeviceId(d), netmodel::IfaceId(i)),
+                    false => Location::device(DeviceId(d)),
+                })
+                .collect();
+            if let Some(len) = *symbolic {
+                let set = header::dst_in(&mut bdd, &embed_dst_prefix(&s, prefix(*raw, len)));
+                concrete.mark_packet(&mut bdd, locs[0], set);
+                by_set.mark_packet(&mut bdd, locs[0], set);
+                continue;
+            }
+            let pkt = embed_packet(&s, toy_packets[*raw as usize % toy_packets.len()]);
+            for &loc in &locs {
+                concrete.mark_concrete(&mut bdd, loc, &pkt);
+                let set = pkt.to_bdd(&mut bdd);
+                by_set.mark_packet(&mut bdd, loc, set);
+                off.mark_concrete(&mut off_bdd, loc, &pkt);
+            }
+        }
+        prop_assert_eq!(concrete.call_counts(), by_set.call_counts());
+        let got: Vec<_> = concrete.trace().packets.iter().collect();
+        let want: Vec<_> = by_set.trace().packets.iter().collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(off_bdd.node_count(), untouched);
+        prop_assert_eq!(off.call_counts(), (0, 0));
+        prop_assert!(off.into_trace().is_empty());
     }
 }
 

@@ -8,8 +8,17 @@
 //! This is the property the device-sharded invalidation scheme stakes
 //! its correctness on: recomputing only touched devices must never be
 //! observably different from recomputing everything.
+//!
+//! The same holds for what `MatchSets` derives lazily from its sets: the
+//! action classes symbolic reachability steps through must be rebuilt
+//! after a rule delta and after a collection, so `reach` on a mutated
+//! and collected engine equals `reach` on an engine booted from its
+//! final network.
 
-use netbdd::{Bdd, PortableBdd};
+use std::collections::BTreeMap;
+
+use dataplane::{reach, Forwarder};
+use netbdd::{Bdd, PortableBdd, Ref};
 use netmodel::header;
 use netmodel::rule::RouteClass;
 use netmodel::topology::{DeviceId, IfaceKind, Role, Topology};
@@ -197,8 +206,95 @@ fn replay(ops: &[Op], threads: usize) -> (CoverageEngine, Vec<(String, PortableT
     (engine, tests)
 }
 
+/// Symbolic reachability of the full header space from every device
+/// of an engine's live network, as canonical snapshots keyed by what
+/// they describe (per-hop set, packets per egress interface, per drop
+/// rule, per unmatched location). Leaves every device's action classes
+/// built.
+fn reach_everywhere(engine: &mut CoverageEngine) -> BTreeMap<String, PortableBdd> {
+    let (net, ms, _, bdd) = engine.analysis_parts();
+    let fwd = Forwarder::new(net, ms);
+    let full = bdd.full();
+    let mut sets: BTreeMap<String, Ref> = BTreeMap::new();
+    for (d, _) in net.topology().devices() {
+        let res = reach(bdd, &fwd, Location::device(d), full, 16);
+        let mut entries: Vec<(String, Ref)> = Vec::new();
+        entries.extend(res.per_hop.iter().map(|(l, s)| (format!("hop {l:?}"), s)));
+        entries.extend(
+            res.delivered
+                .iter()
+                .map(|&(i, s)| (format!("delivered {i:?}"), s)),
+        );
+        entries.extend(
+            res.exited
+                .iter()
+                .map(|&(i, s)| (format!("exited {i:?}"), s)),
+        );
+        entries.extend(
+            res.dropped
+                .iter()
+                .map(|&(r, s)| (format!("dropped {r:?}"), s)),
+        );
+        entries.extend(
+            res.unmatched
+                .iter()
+                .map(|&(l, s)| (format!("unmatched {l:?}"), s)),
+        );
+        for (what, set) in entries {
+            let e = sets
+                .entry(format!("from {d:?}: {what}"))
+                .or_insert(Ref::FALSE);
+            *e = bdd.or(*e, set);
+        }
+    }
+    sets.into_iter().map(|(k, r)| (k, bdd.export(r))).collect()
+}
+
+/// The keys two reachability snapshots disagree on (a key missing on one
+/// side counts).
+fn differing(a: &BTreeMap<String, PortableBdd>, b: &BTreeMap<String, PortableBdd>) -> Vec<String> {
+    let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    keys.into_iter()
+        .filter(|k| a.get(*k) != b.get(*k))
+        .cloned()
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Action classes do not outlive the match sets they were joined
+    /// from: build them, insert rules (`recompute_device`), collect
+    /// (`remap_refs`), and `reach` must still say what a fresh engine on
+    /// the same network says.
+    #[test]
+    fn reach_survives_rule_deltas_and_collection(
+        history in prop::collection::vec(arb_op(), 0..8),
+        inserts in prop::collection::vec(
+            (any::<u32>(), 0..PREFIXES.len(), any::<u32>(), any::<bool>()), 1..4),
+    ) {
+        let (mut engine, _) = replay(&history, 1);
+        let (_, dev_ifaces) = base_net();
+        reach_everywhere(&mut engine);
+        for &(dev_sel, prefix_sel, iface_sel, drop) in &inserts {
+            let d = dev_sel as usize % dev_ifaces.len();
+            let prefix: Prefix = PREFIXES[prefix_sel].parse().unwrap();
+            let rule = if drop {
+                Rule::null_route(prefix, RouteClass::Other)
+            } else {
+                let pick = dev_ifaces[d][iface_sel as usize % dev_ifaces[d].len()];
+                Rule::forward(prefix, vec![pick], RouteClass::Other)
+            };
+            engine.insert_rule(DeviceId(d as u32), rule).unwrap();
+        }
+        let expected = reach_everywhere(&mut CoverageEngine::new(engine.network().clone(), 1));
+        let none: Vec<String> = Vec::new();
+        let got = reach_everywhere(&mut engine);
+        prop_assert_eq!(differing(&got, &expected), none.clone(), "after the inserts");
+        engine.gc();
+        let got = reach_everywhere(&mut engine);
+        prop_assert_eq!(differing(&got, &expected), none, "after the collection");
+    }
 
     #[test]
     fn engine_after_deltas_is_bit_identical_to_batch_recompute(

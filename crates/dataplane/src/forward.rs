@@ -4,7 +4,10 @@
 //! disjoint rule match sets and applies each matched rule's action. The
 //! result says, per exercised rule, which packets matched and where every
 //! surviving subset went — the primitive that both reachability analysis
-//! and path enumeration are built on.
+//! and path enumeration are built on. Path enumeration is defined over
+//! rules and splits rule by rule ([`Forwarder::step`]); reachability only
+//! asks where packets go and splits by action class
+//! ([`Forwarder::step_classes`]).
 
 use netbdd::{Bdd, Ref};
 use netmodel::topology::DeviceId;
@@ -106,30 +109,61 @@ impl<'n> Forwarder<'n> {
         ingress: Option<IfaceId>,
         packets: Ref,
     ) -> StepResult {
+        let rules = self.net.device_rule_ids(device).map(|id| {
+            let scope = self.net.rule(id).matches.in_iface;
+            (scope, id, self.match_sets.get(id))
+        });
+        self.split(bdd, ingress, packets, rules)
+    }
+
+    /// [`Forwarder::step`] at the granularity of the device's action
+    /// classes ([`MatchSets::action_classes`]): one transition per class
+    /// hit, `rule` naming the class's first member and `matched` the
+    /// packets any member matched. The union of outcomes per next
+    /// location or egress interface, the dropped packets per drop rule
+    /// and `unmatched` are those of the per-rule step.
+    pub fn step_classes(
+        &self,
+        bdd: &mut Bdd,
+        device: DeviceId,
+        ingress: Option<IfaceId>,
+        packets: Ref,
+    ) -> StepResult {
+        let classes = self.match_sets.action_classes(self.net, bdd, device);
+        let pieces = classes.iter().map(|c| (c.scope, c.rule, c.set));
+        self.split(bdd, ingress, packets, pieces)
+    }
+
+    /// Peel `packets` across disjoint `pieces` — `(ingress scope, rule
+    /// whose action applies, match set)` in table order — and apply each
+    /// hit piece's action.
+    fn split(
+        &self,
+        bdd: &mut Bdd,
+        ingress: Option<IfaceId>,
+        packets: Ref,
+        pieces: impl Iterator<Item = (Option<IfaceId>, RuleId, Ref)>,
+    ) -> StepResult {
         let mut transitions = Vec::new();
         let mut remaining = packets;
-        for id in self.net.device_rule_ids(device) {
+        for (scope, rule, set) in pieces {
             if remaining.is_false() {
                 break;
             }
-            let rule = self.net.rule(id);
             // Ingress-scoped rules only see packets that arrived on their
             // interface; with unknown ingress they are skipped (the
             // conservative choice for injected local test packets).
-            if let Some(required) = rule.matches.in_iface {
-                if ingress != Some(required) {
-                    continue;
-                }
+            if scope.is_some() && scope != ingress {
+                continue;
             }
-            let m = self.match_sets.get(id);
-            let matched = bdd.and(remaining, m);
+            let matched = bdd.and(remaining, set);
             if matched.is_false() {
                 continue;
             }
             remaining = bdd.diff(remaining, matched);
-            let outcomes = self.apply_action(bdd, &rule.action, matched);
+            let outcomes = self.apply_action(bdd, &self.net.rule(rule).action, matched);
             transitions.push(Transition {
-                rule: id,
+                rule,
                 matched,
                 outcomes,
             });
@@ -138,6 +172,19 @@ impl<'n> Forwarder<'n> {
             transitions,
             unmatched: remaining,
         }
+    }
+
+    /// What of `ingress` the table of `device` can tell apart: the
+    /// interface itself when its rules are ingress-scoped (tables are
+    /// scoped throughout or not at all), `None` otherwise. Two steps of
+    /// the same packets with equal scopes have equal results.
+    pub fn ingress_scope(&self, device: DeviceId, ingress: Option<IfaceId>) -> Option<IfaceId> {
+        let scoped = self
+            .net
+            .device_rules(device)
+            .first()
+            .is_some_and(|r| r.matches.in_iface.is_some());
+        ingress.filter(|_| scoped)
     }
 
     fn apply_action(&self, bdd: &mut Bdd, action: &Action, matched: Ref) -> Vec<Outcome> {

@@ -13,9 +13,9 @@
 use std::collections::HashMap;
 
 use netbdd::{Bdd, Ref};
-use netmodel::{IfaceId, LocatedPacketSet, Location, RuleId};
+use netmodel::{DeviceId, IfaceId, LocatedPacketSet, Location, MatchSets, Network, RuleId};
 
-use crate::forward::{Forwarder, Outcome};
+use crate::forward::{Forwarder, Outcome, StepResult};
 
 /// Result of a symbolic reachability query.
 #[derive(Clone, Debug, Default)]
@@ -31,8 +31,6 @@ pub struct ReachResult {
     pub dropped: Vec<(RuleId, Ref)>,
     /// Packets that matched no rule somewhere, keyed by the device.
     pub unmatched: Vec<(Location, Ref)>,
-    /// Rules exercised, with the packet subsets that exercised them.
-    pub exercised: Vec<(RuleId, Ref)>,
 }
 
 impl ReachResult {
@@ -55,6 +53,27 @@ impl ReachResult {
     pub fn exited_union(&self, bdd: &mut Bdd) -> Ref {
         bdd.or_all(self.exited.iter().map(|&(_, p)| p))
     }
+
+    /// Rules exercised, with the packet subsets that exercised them:
+    /// for every rule at a visited location whose ingress it accepts,
+    /// the non-empty `per_hop ∧ M[r]`. Derived on demand — propagation
+    /// itself splits by action class, not by rule.
+    pub fn exercised(&self, bdd: &mut Bdd, net: &Network, ms: &MatchSets) -> Vec<(RuleId, Ref)> {
+        let mut out = Vec::new();
+        for (loc, set) in self.per_hop.iter() {
+            for id in net.device_rule_ids(loc.device) {
+                let scope = net.rule(id).matches.in_iface;
+                if scope.is_some() && scope != loc.iface {
+                    continue;
+                }
+                let hit = bdd.and(set, ms.get(id));
+                if !hit.is_false() {
+                    out.push((id, hit));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Propagate `packets` from `start` to fixpoint.
@@ -62,6 +81,11 @@ impl ReachResult {
 /// `max_rounds` bounds propagation in the presence of forwarding loops;
 /// each round processes one frontier of newly arrived packets. A correct
 /// hierarchical network converges in diameter-many rounds.
+///
+/// Each arriving set is split by action class, and a split is computed
+/// once per (device, ingress scope, packet set): a fabric device that
+/// receives the same packets on several ports is stepped once and the
+/// outcomes are replayed for the other ports.
 pub fn reach(
     bdd: &mut Bdd,
     fwd: &Forwarder<'_>,
@@ -75,6 +99,7 @@ pub fn reach(
     // only the delta, which guarantees termination even with loops (sets
     // grow monotonically and the lattice is finite).
     let mut seen: HashMap<Location, Ref> = HashMap::new();
+    let mut steps: HashMap<(DeviceId, Option<IfaceId>, Ref), StepResult> = HashMap::new();
     let mut frontier: Vec<(Location, Ref)> = vec![(start, packets)];
 
     for _round in 0..max_rounds {
@@ -92,14 +117,16 @@ pub fn reach(
             *already = bdd.or(*already, fresh);
             result.per_hop.add(bdd, loc, fresh);
 
-            let step = fwd.step(bdd, loc.device, loc.iface, fresh);
+            let scope = fwd.ingress_scope(loc.device, loc.iface);
+            let step = steps
+                .entry((loc.device, scope, fresh))
+                .or_insert_with(|| fwd.step_classes(bdd, loc.device, loc.iface, fresh));
             if !step.unmatched.is_false() {
                 result.unmatched.push((loc, step.unmatched));
             }
-            for t in step.transitions {
-                result.exercised.push((t.rule, t.matched));
-                for o in t.outcomes {
-                    match o {
+            for t in &step.transitions {
+                for o in &t.outcomes {
+                    match *o {
                         Outcome::Hop {
                             next: nloc,
                             packets,
@@ -214,8 +241,9 @@ mod tests {
         let fwd = Forwarder::new(&net, &ms);
         let v4 = header::family_is(&mut bdd, netmodel::Family::V4);
         let res = reach(&mut bdd, &fwd, Location::device(devs[0]), v4, 16);
-        assert!(!res.exercised.is_empty());
-        for (rule, subset) in &res.exercised {
+        let exercised = res.exercised(&mut bdd, &net, &ms);
+        assert!(!exercised.is_empty());
+        for (rule, subset) in &exercised {
             assert!(
                 bdd.subset(*subset, ms.get(*rule)),
                 "exercised beyond match set"

@@ -81,9 +81,11 @@ impl TraceResult {
 
 /// Walk one concrete packet from `start` until it terminates.
 ///
-/// Rule matching evaluates the packet against the device's disjoint match
-/// sets, so the trace agrees exactly with the symbolic engine's
-/// first-match semantics.
+/// At every hop the rule is the first in table order whose match
+/// *fields* admit the packet, and that hit is then checked against the
+/// rule's disjoint match set — one BDD walk per hop — so a trace that
+/// disagreed with the symbolic engine's first-match semantics would
+/// panic rather than be reported.
 pub fn traceroute(
     bdd: &mut Bdd,
     net: &Network,
@@ -172,8 +174,36 @@ pub fn traceroute(
     }
 }
 
-/// First-match lookup of a concrete packet in a device table.
+/// First-match lookup of a concrete packet in a device table: the first
+/// rule in table order whose ingress scope admits `loc` and whose match
+/// fields admit the packet — by construction of the disjoint match sets
+/// the one rule whose set holds the packet, which is asserted.
 fn lookup<'n>(
+    net: &'n Network,
+    ms: &MatchSets,
+    bdd: &Bdd,
+    loc: Location,
+    pkt: &Packet,
+) -> Option<(RuleId, &'n netmodel::Rule)> {
+    let (id, rule) = net
+        .device_rule_ids(loc.device)
+        .map(|id| (id, net.rule(id)))
+        .find(|(_, rule)| {
+            let scope = rule.matches.in_iface;
+            (scope.is_none() || scope == loc.iface) && rule.matches.matches_packet(pkt)
+        })?;
+    assert!(
+        pkt.matches(bdd, ms.get(id)),
+        "{id:?}: first field match for {pkt} at {loc:?} is outside its disjoint match set"
+    );
+    Some((id, rule))
+}
+
+/// The lookup by definition: scan the disjoint match sets for the one
+/// holding the packet, ~65 BDD walks per hop on a fabric switch. The
+/// oracle the field-level lookup is tested against.
+#[cfg(test)]
+fn lookup_by_match_set<'n>(
     net: &'n Network,
     ms: &MatchSets,
     bdd: &Bdd,
@@ -396,6 +426,163 @@ mod tests {
                 assert_eq!(rule.device, a);
             }
             o => panic!("expected drop, got {o:?}"),
+        }
+    }
+
+    /// The hit of both lookups for `pkt` at `loc`, as rule ids.
+    fn both_lookups(
+        net: &Network,
+        ms: &MatchSets,
+        bdd: &Bdd,
+        loc: Location,
+        pkt: &Packet,
+    ) -> (Option<RuleId>, Option<RuleId>) {
+        (
+            lookup(net, ms, bdd, loc, pkt).map(|(id, _)| id),
+            lookup_by_match_set(net, ms, bdd, loc, pkt).map(|(id, _)| id),
+        )
+    }
+
+    mod differential {
+        use super::*;
+        use netmodel::{HeaderField, MatchFields, Rewrite, Table, TableMode};
+        use oracle::embed::{embed_net, embed_packet};
+        use oracle::{ToyAction, ToyIfaceKind, ToyNet, ToyPrefix, ToyRule, ToySpace};
+        use proptest::prelude::*;
+
+        /// `((dst_len, raw_dst), (has_src, src_len, raw_src), (has_proto,
+        /// proto), drop)` — the rule shape of the netmodel oracle suite.
+        type ToySpec = ((u32, u32), (bool, u32, u32), (bool, u32), bool);
+
+        fn arb_toy_rule() -> impl Strategy<Value = ToySpec> {
+            (
+                (0u32..=4, any::<u32>()),
+                (any::<bool>(), 0u32..=2, any::<u32>()),
+                (any::<bool>(), 0u32..2),
+                any::<bool>(),
+            )
+        }
+
+        fn toy_prefix(raw: u32, len: u32) -> ToyPrefix {
+            ToyPrefix::new(if len == 0 { 0 } else { raw & ((1 << len) - 1) }, len)
+        }
+
+        /// `(ingress selector, dst /24+len in 10.0.0.0/24, (has_proto,
+        /// proto), (has_dport, lo, hi), action selector)` for one entry
+        /// of an ingress-scoped priority table.
+        type AclSpec = (bool, (u8, u8), (bool, u8), (bool, u16, u16), u8);
+
+        fn arb_acl_rule() -> impl Strategy<Value = AclSpec> {
+            (
+                any::<bool>(),
+                (0u8..=8, any::<u8>()),
+                (any::<bool>(), 5u8..8),
+                (any::<bool>(), 20u16..26, 20u16..26),
+                0u8..4,
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// On embedded toy tables (dst, src and proto matches, drops
+            /// and forwards) the field-level lookup picks the rule whose
+            /// disjoint match set holds the packet, for every packet of
+            /// the toy space at every device.
+            #[test]
+            fn field_lookup_agrees_with_match_set_scan(
+                tables in prop::collection::vec(prop::collection::vec(arb_toy_rule(), 0..6), 1..4)
+            ) {
+                let space = ToySpace::new(4, 2, 1);
+                let mut toy = ToyNet::new();
+                for specs in &tables {
+                    let d = toy.add_device();
+                    let host = toy.add_iface(d, ToyIfaceKind::Host);
+                    for &((dst_len, raw_dst), (has_src, src_len, raw_src), (has_proto, proto), drop) in specs {
+                        toy.add_rule(d, ToyRule {
+                            dst: Some(toy_prefix(raw_dst, dst_len)),
+                            src: has_src.then(|| toy_prefix(raw_src, src_len)),
+                            proto: has_proto.then_some(proto),
+                            action: if drop { ToyAction::Drop } else { ToyAction::Forward(vec![host]) },
+                        });
+                    }
+                }
+                toy.finalize();
+                let net = embed_net(&space, &toy);
+                let mut bdd = Bdd::new();
+                let ms = MatchSets::compute(&net, &mut bdd);
+                for d in 0..tables.len() as u32 {
+                    for p in space.packets() {
+                        let pkt = embed_packet(&space, p);
+                        let (fields, scan) =
+                            both_lookups(&net, &ms, &bdd, Location::device(DeviceId(d)), &pkt);
+                        prop_assert_eq!(fields, scan, "device {} packet {:#x}", d, p);
+                    }
+                }
+            }
+
+            /// The same on an ingress-scoped priority table mixing drops,
+            /// forwards and a rewrite: each interface runs its own
+            /// first-match chain, and a packet of unknown ingress sees no
+            /// rule at all.
+            #[test]
+            fn field_lookup_agrees_on_an_ingress_scoped_acl(
+                specs in prop::collection::vec(arb_acl_rule(), 1..10)
+            ) {
+                let mut t = Topology::new();
+                let a = t.add_device("acl", Role::Border);
+                let in0 = t.add_iface(a, "in0", IfaceKind::Host);
+                let in1 = t.add_iface(a, "in1", IfaceKind::Host);
+                let out = t.add_iface(a, "out", IfaceKind::External);
+                let mut table = Table::new(TableMode::Priority);
+                for &(on_in1, (len, raw), (has_proto, proto), (has_dport, p, q), act) in &specs {
+                    let action = match act {
+                        0 => Action::Drop,
+                        1 => Action::Rewrite(
+                            Rewrite { set: vec![(HeaderField::Dport, 8080)] },
+                            vec![out],
+                        ),
+                        _ => Action::Forward(vec![out]),
+                    };
+                    table.push(Rule {
+                        matches: MatchFields {
+                            dst: Some(Prefix::v4(ipv4(10, 0, 0, raw), 24 + len)),
+                            proto: has_proto.then_some(proto),
+                            dport: has_dport.then_some((p.min(q), p.max(q))),
+                            in_iface: Some(if on_in1 { in1 } else { in0 }),
+                            ..MatchFields::default()
+                        },
+                        action,
+                        class: RouteClass::Other,
+                    });
+                }
+                table.finalize();
+                let mut net = Network::new(t);
+                net.set_table(a, table);
+                net.finalize();
+                let mut bdd = Bdd::new();
+                let ms = MatchSets::compute(&net, &mut bdd);
+                let mut hits = 0;
+                for loc in [Location::at(a, in0), Location::at(a, in1), Location::device(a)] {
+                    for last in (0..=255u8).step_by(5) {
+                        for proto in 5u8..8 {
+                            for dport in 19u16..27 {
+                                let pkt = Packet { proto, dport, ..Packet::v4_to(ipv4(10, 0, 0, last)) };
+                                let (fields, scan) = both_lookups(&net, &ms, &bdd, loc, &pkt);
+                                prop_assert_eq!(fields, scan, "{} at {:?}", pkt, loc);
+                                hits += usize::from(fields.is_some());
+                                if loc.iface.is_none() {
+                                    prop_assert_eq!(fields, None);
+                                }
+                            }
+                        }
+                    }
+                }
+                // A /24 entry alone matches every probe on its interface.
+                if specs.iter().any(|s| s.1 .0 == 0 && !s.2 .0 && !s.3 .0) {
+                    prop_assert!(hits > 0);
+                }
+            }
         }
     }
 }

@@ -6,14 +6,23 @@
 //!   walk exactly (hop sequence and outcome);
 //! * `explore`'s symbolic path universe, sliced down to one concrete
 //!   packet, is the same multiset of (rule sequence, terminal) as the
-//!   oracle's depth-first ECMP walk enumeration.
+//!   oracle's depth-first ECMP walk enumeration;
+//! * `reach`, which splits by action class and steps a device once per
+//!   distinct arriving set, reports what a rule-by-rule propagation
+//!   without any memo reports.
 
-use dataplane::forward::Forwarder;
+use std::collections::{BTreeMap, HashMap};
+
+use dataplane::forward::{Forwarder, Outcome};
 use dataplane::paths::{explore, ExploreOpts, Terminal};
+use dataplane::reach::{reach, ReachResult};
 use dataplane::traceroute::{traceroute, TraceOutcome};
-use netbdd::Bdd;
-use netmodel::topology::DeviceId;
-use netmodel::{Location, MatchSets, RuleId};
+use netbdd::{Bdd, Ref};
+use netmodel::topology::{DeviceId, IfaceKind, Role, Topology};
+use netmodel::{
+    Action, IfaceId, Location, MatchFields, MatchSets, Network, Prefix, RouteClass, Rule, RuleId,
+    Table, TableMode,
+};
 use oracle::embed::{embed_net, embed_packet};
 use oracle::{ToyIfaceKind, ToyNet, ToyPrefix, ToyRule, ToySpace, WalkEnd};
 use proptest::prelude::*;
@@ -126,8 +135,210 @@ fn hops_to_ids(hops: &[(usize, usize)]) -> Vec<RuleId> {
         .collect()
 }
 
+/// `reach` as it was before action classes: every arriving set is split
+/// rule by rule with [`Forwarder::step`], at every location it arrives
+/// at. The reference the class-stepping, memoising `reach` must equal.
+fn reach_per_rule(
+    bdd: &mut Bdd,
+    fwd: &Forwarder<'_>,
+    start: Location,
+    packets: Ref,
+    max_rounds: usize,
+) -> ReachResult {
+    let mut result = ReachResult::default();
+    let mut seen: HashMap<Location, Ref> = HashMap::new();
+    let mut frontier: Vec<(Location, Ref)> = vec![(start, packets)];
+    for _round in 0..max_rounds {
+        if frontier.is_empty() {
+            break;
+        }
+        let mut next: BTreeMap<Location, Ref> = BTreeMap::new();
+        for (loc, set) in frontier.drain(..) {
+            let already = seen.entry(loc).or_insert(Ref::FALSE);
+            let fresh = bdd.diff(set, *already);
+            if fresh.is_false() {
+                continue;
+            }
+            *already = bdd.or(*already, fresh);
+            result.per_hop.add(bdd, loc, fresh);
+            let step = fwd.step(bdd, loc.device, loc.iface, fresh);
+            if !step.unmatched.is_false() {
+                result.unmatched.push((loc, step.unmatched));
+            }
+            for t in step.transitions {
+                for o in t.outcomes {
+                    match o {
+                        Outcome::Hop {
+                            next: nloc,
+                            packets,
+                        } => {
+                            let e = next.entry(nloc).or_insert(Ref::FALSE);
+                            *e = bdd.or(*e, packets);
+                        }
+                        Outcome::Delivered { iface, packets } => {
+                            result.delivered.push((iface, packets))
+                        }
+                        Outcome::Exited { iface, packets } => result.exited.push((iface, packets)),
+                        Outcome::Dropped { packets } => result.dropped.push((t.rule, packets)),
+                    }
+                }
+            }
+        }
+        frontier.extend(next);
+    }
+    result
+}
+
+/// What a [`ReachResult`] says, independent of how finely its lists are
+/// cut: the per-hop sets, and per egress interface, per drop rule and
+/// per location the union of the packets listed under it. Both runs
+/// share a manager, so equal sets are equal `Ref`s.
+#[derive(Debug, PartialEq)]
+struct ReachSummary {
+    per_hop: Vec<(Location, Ref)>,
+    delivered: BTreeMap<IfaceId, Ref>,
+    exited: BTreeMap<IfaceId, Ref>,
+    dropped: BTreeMap<RuleId, Ref>,
+    unmatched: BTreeMap<Location, Ref>,
+}
+
+fn union_by_key<K: Ord + Copy>(bdd: &mut Bdd, entries: &[(K, Ref)]) -> BTreeMap<K, Ref> {
+    let mut out = BTreeMap::new();
+    for &(k, set) in entries {
+        let e = out.entry(k).or_insert(Ref::FALSE);
+        *e = bdd.or(*e, set);
+    }
+    out
+}
+
+fn summarize(bdd: &mut Bdd, res: &ReachResult) -> ReachSummary {
+    ReachSummary {
+        per_hop: res.per_hop.iter().collect(),
+        delivered: union_by_key(bdd, &res.delivered),
+        exited: union_by_key(bdd, &res.exited),
+        dropped: union_by_key(bdd, &res.dropped),
+        unmatched: union_by_key(bdd, &res.unmatched),
+    }
+}
+
+/// Both propagations of `packets` from `start`, summarised.
+fn both_reaches(
+    bdd: &mut Bdd,
+    fwd: &Forwarder<'_>,
+    start: Location,
+    packets: Ref,
+) -> (ReachSummary, ReachSummary) {
+    let by_class = reach(bdd, fwd, start, packets, 32);
+    let by_rule = reach_per_rule(bdd, fwd, start, packets, 32);
+    (summarize(bdd, &by_class), summarize(bdd, &by_rule))
+}
+
+/// Fat-tree k=4 is where classes and the memo bite: a core's rules
+/// share a few actions, and an aggregation switch or ToR receives the
+/// same set on every uplink.
+#[test]
+fn reach_by_class_agrees_with_per_rule_on_fattree_k4() {
+    let ft = topogen::fattree(topogen::FatTreeParams::paper(4));
+    let mut bdd = Bdd::new();
+    let ms = MatchSets::compute(&ft.net, &mut bdd);
+    let fwd = Forwarder::new(&ft.net, &ms);
+    let full = bdd.full();
+    for &(tor, prefix, _) in &ft.tors {
+        let own = netmodel::header::dst_in(&mut bdd, &prefix);
+        let remote = bdd.diff(full, own);
+        let (by_class, by_rule) = both_reaches(&mut bdd, &fwd, Location::device(tor), remote);
+        assert!(by_class.delivered.len() >= ft.tors.len() - 1);
+        assert_eq!(by_class, by_rule, "from {tor:?}");
+    }
+}
+
+/// One table with `in_iface` scopes: `b` forwards what arrives from `a`
+/// to its hosts except a null-routed /26, and drops everything arriving
+/// from `c`. `s` fans out to `a` and `c`, so the same set reaches `b` on
+/// both interfaces in one round and must split by the interface it
+/// arrived on — the memo must not hand one port the other's step.
+#[test]
+fn reach_by_class_agrees_with_per_rule_on_an_ingress_scoped_table() {
+    let mut t = Topology::new();
+    let s = t.add_device("s", Role::Tor);
+    let a = t.add_device("a", Role::Spine);
+    let b = t.add_device("b", Role::Tor);
+    let c = t.add_device("c", Role::Spine);
+    let hosts = t.add_iface(b, "hosts", IfaceKind::Host);
+    let (sa, _) = t.add_link(s, a);
+    let (sc, _) = t.add_link(s, c);
+    let (ab, ba) = t.add_link(a, b);
+    let (cb, bc) = t.add_link(c, b);
+    let p24: Prefix = "10.0.0.0/24".parse().unwrap();
+    let p25: Prefix = "10.0.0.0/25".parse().unwrap();
+    let p26: Prefix = "10.0.0.64/26".parse().unwrap();
+    let scoped = |iface, dst, action| Rule {
+        matches: MatchFields {
+            dst: Some(dst),
+            in_iface: Some(iface),
+            ..MatchFields::default()
+        },
+        action,
+        class: RouteClass::Other,
+    };
+    let mut table = Table::new(TableMode::Priority);
+    table.push(scoped(ba, p26, Action::Drop));
+    table.push(scoped(ba, p25, Action::Forward(vec![hosts])));
+    table.push(scoped(bc, p24, Action::Drop));
+    table.push(scoped(ba, p24, Action::Forward(vec![hosts])));
+    table.finalize();
+    let mut net = Network::new(t);
+    net.add_rule(s, Rule::forward(p24, vec![sa, sc], RouteClass::Other));
+    net.add_rule(a, Rule::forward(p24, vec![ab], RouteClass::Other));
+    net.add_rule(c, Rule::forward(p24, vec![cb], RouteClass::Other));
+    net.set_table(b, table);
+    net.finalize();
+    let mut bdd = Bdd::new();
+    let ms = MatchSets::compute(&net, &mut bdd);
+    let fwd = Forwarder::new(&net, &ms);
+    let v4 = netmodel::header::family_is(&mut bdd, netmodel::Family::V4);
+    for start in [s, a, c, b] {
+        let (by_class, by_rule) = both_reaches(&mut bdd, &fwd, Location::device(start), v4);
+        assert_eq!(by_class, by_rule, "from {start:?}");
+    }
+    // The two /25-and-/24 forwards out `hosts` are one class next to the
+    // singleton drop: from `a`, three quarters of the /24 arrive.
+    let (from_a, _) = both_reaches(&mut bdd, &fwd, Location::device(a), v4);
+    let all = netmodel::header::dst_in(&mut bdd, &p24);
+    let hole = netmodel::header::dst_in(&mut bdd, &p26);
+    assert_eq!(from_a.delivered[&hosts], bdd.diff(all, hole));
+    assert_eq!(from_a.dropped.len(), 1);
+    let (from_c, _) = both_reaches(&mut bdd, &fwd, Location::device(c), v4);
+    assert!(from_c.delivered.is_empty());
+    assert_eq!(
+        from_c.dropped.values().copied().collect::<Vec<_>>(),
+        vec![all]
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random tree-shaped toy networks with ECMP fan-out and drops,
+    /// from every device: same per-hop sets, and the same packets per
+    /// egress interface, per drop rule and per unmatched location.
+    #[test]
+    fn reach_by_class_agrees_with_per_rule(
+        specs in prop::collection::vec(arb_device(5), 1..5)
+    ) {
+        let s = space();
+        let net = build_net(&specs, true);
+        let real = embed_net(&s, &net);
+        let mut bdd = Bdd::new();
+        let ms = MatchSets::compute(&real, &mut bdd);
+        let fwd = Forwarder::new(&real, &ms);
+        let full = bdd.full();
+        for d in 0..specs.len() as u32 {
+            let (by_class, by_rule) =
+                both_reaches(&mut bdd, &fwd, Location::device(DeviceId(d)), full);
+            prop_assert_eq!(by_class, by_rule, "from device {}", d);
+        }
+    }
 
     /// Concrete traceroute replays the oracle's unique walk on ECMP-free
     /// networks: same rule at every hop, same ending.

@@ -14,12 +14,13 @@
 //! whether the device scans linearly or walks a trie.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use netbdd::{Bdd, Ref};
 
 use crate::network::{Network, RuleId};
-use crate::rule::MatchFields;
-use crate::topology::IfaceId;
+use crate::rule::{Action, MatchFields};
+use crate::topology::{DeviceId, IfaceId};
 
 /// Memo for compiled `fromRule` match sets, keyed by the *header* part of
 /// the match fields (`in_iface` is positional, not header bits, and is
@@ -131,6 +132,22 @@ impl MatchSetCache {
     }
 }
 
+/// Rules of one device that forward alike: same ingress scope, same
+/// [`Action::Forward`] out-interface list. A packet set splits across a
+/// device's classes exactly as it splits across its rules, only in
+/// fewer pieces — what a symbolic walk needs when it asks where packets
+/// go, not which rule sent them. `Drop` and `Rewrite` rules are always
+/// alone in their class, so a drop is still attributed to its rule.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ActionClass {
+    /// The ingress constraint every member carries.
+    pub scope: Option<IfaceId>,
+    /// The first member in table order; every member has its action.
+    pub rule: RuleId,
+    /// Union of the members' disjoint match sets.
+    pub set: Ref,
+}
+
 /// The disjoint match sets of every rule in a network, plus per-device
 /// totals. `M[r]` in the paper's notation.
 #[derive(Clone, Debug)]
@@ -140,6 +157,9 @@ pub struct MatchSets {
     /// Union of a device's match sets (the packet space the device can act
     /// on at all).
     device_total: Vec<Ref>,
+    /// `classes[device]` — the device's action classes, derived from
+    /// `sets` on first use and dropped whenever `sets` changes.
+    classes: Vec<OnceLock<Vec<ActionClass>>>,
 }
 
 impl MatchSets {
@@ -175,7 +195,11 @@ impl MatchSets {
             netobs::gauge("match_cache.misses", misses as f64);
             netobs::gauge("match_cache.evictions", cache.evictions() as f64);
         }
-        MatchSets { sets, device_total }
+        MatchSets {
+            sets,
+            device_total,
+            classes: vec![OnceLock::new(); ndev],
+        }
     }
 
     /// Recompute one device's match sets in place after its table
@@ -189,11 +213,50 @@ impl MatchSets {
         net: &Network,
         bdd: &mut Bdd,
         cache: &mut MatchSetCache,
-        device: crate::topology::DeviceId,
+        device: DeviceId,
     ) {
         let (dev_sets, total) = device_match_sets(net, bdd, cache, device);
         self.sets[device.0 as usize] = dev_sets;
         self.device_total[device.0 as usize] = total;
+        self.classes[device.0 as usize] = OnceLock::new();
+    }
+
+    /// The action classes of `device`, in table order of their first
+    /// members, built on first use. Shadowed rules (empty match set)
+    /// belong to no class. `net` and `bdd` must be the network and
+    /// manager the match sets were computed from.
+    pub fn action_classes(&self, net: &Network, bdd: &mut Bdd, device: DeviceId) -> &[ActionClass] {
+        self.classes[device.0 as usize].get_or_init(|| {
+            // (scope, first member, members' sets), in order of first member.
+            let mut classes: Vec<(Option<IfaceId>, RuleId, Vec<Ref>)> = Vec::new();
+            let mut by_action: HashMap<(Option<IfaceId>, &[IfaceId]), usize> = HashMap::new();
+            for id in net.device_rule_ids(device) {
+                let set = self.get(id);
+                if set.is_false() {
+                    continue;
+                }
+                let rule = net.rule(id);
+                let scope = rule.matches.in_iface;
+                let slot = match &rule.action {
+                    Action::Forward(outs) => *by_action
+                        .entry((scope, outs.as_slice()))
+                        .or_insert(classes.len()),
+                    Action::Drop | Action::Rewrite(..) => classes.len(),
+                };
+                if slot == classes.len() {
+                    classes.push((scope, id, Vec::new()));
+                }
+                classes[slot].2.push(set);
+            }
+            classes
+                .into_iter()
+                .map(|(scope, rule, sets)| ActionClass {
+                    scope,
+                    rule,
+                    set: bdd.or_all(sets),
+                })
+                .collect()
+        })
     }
 
     /// The disjoint match set of one rule.
@@ -202,7 +265,7 @@ impl MatchSets {
     }
 
     /// Union of all match sets on a device.
-    pub fn device_total(&self, device: crate::topology::DeviceId) -> Ref {
+    pub fn device_total(&self, device: DeviceId) -> Ref {
         self.device_total[device.0 as usize]
     }
 
@@ -222,7 +285,9 @@ impl MatchSets {
         roots.extend(self.device_total.iter().copied());
     }
 
-    /// Rewrite every held ref through `f` (a GC relocation map).
+    /// Rewrite every held ref through `f` (a GC relocation map). The
+    /// action classes are not roots ([`MatchSets::collect_refs`] leaves
+    /// them out), so they are dropped here and rebuilt on next use.
     pub fn remap_refs(&mut self, f: impl Fn(Ref) -> Ref) {
         for dev in &mut self.sets {
             for r in dev.iter_mut() {
@@ -231,6 +296,9 @@ impl MatchSets {
         }
         for r in &mut self.device_total {
             *r = f(*r);
+        }
+        for c in &mut self.classes {
+            *c = OnceLock::new();
         }
     }
 }
@@ -241,7 +309,7 @@ fn device_match_sets(
     net: &Network,
     bdd: &mut Bdd,
     cache: &mut MatchSetCache,
-    device: crate::topology::DeviceId,
+    device: DeviceId,
 ) -> (Vec<Ref>, Ref) {
     let rules = net.device_rules(device);
     let mixed = rules.iter().any(|r| r.matches.in_iface.is_some())
@@ -566,6 +634,51 @@ mod tests {
         for id in net.device_rule_ids(d) {
             assert_eq!(ms.get(id), batch2.get(id));
         }
+    }
+
+    #[test]
+    fn action_classes_join_rules_that_forward_alike() {
+        let mut t = Topology::new();
+        let d = t.add_device("r", Role::Spine);
+        let i0 = t.add_iface(d, "p0", crate::topology::IfaceKind::Host);
+        let i1 = t.add_iface(d, "p1", crate::topology::IfaceKind::Host);
+        let to = |prefix: &str, outs: Vec<IfaceId>| {
+            Rule::forward(prefix.parse().unwrap(), outs, RouteClass::Other)
+        };
+        let mut net = Network::new(t);
+        net.add_rule(d, to("10.0.0.0/24", vec![i0]));
+        net.add_rule(d, to("10.0.1.0/24", vec![i1]));
+        net.add_rule(d, to("10.0.2.0/24", vec![i0]));
+        net.add_rule(d, to("10.0.2.0/24", vec![i1])); // shadowed
+        net.add_rule(
+            d,
+            Rule::null_route("10.0.3.0/24".parse().unwrap(), RouteClass::Other),
+        );
+        net.add_rule(
+            d,
+            Rule::null_route("10.0.4.0/24".parse().unwrap(), RouteClass::Other),
+        );
+        net.add_rule(d, to("10.0.5.0/24", vec![i0, i1]));
+        net.finalize();
+        let mut bdd = Bdd::new();
+        let mut ms = MatchSets::compute(&net, &mut bdd);
+        let id = |index| RuleId { device: d, index };
+        let classes = ms.action_classes(&net, &mut bdd, d).to_vec();
+        // {0, 2} out p0, {1} out p1, each drop alone, the ECMP pair alone;
+        // the shadowed rule nowhere. Ordered by first member.
+        let firsts: Vec<RuleId> = classes.iter().map(|c| c.rule).collect();
+        assert_eq!(firsts, vec![id(0), id(1), id(4), id(5), id(6)]);
+        assert_eq!(classes[0].set, bdd.or(ms.get(id(0)), ms.get(id(2))));
+        assert_eq!(classes[2].set, ms.get(id(4)));
+        let union = bdd.or_all(classes.iter().map(|c| c.set));
+        assert_eq!(union, ms.device_total(d));
+        // A table change drops the device's classes with its sets.
+        net.insert_rule(d, to("10.0.6.0/24", vec![i1]));
+        ms.recompute_device(&net, &mut bdd, &mut MatchSetCache::new(), d);
+        let classes = ms.action_classes(&net, &mut bdd, d);
+        assert_eq!(classes.len(), 5);
+        let union = bdd.or_all(classes.iter().map(|c| c.set));
+        assert_eq!(union, ms.device_total(d));
     }
 
     #[test]

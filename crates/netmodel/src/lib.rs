@@ -39,7 +39,7 @@ pub mod rule;
 pub mod topology;
 
 pub use addr::{Family, Prefix};
-pub use disjoint::{MatchSetCache, MatchSets};
+pub use disjoint::{ActionClass, MatchSetCache, MatchSets};
 pub use header::{HeaderField, Packet};
 pub use located::{LocatedPacketSet, Location};
 pub use network::{Network, RuleId};

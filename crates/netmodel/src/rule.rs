@@ -9,8 +9,8 @@
 
 use netbdd::{Bdd, Ref};
 
-use crate::addr::Prefix;
-use crate::header::{self, HeaderField};
+use crate::addr::{Family, Prefix};
+use crate::header::{self, HeaderField, Packet};
 use crate::topology::IfaceId;
 
 /// The match fields of a rule, compiled to a header-space BDD on demand.
@@ -64,6 +64,31 @@ impl MatchFields {
             acc = bdd.and(acc, f);
         }
         acc
+    }
+
+    /// Whether the *header* part of the match admits one concrete
+    /// packet: the field-level twin of
+    /// `pkt.matches(bdd, self.to_bdd(bdd))`, for callers that look a
+    /// single packet up and need no BDD. Like [`MatchFields::to_bdd`]
+    /// it ignores `in_iface`, ties a `dst` prefix to its family, and
+    /// ties a `src` filter to IPv4.
+    pub fn matches_packet(&self, pkt: &Packet) -> bool {
+        // An IPv4 packet only carries its low 32 destination bits.
+        let dst = match pkt.family {
+            Family::V4 => pkt.dst & u32::MAX as u128,
+            Family::V6 => pkt.dst,
+        };
+        let within = |range: Option<(u16, u16)>, port: u16| {
+            range.is_none_or(|(lo, hi)| lo <= port && port <= hi)
+        };
+        self.dst
+            .is_none_or(|p| p.family() == pkt.family && p.contains_addr(dst))
+            && self
+                .src
+                .is_none_or(|p| pkt.family == Family::V4 && p.contains_addr(pkt.src as u128))
+            && self.proto.is_none_or(|proto| proto == pkt.proto)
+            && within(self.dport, pkt.dport)
+            && within(self.sport, pkt.sport)
     }
 }
 

@@ -8,11 +8,106 @@ use netmodel::addr::Prefix;
 use netmodel::header::{self, Packet};
 use netmodel::rule::{RouteClass, Rule};
 use netmodel::topology::{IfaceId, IfaceKind, Role, Topology};
-use netmodel::{describe_set, Family, MatchSets, Network};
+use netmodel::{describe_set, Family, MatchFields, MatchSets, Network};
 use proptest::prelude::*;
 
 fn arb_v4_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::v4(addr, len))
+}
+
+fn arb_prefix() -> impl Strategy<Value = Prefix> {
+    prop_oneof![
+        arb_v4_prefix(),
+        (any::<u128>(), 0u8..=128).prop_map(|(addr, len)| Prefix::v6(addr, len)),
+    ]
+}
+
+fn optional<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), s).prop_map(|(present, v)| present.then_some(v))
+}
+
+fn arb_port_range() -> impl Strategy<Value = (u16, u16)> {
+    (any::<u16>(), any::<u16>()).prop_map(|(a, b)| (a.min(b), a.max(b)))
+}
+
+/// Match fields over both families with every field optional
+/// (`in_iface` is positional and plays no part in header matching).
+fn arb_match_fields() -> impl Strategy<Value = MatchFields> {
+    (
+        optional(arb_prefix()),
+        optional(arb_v4_prefix()),
+        optional(any::<u8>()),
+        optional(arb_port_range()),
+        optional(arb_port_range()),
+    )
+        .prop_map(|(dst, src, proto, dport, sport)| MatchFields {
+            dst,
+            src,
+            proto,
+            dport,
+            sport,
+            in_iface: None,
+        })
+}
+
+/// A uniformly random packet almost never matches a random rule, so
+/// each field of `raw` selected by a bit of `snap` is pulled onto the
+/// match: an address into the prefix (which for `dst` also fixes the
+/// family), the protocol onto the constant, a port onto one of the
+/// range's endpoints or just outside one.
+fn snap_packet(raw: Packet, fields: &MatchFields, snap: u8) -> Packet {
+    let into = |p: &Prefix, addr: u128| {
+        let width = p.family().width() as u32;
+        let host_bits = width - p.len() as u32;
+        let host_mask = if host_bits == 0 {
+            0
+        } else {
+            u128::MAX >> (128 - host_bits)
+        };
+        p.bits() | (addr & host_mask)
+    };
+    let edge = |range: Option<(u16, u16)>, raw: u16, sel: u8| match (range, sel % 5) {
+        (Some((lo, _)), 1) => lo,
+        (Some((_, hi)), 2) => hi,
+        (Some((lo, _)), 3) => lo.wrapping_sub(1),
+        (Some((_, hi)), 4) => hi.wrapping_add(1),
+        _ => raw,
+    };
+    let mut pkt = raw;
+    if let (Some(p), true) = (&fields.dst, snap & 1 != 0) {
+        pkt.family = p.family();
+        pkt.dst = into(p, raw.dst);
+    }
+    if let (Some(p), true) = (&fields.src, snap & 2 != 0) {
+        pkt.src = into(p, raw.src as u128) as u32;
+    }
+    if let (Some(proto), true) = (fields.proto, snap & 4 != 0) {
+        pkt.proto = proto;
+    }
+    pkt.dport = edge(fields.dport, raw.dport, snap >> 3);
+    pkt.sport = edge(fields.sport, raw.sport, snap >> 5);
+    pkt
+}
+
+fn arb_packet() -> impl Strategy<Value = Packet> {
+    (
+        any::<bool>(),
+        any::<u128>(),
+        any::<u32>(),
+        any::<u8>(),
+        any::<u16>(),
+        any::<u16>(),
+    )
+        .prop_map(|(v6, dst, src, proto, sport, dport)| Packet {
+            family: if v6 { Family::V6 } else { Family::V4 },
+            // An IPv4 packet may carry junk above its 32 address bits;
+            // neither side of the comparison may look at it.
+            dst,
+            src,
+            proto,
+            sport,
+            dport,
+        })
 }
 
 proptest! {
@@ -54,6 +149,31 @@ proptest! {
         let set = header::dst_in(&mut bdd, &p);
         let pkt = Packet::v4_to(addr);
         prop_assert_eq!(pkt.matches(&bdd, set), p.contains_addr(addr as u128));
+    }
+
+    /// Field-level matching of one packet is membership in the compiled
+    /// match: both families, absent fields, a `src` filter (IPv4-only)
+    /// against IPv6 packets, and port ranges probed at their endpoints.
+    #[test]
+    fn matches_packet_agrees_with_compiled_match(
+        fields in arb_match_fields(),
+        raw in arb_packet(),
+        snap in any::<u8>(),
+    ) {
+        let mut bdd = Bdd::new();
+        let set = fields.to_bdd(&mut bdd);
+        let all = snap_packet(raw, &fields, snap | 7);
+        let other_family = Packet {
+            family: if all.family == Family::V4 { Family::V6 } else { Family::V4 },
+            ..all
+        };
+        for pkt in [raw, snap_packet(raw, &fields, snap), all, other_family] {
+            prop_assert_eq!(
+                fields.matches_packet(&pkt),
+                pkt.matches(&bdd, set),
+                "{:?} against {:?}", pkt, fields
+            );
+        }
     }
 
     /// Probability of a prefix's packet set equals its exact share of

@@ -2,9 +2,11 @@
 //! and report coverage with one `markPacket` per hop, with the packet
 //! set as it exists at that hop (§5.1).
 
-use netbdd::Bdd;
+use std::collections::HashMap;
+
+use netbdd::{Bdd, Ref};
 use netmodel::header::{self, Packet};
-use netmodel::Location;
+use netmodel::{DeviceId, Location};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,17 +34,16 @@ pub(crate) fn check_reachability_from(
     src_index: usize,
 ) {
     let fwd = Forwarder::new(ctx.net, ctx.ms);
-    let tors = ctx.info.tor_subnets.clone();
-    let (src, _src_prefix, _) = tors[src_index];
+    let topo = ctx.net.topology();
+    let tors = &ctx.info.tor_subnets;
+    let (src, _, _) = tors[src_index];
     // Destination space: every other ToR's prefix.
-    let others: Vec<_> = tors.iter().filter(|&&(d, _, _)| d != src).collect();
-    let injected = {
-        let sets: Vec<_> = others
-            .iter()
-            .map(|&&(_, p, _)| header::dst_in(bdd, &p))
-            .collect();
-        bdd.or_all(sets)
-    };
+    let others: Vec<_> = tors
+        .iter()
+        .filter(|&&(d, _, _)| d != src)
+        .map(|&(dst, prefix, _)| (dst, prefix, header::dst_in(bdd, &prefix)))
+        .collect();
+    let injected = bdd.or_all(others.iter().map(|&(_, _, set)| set));
     if injected.is_false() {
         return;
     }
@@ -54,7 +55,7 @@ pub(crate) fn check_reachability_from(
     report.check(res.dropped.is_empty(), || {
         format!(
             "{}: {} rule(s) drop ToR-to-ToR traffic (first at {:?})",
-            ctx.net.topology().device(src).name,
+            topo.device(src).name,
             res.dropped.len(),
             res.dropped[0].0
         )
@@ -62,21 +63,20 @@ pub(crate) fn check_reachability_from(
     // Assertions: each remote prefix fully delivered at its ToR
     // (union over the ToR's host-facing ports — regional ToRs split
     // their /24 across several ports).
-    for &&(dst, dst_prefix, dst_host) in &others {
-        let expect = header::dst_in(bdd, &dst_prefix);
-        let sets: Vec<_> = res
-            .delivered
-            .iter()
-            .filter(|&&(i, _)| ctx.net.topology().iface(i).device == dst)
-            .map(|&(_, p)| p)
-            .collect();
-        let got = bdd.or_all(sets);
-        let _ = dst_host;
+    let mut delivered_at: HashMap<DeviceId, Vec<Ref>> = HashMap::new();
+    for &(iface, packets) in &res.delivered {
+        delivered_at
+            .entry(topo.iface(iface).device)
+            .or_default()
+            .push(packets);
+    }
+    for &(dst, dst_prefix, expect) in &others {
+        let got = bdd.or_all(delivered_at.get(&dst).into_iter().flatten().copied());
         report.check(bdd.equal(got, expect), || {
             format!(
                 "{} → {}: prefix {} not fully delivered",
-                ctx.net.topology().device(src).name,
-                ctx.net.topology().device(dst).name,
+                topo.device(src).name,
+                topo.device(dst).name,
                 dst_prefix
             )
         });
@@ -135,8 +135,7 @@ pub(crate) fn check_ping_pair(
     };
     let res = traceroute(bdd, ctx.net, ctx.ms, Location::device(src), pkt, 64);
     for hop in &res.hops {
-        let set = hop.packet.to_bdd(bdd);
-        ctx.tracker.mark_packet(bdd, hop.location, set);
+        ctx.tracker.mark_concrete(bdd, hop.location, &hop.packet);
     }
     report.check(
         matches!(res.outcome, TraceOutcome::Delivered { device, .. } if device == dst),

@@ -146,7 +146,9 @@ fn end_to_end_symbolic_test() {
     tracker.mark_packet_set(&mut bdd, &res.per_hop);
     let trace = tracker.into_trace();
     let analyzer = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
-    for (rule, _) in &res.exercised {
+    let exercised = res.exercised(&mut bdd, &ft.net, &ms);
+    assert!(!exercised.is_empty());
+    for (rule, _) in &exercised {
         assert_eq!(analyzer.rule_coverage(&mut bdd, *rule), Some(1.0));
     }
 }
