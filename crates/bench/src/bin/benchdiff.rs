@@ -2,34 +2,25 @@
 //!
 //! ```text
 //! cargo run -p bench --bin benchdiff --release -- old.json new.json \
-//!     [--tolerance 0.25] [--seq-only]
+//!     [--tolerance 0.25]
 //! ```
 //!
-//! Two file shapes are understood, and a file may use both at once:
-//!
-//! * **Parallel suite** (`BENCH_parallel_*.json`): per-phase
-//!   `seq_secs`/`par_secs` plus the two totals.
-//! * **Generic metrics** (`BENCH_netbdd.json` and future benches): a
-//!   top-level `"metrics"` object whose numeric values are all
-//!   smaller-is-better; keys present in both files are compared. An
-//!   optional `"info"` object is context (rates, throughput) and is
-//!   never compared.
+//! Both files carry a top-level `"metrics"` object whose numeric values
+//! are all smaller-is-better; keys present in both files are compared.
+//! An optional `"info"` object is context (rates, throughput) and is
+//! never compared.
 //!
 //! When both files record a top-level `"host_cpus"` and the counts
-//! differ, the comparison is apples-to-oranges (parallel legs scale with
-//! the core count), so benchdiff prints a warning and exits 0 without
-//! gating anything.
+//! differ, the comparison is apples-to-oranges (`mutation_report`'s
+//! evaluate leg scales with the core count), so benchdiff prints a
+//! warning and exits 0 without gating anything.
 //!
-//! A metric is a regression when `new > old * (1 + tolerance)`. With
-//! `--seq-only`, parallel-leg metrics (`*.par_secs`, `total_par_secs`)
-//! are still printed but never *gate*: on a 1-CPU CI runner the parallel
-//! legs measure scheduler noise, not the engine, so CI gates the
-//! sequential legs and keeps the parallel ones informational. Exit
-//! status: 0 when nothing gated regressed, 1 on any gated regression, 2
-//! on unusable input (missing file, malformed JSON, no comparable
-//! metrics) — including a phase or metric present on only one side, in
-//! either direction: a renamed or dropped phase must fail loudly, never
-//! silently shrink the comparison.
+//! A metric is a regression when `new > old * (1 + tolerance)`. Exit
+//! status: 0 when nothing regressed, 1 on any regression, 2 on unusable
+//! input (missing file, malformed JSON, no comparable metrics) —
+//! including a metric present on only one side, in either direction: a
+//! renamed or dropped metric must fail loudly, never silently shrink the
+//! comparison.
 
 use std::process::ExitCode;
 
@@ -39,9 +30,6 @@ struct Row {
     metric: String,
     old: f64,
     new: f64,
-    /// Whether a regression on this row fails the run (false for
-    /// parallel legs under `--seq-only`).
-    gated: bool,
 }
 
 fn main() -> ExitCode {
@@ -59,13 +47,12 @@ fn main() -> ExitCode {
         }
     }
     if files.len() != 2 {
-        eprintln!("usage: benchdiff <old.json> <new.json> [--tolerance 0.25] [--seq-only]");
+        eprintln!("usage: benchdiff <old.json> <new.json> [--tolerance 0.25]");
         return ExitCode::from(2);
     }
     let tolerance = bench::arg_value("--tolerance")
         .map(|v| v.parse::<f64>().expect("--tolerance takes a number"))
         .unwrap_or(0.25);
-    let seq_only = bench::arg_present("--seq-only");
 
     let (old, new) = match (load(files[0]), load(files[1])) {
         (Ok(o), Ok(n)) => (o, n),
@@ -75,8 +62,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // A baseline measured on a different core count gates nothing: the
-    // parallel legs would compare machine shapes, not code.
+    // A baseline measured on a different core count gates nothing: it
+    // would compare machine shapes, not code.
     if let (Some(o), Some(n)) = (
         old.get("host_cpus").and_then(|v| v.as_f64()),
         new.get("host_cpus").and_then(|v| v.as_f64()),
@@ -91,7 +78,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let (rows, mismatches) = collect_rows(&old, &new, seq_only);
+    let (rows, mismatches) = collect_rows(&old, &new);
     if !mismatches.is_empty() {
         for m in &mismatches {
             eprintln!("benchdiff: {m}");
@@ -110,15 +97,10 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "benchdiff: {} vs {} (tolerance {:.0}%{})",
+        "benchdiff: {} vs {} (tolerance {:.0}%)",
         files[0],
         files[1],
-        tolerance * 100.0,
-        if seq_only {
-            ", gating sequential legs only"
-        } else {
-            ""
-        }
+        tolerance * 100.0
     );
     println!(
         "{:<32} {:>14} {:>14} {:>9}  status",
@@ -132,11 +114,9 @@ fn main() -> ExitCode {
             0.0
         };
         let regressed = r.new > r.old * (1.0 + tolerance);
-        let status = if regressed && r.gated {
+        let status = if regressed {
             regressions += 1;
             "REGRESSION"
-        } else if regressed {
-            "regressed (informational)"
         } else if r.new < r.old * (1.0 - tolerance) {
             "improved"
         } else {
@@ -149,17 +129,14 @@ fn main() -> ExitCode {
     }
     if regressions > 0 {
         eprintln!(
-            "benchdiff: {regressions} gated metric(s) regressed beyond {:.0}% \
+            "benchdiff: {regressions} metric(s) regressed beyond {:.0}% \
              (baseline: {})",
             tolerance * 100.0,
             files[0]
         );
         ExitCode::from(1)
     } else {
-        println!(
-            "benchdiff: no gated regression beyond {:.0}%",
-            tolerance * 100.0
-        );
+        println!("benchdiff: no regression beyond {:.0}%", tolerance * 100.0);
         ExitCode::SUCCESS
     }
 }
@@ -169,89 +146,14 @@ fn load(path: &str) -> Result<Json, String> {
     netobs::json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Pair up every metric present in both files: per-phase sequential and
-/// parallel times (matched by phase name) plus totals, and every numeric
-/// key of a top-level `"metrics"` object. A phase or metric present on
-/// only one side — in either direction — is a structural mismatch,
-/// returned by name so the caller can fail the run: silently skipping it
-/// would let a renamed or dropped phase mask a regression.
-fn collect_rows(old: &Json, new: &Json, seq_only: bool) -> (Vec<Row>, Vec<String>) {
+/// Pair up every numeric key of the two top-level `"metrics"` objects.
+/// A metric present on only one side — in either direction — is a
+/// structural mismatch, returned by name so the caller can fail the run:
+/// silently skipping it would let a renamed or dropped metric mask a
+/// regression.
+fn collect_rows(old: &Json, new: &Json) -> (Vec<Row>, Vec<String>) {
     let mut rows = Vec::new();
     let mut mismatches = Vec::new();
-    let old_phases = old.get("phases").and_then(|p| p.as_array()).unwrap_or(&[]);
-    let new_phases = new.get("phases").and_then(|p| p.as_array()).unwrap_or(&[]);
-    let find = |phases: &[Json], name: &str| -> Option<(f64, f64)> {
-        phases.iter().find_map(|p| {
-            if p.get("name").and_then(|n| n.as_str()) != Some(name) {
-                return None;
-            }
-            Some((
-                p.get("seq_secs").and_then(|v| v.as_f64())?,
-                p.get("par_secs").and_then(|v| v.as_f64())?,
-            ))
-        })
-    };
-    fn names(phases: &[Json]) -> Vec<&str> {
-        phases
-            .iter()
-            .filter_map(|p| p.get("name").and_then(|n| n.as_str()))
-            .collect()
-    }
-    let old_names = names(old_phases);
-    let new_names = names(new_phases);
-    for &name in &old_names {
-        if !new_names.contains(&name) {
-            mismatches.push(format!(
-                "phase {name:?} present in the baseline, absent from the candidate"
-            ));
-            continue;
-        }
-        match (find(old_phases, name), find(new_phases, name)) {
-            (Some((os, op)), Some((ns, np))) => {
-                rows.push(Row {
-                    metric: format!("{name}.seq_secs"),
-                    old: os,
-                    new: ns,
-                    gated: true,
-                });
-                rows.push(Row {
-                    metric: format!("{name}.par_secs"),
-                    old: op,
-                    new: np,
-                    gated: !seq_only,
-                });
-            }
-            _ => mismatches.push(format!("phase {name:?} lacks comparable timing fields")),
-        }
-    }
-    for &name in &new_names {
-        if !old_names.contains(&name) {
-            mismatches.push(format!(
-                "phase {name:?} present in the candidate, absent from the baseline"
-            ));
-        }
-    }
-    for (key, gated) in [("total_seq_secs", true), ("total_par_secs", !seq_only)] {
-        match (
-            old.get(key).and_then(|v| v.as_f64()),
-            new.get(key).and_then(|v| v.as_f64()),
-        ) {
-            (Some(o), Some(n)) => rows.push(Row {
-                metric: key.to_string(),
-                old: o,
-                new: n,
-                gated,
-            }),
-            (Some(_), None) => {
-                mismatches.push(format!("{key} present in the baseline only"));
-            }
-            (None, Some(_)) => {
-                mismatches.push(format!("{key} present in the candidate only"));
-            }
-            (None, None) => {}
-        }
-    }
-    // Generic smaller-is-better metrics objects.
     match (old.get("metrics"), new.get("metrics")) {
         (Some(om), Some(nm)) => {
             for (key, ov) in om.entries() {
@@ -261,7 +163,6 @@ fn collect_rows(old: &Json, new: &Json, seq_only: bool) -> (Vec<Row>, Vec<String
                         metric: format!("metrics.{key}"),
                         old: o,
                         new: n,
-                        gated: true,
                     }),
                     None => mismatches.push(format!(
                         "metric {key:?} present in the baseline, absent from the candidate"

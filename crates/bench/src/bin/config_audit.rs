@@ -25,7 +25,7 @@
 //! the provenance layer lost track of the control plane.
 //!
 //! Usage: `cargo run -p bench --bin config_audit --release -- \
-//!            [--k N] [--threads N] [--seed S] [--autogen] [--json] \
+//!            [--k N] [--seed S] [--autogen] [--json] \
 //!            [--trace out.json]`
 //!
 //! `--json` writes `BENCH_config.json` (benchdiff-compatible: gated
@@ -49,7 +49,6 @@ const DARK_PREFIX: &str = "192.0.2.0/24";
 fn main() {
     let trace = bench::trace_arg();
     let k = arg_flag("--k", 4) as u32;
-    let threads = arg_flag("--threads", 4) as usize;
     let seed = arg_flag("--seed", 0xC0FFEE);
     let use_autogen = arg_present("--autogen");
 
@@ -103,7 +102,7 @@ fn main() {
     let portable = tracker.trace().export(&bdd);
 
     // The audit proper: per-construct coverage through the engine.
-    let mut engine = CoverageEngine::new(ft.net.clone(), threads);
+    let mut engine = CoverageEngine::new(ft.net.clone(), 1);
     engine.attach_routing(routing_engine);
     engine
         .add_test("baseline-suite", &portable)
@@ -161,7 +160,7 @@ fn main() {
     }
 
     println!(
-        "\n   suite {:.3}s | audit {:.3}s ({threads} threads)",
+        "\n   suite {:.3}s | audit {:.3}s",
         suite_t.as_secs_f64(),
         audit_t.as_secs_f64()
     );
@@ -169,7 +168,6 @@ fn main() {
     if arg_present("--json") {
         let json = to_json(
             k,
-            threads,
             seed,
             jobs.len(),
             &engine.config_coverage().expect("routing is attached"),
@@ -255,7 +253,6 @@ fn attribution_census(engine: &mut CoverageEngine, db: &ConfigDb) -> (usize, usi
 #[allow(clippy::too_many_arguments)]
 fn to_json(
     k: u32,
-    threads: usize,
     seed: u64,
     jobs: usize,
     cov: &ConfigCoverage,
@@ -269,7 +266,6 @@ fn to_json(
     out.push_str("  \"bench\": \"config_audit\",\n");
     out.push_str(&format!("  \"workload\": \"fattree-k{k}\",\n"));
     out.push_str(&format!("  \"host_cpus\": {},\n", bench::host_cpus()));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"autogen\": {},\n", autogen.is_some()));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));

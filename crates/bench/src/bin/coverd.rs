@@ -7,13 +7,12 @@
 //!
 //! ```text
 //! cargo run -p bench --bin coverd --release -- serve --port 7070 \
-//!     [--k 4] [--threads 1] [--backend private|shared] [--gc-watermark N]
+//!     [--k 4] [--gc-watermark N]
 //! ```
 //!
-//! `--backend shared` runs the engine on the concurrent shared-arena
-//! manager; `--gc-watermark N` arms the reference-mark collector so any
-//! delta that leaves the arena above `N` live nodes triggers a
-//! compaction (watch `bdd.gc.*` under `/metrics`).
+//! `--gc-watermark N` arms the copying collector so any delta that
+//! leaves the arena above `N` live nodes triggers a compaction (watch
+//! `bdd.gc.*` under `/metrics`).
 //!
 //! Client mode wraps the daemon's own HTTP client so scripts and CI
 //! never need `curl`:
@@ -36,11 +35,11 @@ use std::process::ExitCode;
 use bench::{arg_flag, arg_value};
 use topogen::{fattree_with_engine, FatTreeParams};
 use yardstick::daemon::{http_get, http_post, serve};
-use yardstick::{Backend, CoverageEngine};
+use yardstick::CoverageEngine;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  coverd serve --port P [--k K] [--threads N] [--backend private|shared] [--gc-watermark N]\n  coverd get ADDR TARGET\n  coverd post ADDR TARGET [JSON_BODY]"
+        "usage:\n  coverd serve --port P [--k K] [--gc-watermark N]\n  coverd get ADDR TARGET\n  coverd post ADDR TARGET [JSON_BODY]"
     );
     ExitCode::from(2)
 }
@@ -52,17 +51,6 @@ fn main() -> ExitCode {
             netobs::enable();
             let port = arg_flag("--port", 7070);
             let k = arg_flag("--k", 4) as u32;
-            let threads = arg_flag("--threads", 1) as usize;
-            let backend = match arg_value("--backend").as_deref() {
-                None => Backend::Private,
-                Some(s) => match s.parse::<Backend>() {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("coverd: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-            };
             let gc_watermark = arg_value("--gc-watermark").map(|s| match s.parse::<usize>() {
                 Ok(n) => n,
                 Err(_) => {
@@ -73,7 +61,7 @@ fn main() -> ExitCode {
             let (ft, routing) = fattree_with_engine(FatTreeParams::paper(k));
             let devices = ft.net.topology().device_count();
             let rules = ft.net.rule_count();
-            let mut engine = CoverageEngine::new_with_backend(ft.net, threads, backend);
+            let mut engine = CoverageEngine::new(ft.net, 1);
             engine.attach_routing(routing);
             engine.set_gc_watermark(gc_watermark);
             let listener = match TcpListener::bind(("127.0.0.1", port as u16)) {
@@ -84,8 +72,7 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "coverd: serving fat-tree k={k} ({devices} devices, {rules} rules) on 127.0.0.1:{port} [backend={} gc-watermark={}]",
-                backend.as_str(),
+                "coverd: serving fat-tree k={k} ({devices} devices, {rules} rules) on 127.0.0.1:{port} [gc-watermark={}]",
                 gc_watermark.map_or("off".to_string(), |n| n.to_string()),
             );
             match serve(&mut engine, listener) {

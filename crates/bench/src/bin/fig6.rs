@@ -19,13 +19,10 @@ use netmodel::MatchSets;
 use topogen::{regional, RegionalParams};
 use yardstick::{Analyzer, CoverageReport, Tracker};
 
-use bench::{
-    arg_flag, arg_present, bench_parallel_suite, regional_info, time_it, write_csv,
-    write_parallel_json,
-};
+use bench::{arg_flag, regional_info, time_it, write_csv};
 use testsuite::{
     agg_can_reach_tor_loopback, connected_route_check, default_route_check, internal_route_check,
-    regional_suite_jobs, TestContext,
+    TestContext,
 };
 
 fn main() {
@@ -114,26 +111,6 @@ fn main() {
         }
     }
 
-    // Sequential-vs-parallel timing of the final suite (§8-style wall
-    // clock on the §7 workload), opt-in via --threads / --json.
-    // Tracing implies it too: per-worker spans are the interesting part
-    // of a fig6 trace.
-    if arg_present("--threads") || arg_present("--json") || trace.is_some() {
-        let threads = arg_flag("--threads", 4) as usize;
-        let jobs = regional_suite_jobs(&r.net, &info);
-        let pb = bench_parallel_suite(
-            "fig6",
-            &format!("regional-x{scale}"),
-            &r.net,
-            &info,
-            &jobs,
-            threads,
-        );
-        pb.print_table();
-        if arg_present("--json") {
-            write_parallel_json(&pb);
-        }
-    }
     if let Some(path) = trace {
         yardstick::publish_bdd_gauges("bdd", &bdd.stats());
         bench::write_trace(&path);

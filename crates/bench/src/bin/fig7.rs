@@ -13,12 +13,10 @@ use netmodel::MatchSets;
 use topogen::{regional, RegionalParams};
 use yardstick::{Analyzer, Tracker};
 
-use bench::{
-    arg_flag, arg_present, bench_parallel_suite, regional_info, write_csv, write_parallel_json,
-};
+use bench::{arg_flag, regional_info, write_csv};
 use testsuite::{
     agg_can_reach_tor_loopback, connected_route_check, default_route_check, host_port_check,
-    internal_route_check, regional_suite_jobs, wan_route_check, TestContext, WanSpec,
+    internal_route_check, wan_route_check, TestContext, WanSpec,
 };
 
 fn main() {
@@ -169,24 +167,6 @@ fn main() {
         ifc_b * 100.0
     );
 
-    // Sequential-vs-parallel timing of the paper-final suite, opt-in via
-    // --threads / --json (or --trace, which wants the worker spans).
-    if arg_present("--threads") || arg_present("--json") || trace.is_some() {
-        let threads = arg_flag("--threads", 4) as usize;
-        let jobs = regional_suite_jobs(&r.net, &info);
-        let pb = bench_parallel_suite(
-            "fig7",
-            "regional-final-suite",
-            &r.net,
-            &info,
-            &jobs,
-            threads,
-        );
-        pb.print_table();
-        if arg_present("--json") {
-            write_parallel_json(&pb);
-        }
-    }
     if let Some(path) = trace {
         yardstick::publish_bdd_gauges("bdd", &bdd.stats());
         bench::write_trace(&path);

@@ -28,13 +28,9 @@ use netbdd::Bdd;
 use netmodel::MatchSets;
 use topogen::{fattree, FatTreeParams};
 
-use bench::{
-    arg_flag, arg_present, bench_parallel_suite, fattree_info, secs, sweep_ks, time_it, write_csv,
-    write_parallel_json,
-};
+use bench::{arg_flag, fattree_info, secs, sweep_ks, time_it, write_csv};
 use testsuite::{
-    default_route_check, fattree_suite_jobs, tor_contract, tor_pingmesh, tor_reachability,
-    TestContext, TestReport,
+    default_route_check, tor_contract, tor_pingmesh, tor_reachability, TestContext, TestReport,
 };
 
 const TESTS: [&str; 4] = [
@@ -125,28 +121,6 @@ fn main() {
          state-inspection test."
     );
 
-    // Sequential-vs-parallel timing of the §8 suite on one fat-tree size
-    // (--par-k, default 8), opt-in via --threads / --json (or --trace,
-    // which wants the worker spans).
-    if arg_present("--threads") || arg_present("--json") || trace.is_some() {
-        let threads = arg_flag("--threads", 4) as usize;
-        let par_k = arg_flag("--par-k", 8) as u32;
-        let ft = fattree(FatTreeParams::paper(par_k));
-        let info = fattree_info(&ft);
-        let jobs = fattree_suite_jobs(&ft.net, &info, 0xC0FFEE);
-        let pb = bench_parallel_suite(
-            "fig8",
-            &format!("fattree-k{par_k}"),
-            &ft.net,
-            &info,
-            &jobs,
-            threads,
-        );
-        pb.print_table();
-        if arg_present("--json") {
-            write_parallel_json(&pb);
-        }
-    }
     if let Some(path) = trace {
         bench::write_trace(&path);
     }

@@ -19,16 +19,10 @@ use topogen::{fattree, FatTreeParams};
 use yardstick::pathcov::path_coverage;
 use yardstick::{Aggregator, Analyzer, Tracker};
 
-use bench::{
-    arg_flag, arg_present, bench_parallel_suite, fattree_info, secs, sweep_ks, time_it, write_csv,
-    write_parallel_json,
-};
+use bench::{arg_flag, fattree_info, secs, sweep_ks, time_it, write_csv};
 use dataplane::paths::{edge_starts, ExploreOpts};
 use dataplane::Forwarder;
-use testsuite::{
-    default_route_check, fattree_suite_jobs, tor_contract, tor_pingmesh, tor_reachability,
-    TestContext,
-};
+use testsuite::{default_route_check, tor_contract, tor_pingmesh, tor_reachability, TestContext};
 
 fn main() {
     let trace = bench::trace_arg();
@@ -122,28 +116,6 @@ fn main() {
          one metric that hits the budget/timeout."
     );
 
-    // Sequential-vs-parallel timing of the §8 suite on one fat-tree size
-    // (--par-k, default 8), opt-in via --threads / --json (or --trace,
-    // which wants the worker spans).
-    if arg_present("--threads") || arg_present("--json") || trace.is_some() {
-        let threads = arg_flag("--threads", 4) as usize;
-        let par_k = arg_flag("--par-k", 8) as u32;
-        let ft = fattree(FatTreeParams::paper(par_k));
-        let info = fattree_info(&ft);
-        let jobs = fattree_suite_jobs(&ft.net, &info, 0xC0FFEE);
-        let pb = bench_parallel_suite(
-            "fig9",
-            &format!("fattree-k{par_k}"),
-            &ft.net,
-            &info,
-            &jobs,
-            threads,
-        );
-        pb.print_table();
-        if arg_present("--json") {
-            write_parallel_json(&pb);
-        }
-    }
     if let Some(path) = trace {
         bench::write_trace(&path);
     }

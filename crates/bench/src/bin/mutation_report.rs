@@ -22,10 +22,10 @@
 //! `metrics`, informational `info`); with `--autogen` it writes
 //! `BENCH_mutation_autogen.json` instead, so the two study variants keep
 //! independent benchdiff baselines. Unless `--no-verify` is given, the
-//! run re-evaluates every mutant at 1, 2, and 4 threads (and, with
-//! `--autogen`, regenerates the suite at each thread count) and asserts
-//! the outcome vectors — and therefore the surviving-mutant list — are
-//! bit-identical.
+//! run re-evaluates every mutant at 1, 2, and 4 threads and asserts the
+//! outcome vectors — and therefore the surviving-mutant list — are
+//! bit-identical. `--threads` feeds only that evaluation
+//! (`mutate::evaluate`); the coverage engine is sequential.
 
 use bench::{arg_flag, arg_present, fattree_info, figures_dir, time_it};
 use mutate::{cross_reference, evaluate, generate, MutationConfig, MutationReport, Operator};
@@ -113,44 +113,23 @@ fn main() {
             budget: 4096,
             ..GenConfig::default()
         };
-        let run_loop = |n: usize| {
-            let mut engine = CoverageEngine::new(ft.net.clone(), n);
+        let (gen_report, autogen_t) = time_it(|| {
+            let mut engine = CoverageEngine::new(ft.net.clone(), 1);
             engine
                 .add_test("baseline-suite", &portable)
                 .expect("baseline trace must import cleanly");
             testgen::autogen(&mut engine, &cfg)
-        };
-        let (gen_report, autogen_t) = time_it(|| {
-            let report = run_loop(threads);
-            if verify {
-                for n in [1usize, 2, 4] {
-                    if n == threads {
-                        continue;
-                    }
-                    let again = run_loop(n);
-                    assert_eq!(
-                        report.tests, again.tests,
-                        "autogen suite differs between {threads} and {n} threads"
-                    );
-                }
-            }
-            report
         });
         assert!(
             gen_report.converged,
             "generation loop must converge on the study network"
         );
         println!(
-            "   autogen: {} tests in {} round(s), coverage {:.1}% -> {:.1}%{}",
+            "   autogen: {} tests in {} round(s), coverage {:.1}% -> {:.1}%",
             gen_report.tests.len(),
             gen_report.rounds,
             gen_report.before.rule_fractional.unwrap_or(0.0) * 100.0,
             gen_report.after.rule_fractional.unwrap_or(0.0) * 100.0,
-            if verify {
-                ", suite bit-identical across 1/2/4 threads"
-            } else {
-                ""
-            }
         );
         let mut replay = SuiteVerdict::new();
         for t in &gen_report.tests {

@@ -13,17 +13,10 @@
 //! The workload is fully deterministic (splitmix64, fixed seed), so the
 //! structural metrics (`nodes`, op counts) are exact across runs and
 //! machines; only the `*_secs` metrics are hardware-dependent.
-//!
-//! A final `shared` leg compiles a per-device workload twice — once on
-//! the sequential private manager, once fanned across `--shared-threads`
-//! worker handles of one shared concurrent arena (default: all host
-//! CPUs) — asserts the match sets export byte-identically, and reports
-//! the speedup alongside `host_cpus` so cross-host comparisons can be
-//! recognised and skipped by `benchdiff`.
 
 use std::time::Instant;
 
-use netbdd::{Bdd, PortableBdd, Ref};
+use netbdd::{Bdd, Ref};
 use yardstick::rng::splitmix64;
 
 /// Header layout of the synthetic workload: a 32-bit dst field, a 16-bit
@@ -82,60 +75,6 @@ fn residuals(bdd: &mut Bdd, raw: &[Ref]) -> (Vec<Ref>, Ref) {
         eff.push(e);
     }
     (eff, matched)
-}
-
-/// Shared-arena leg: the fromRule + residual phases, run once on the
-/// private sequential manager and once fanned across `threads` workers
-/// sharing one concurrent arena. Per-device match-set totals must export
-/// byte-identically (canonical `PortableBdd` form) before either timing
-/// is reported. Returns `(sequential_secs, shared_secs)`.
-fn shared_leg(w: &Workload, threads: usize) -> (f64, f64) {
-    // Independent per-device seeds, so compiling a device is
-    // order-independent and the fan-out is deterministic.
-    let mut base = 0xA5A5_D00D_5EED_0001u64;
-    let seeds: Vec<u64> = (0..w.devices).map(|_| splitmix64(&mut base)).collect();
-
-    let t = Instant::now();
-    let mut seq = Bdd::new();
-    let seq_exports: Vec<PortableBdd> = seeds
-        .iter()
-        .map(|&s| {
-            let mut s = s;
-            let raw = device_rules(&mut seq, &mut s, w.rules_per_device);
-            let (_, total) = residuals(&mut seq, &raw);
-            seq.export(total)
-        })
-        .collect();
-    let seq_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let shared = Bdd::new_shared();
-    let mut results: Vec<Option<PortableBdd>> = vec![None; w.devices];
-    let chunk = w.devices.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (tid, slots) in results.chunks_mut(chunk).enumerate() {
-            let mut local = shared.handle();
-            let seeds = &seeds;
-            scope.spawn(move || {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    let mut s = seeds[tid * chunk + j];
-                    let raw = device_rules(&mut local, &mut s, w.rules_per_device);
-                    let (_, total) = residuals(&mut local, &raw);
-                    *slot = Some(local.export(total));
-                }
-            });
-        }
-    });
-    let shared_secs = t.elapsed().as_secs_f64();
-
-    for (d, (a, b)) in seq_exports.iter().zip(&results).enumerate() {
-        assert_eq!(
-            Some(a),
-            b.as_ref(),
-            "shared-arena match set diverged from sequential at device {d}"
-        );
-    }
-    (seq_secs, shared_secs)
 }
 
 fn main() {
@@ -202,15 +141,7 @@ fn main() {
     }
     let negation_secs = t.elapsed().as_secs_f64();
 
-    // Phase 5: shared-arena leg — the compile shape again, sequential vs
-    // fanned across worker handles on one concurrent arena, with
-    // bit-identity asserted between the two.
     let host_cpus = bench::host_cpus();
-    let shared_threads =
-        (bench::arg_flag("--shared-threads", host_cpus as u64) as usize).clamp(1, w.devices);
-    let (shared_seq_secs, shared_secs) = shared_leg(&w, shared_threads);
-    let shared_speedup = shared_seq_secs / shared_secs.max(1e-9);
-
     let stats = bdd.stats();
     let total_secs = fromrule_secs + matchsets_secs + covered_secs + negation_secs;
 
@@ -234,11 +165,6 @@ fn main() {
         stats.ite_hit_rate(),
         stats.unique_hit_rate()
     );
-    println!(
-        "shared leg: seq {shared_seq_secs:.3}s  shared({shared_threads}t) {shared_secs:.3}s  \
-         speedup {shared_speedup:.2}x  (host_cpus {host_cpus})"
-    );
-
     // `metrics` holds smaller-is-better values benchdiff gates on; `info`
     // is context (rates, throughput) reported but never gated.
     let json = format!(
@@ -246,12 +172,10 @@ fn main() {
          \"host_cpus\": {},\n  \
          \"metrics\": {{\n    \"fromrule_secs\": {:.6},\n    \"matchsets_secs\": {:.6},\n    \
          \"covered_sets_secs\": {:.6},\n    \"negation_stress_secs\": {:.6},\n    \
-         \"total_secs\": {:.6},\n    \"shared_secs\": {:.6},\n    \"nodes\": {}\n  }},\n  \
+         \"total_secs\": {:.6},\n    \"nodes\": {}\n  }},\n  \
          \"info\": {{\n    \
          \"ite_lookups\": {},\n    \"ite_hit_rate\": {:.4},\n    \"unique_hit_rate\": {:.4},\n    \
-         \"ite_ops_per_sec\": {:.0},\n    \"ops_total\": {},\n    \
-         \"shared_seq_secs\": {:.6},\n    \"shared_threads\": {},\n    \
-         \"shared_speedup\": {:.4}\n  }}\n}}\n",
+         \"ite_ops_per_sec\": {:.0},\n    \"ops_total\": {}\n  }}\n}}\n",
         w.devices,
         w.rules_per_device,
         w.tests,
@@ -261,16 +185,12 @@ fn main() {
         covered_secs,
         negation_secs,
         total_secs,
-        shared_secs,
         stats.nodes,
         stats.ite_lookups,
         stats.ite_hit_rate(),
         stats.unique_hit_rate(),
         stats.ite_lookups as f64 / total_secs,
         stats.ops.total(),
-        shared_seq_secs,
-        shared_threads,
-        shared_speedup,
     );
     let path = bench::figures_dir().join("BENCH_netbdd.json");
     std::fs::write(&path, json).expect("write BENCH_netbdd.json");

@@ -20,7 +20,7 @@
 //! same scenarios), plus the same comparison one layer up where each
 //! delta also re-shards the coverage engine (`engine_delta_secs` vs
 //! `engine_rebuild_secs`). `--json` writes `BENCH_scenarios.json`
-//! (gated by `benchdiff --seq-only --tolerance 1.0` in CI against
+//! (gated by `benchdiff --tolerance 1.0` in CI against
 //! `crates/bench/baselines/`). Any bit-identity violation panics, so CI
 //! fails closed.
 
@@ -34,7 +34,7 @@ use netmodel::{header, Location, Network};
 use routing::{RoutingEngine, TopologyDelta};
 use topogen::{fattree_with_engine, FatTreeParams};
 use yardstick::rng::{seed_mix, splitmix64};
-use yardstick::{Backend, CoverageEngine, CoverageTrace, PortableTrace};
+use yardstick::{CoverageEngine, CoverageTrace, PortableTrace};
 
 /// A probe flow: injected at `src`, destined to the concrete v4 address
 /// `dst`, with a per-flow ECMP discriminator.
@@ -191,7 +191,7 @@ fn engine_leg(scenarios: usize) -> (f64, f64) {
         t.add_packets(&mut bdd, Location::device(tor0), set);
         t.export(&bdd)
     };
-    let mut engine = CoverageEngine::new_with_backend(ft.net, 1, Backend::Private);
+    let mut engine = CoverageEngine::new(ft.net, 1);
     engine.attach_routing(routing);
     engine.add_test("probe", &trace).unwrap();
 
@@ -209,7 +209,7 @@ fn engine_leg(scenarios: usize) -> (f64, f64) {
         // and rebuild the whole coverage engine over them.
         let (_, dt) = time_it(|| {
             let degraded = engine.routing().unwrap().full_rebuild().unwrap();
-            let mut fresh = CoverageEngine::new_with_backend(degraded, 1, Backend::Private);
+            let mut fresh = CoverageEngine::new(degraded, 1);
             fresh.add_test("probe", &trace).unwrap();
             fresh.headline_metrics()
         });

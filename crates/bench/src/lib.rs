@@ -17,12 +17,9 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use netbdd::Bdd;
 use netmodel::topology::DeviceId;
-use netmodel::{MatchSets, Network};
-use testsuite::{run_job, NetworkInfo, SuiteJob};
+use testsuite::NetworkInfo;
 use topogen::{addressing, FatTree, Regional};
-use yardstick::{Aggregator, Analyzer, CoveredSets, ParallelRunner, Tracker};
 
 /// Ground-truth info for a generated regional network.
 pub fn regional_info(r: &Regional) -> NetworkInfo {
@@ -155,260 +152,6 @@ pub fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// One phase of the sequential-vs-parallel comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseRow {
-    pub name: &'static str,
-    pub seq_secs: f64,
-    pub par_secs: f64,
-}
-
-impl PhaseRow {
-    /// Sequential time over parallel time (> 1 means parallel wins).
-    pub fn speedup(&self) -> f64 {
-        if self.par_secs > 0.0 {
-            self.seq_secs / self.par_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The result of one sequential-vs-parallel suite benchmark, ready to be
-/// serialized as `BENCH_parallel.json`.
-#[derive(Clone, Debug)]
-pub struct ParallelBench {
-    pub bench: String,
-    pub workload: String,
-    pub threads: usize,
-    pub host_cpus: usize,
-    pub jobs: usize,
-    pub phases: Vec<PhaseRow>,
-    /// Always true on success: the harness asserts bit-identity of the
-    /// traces, covered sets, and metrics before returning.
-    pub metrics_identical: bool,
-}
-
-impl ParallelBench {
-    pub fn total_seq(&self) -> f64 {
-        self.phases.iter().map(|p| p.seq_secs).sum()
-    }
-
-    pub fn total_par(&self) -> f64 {
-        self.phases.iter().map(|p| p.par_secs).sum()
-    }
-
-    pub fn speedup(&self) -> f64 {
-        let par = self.total_par();
-        if par > 0.0 {
-            self.total_seq() / par
-        } else {
-            0.0
-        }
-    }
-
-    /// Hand-rolled JSON (the workspace is offline: no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.bench)));
-        out.push_str(&format!(
-            "  \"workload\": \"{}\",\n",
-            escape(&self.workload)
-        ));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seq_secs\": {:.6}, \"par_secs\": {:.6}, \
-                 \"speedup\": {:.3}}}{}\n",
-                escape(p.name),
-                p.seq_secs,
-                p.par_secs,
-                p.speedup(),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"total_seq_secs\": {:.6},\n", self.total_seq()));
-        out.push_str(&format!("  \"total_par_secs\": {:.6},\n", self.total_par()));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str(&format!(
-            "  \"metrics_identical\": {}\n",
-            self.metrics_identical
-        ));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Print the comparison as a table, mirroring the other figures.
-    pub fn print_table(&self) {
-        println!(
-            "\n-- parallel engine: {} ({} jobs, {} threads, host cpus: {}) --",
-            self.workload, self.jobs, self.threads, self.host_cpus
-        );
-        println!(
-            "{:<14} {:>10} {:>10} {:>9}",
-            "phase", "seq (s)", "par (s)", "speedup"
-        );
-        for p in &self.phases {
-            println!(
-                "{:<14} {:>10.3} {:>10.3} {:>8.2}x",
-                p.name,
-                p.seq_secs,
-                p.par_secs,
-                p.speedup()
-            );
-        }
-        println!(
-            "{:<14} {:>10.3} {:>10.3} {:>8.2}x",
-            "total",
-            self.total_seq(),
-            self.total_par(),
-            self.speedup()
-        );
-        println!(
-            "traces, covered sets, and metrics bit-identical: {}",
-            if self.metrics_identical { "yes" } else { "NO" }
-        );
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Write the parallel-bench JSON next to the figure CSVs as
-/// `BENCH_parallel.json` and echo the location.
-pub fn write_parallel_json(bench: &ParallelBench) {
-    let path = figures_dir().join("BENCH_parallel.json");
-    std::fs::write(&path, bench.to_json()).expect("write BENCH_parallel.json");
-    println!("  [json] {}", path.display());
-}
-
-/// Headline metric bundle used to check that the sequential and parallel
-/// analyses agree to the last bit.
-type Headline = (Option<f64>, Option<f64>, Option<f64>, Option<f64>);
-
-fn headline(bdd: &mut Bdd, a: &Analyzer<'_>) -> Headline {
-    (
-        a.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
-        a.aggregate_out_ifaces(bdd, Aggregator::Fractional, |_, _| true),
-        a.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
-        a.aggregate_rules(bdd, Aggregator::Weighted, |_, _| true),
-    )
-}
-
-/// Run a suite's job list sequentially and through the sharded engine and
-/// time the three pipeline phases — test execution, covered-set
-/// derivation (Algorithm 1), and the full analysis (covered sets +
-/// headline metrics). Asserts along the way that the parallel path is
-/// bit-identical to the sequential one: same trace `Ref`s, same covered
-/// `Ref`s, same metric floats. Caches are cleared before every timed leg
-/// so neither side inherits the other's memo hits.
-pub fn bench_parallel_suite(
-    bench: &str,
-    workload: &str,
-    net: &Network,
-    info: &NetworkInfo,
-    jobs: &[SuiteJob],
-    threads: usize,
-) -> ParallelBench {
-    let mut bdd = Bdd::new();
-    let ms = MatchSets::compute(net, &mut bdd);
-
-    // Phase: test execution (the per-worker MatchSets recomputation is
-    // part of the parallel cost and is deliberately inside the clock).
-    bdd.clear_caches();
-    let (seq_trace, seq_tests) = time_it(|| {
-        let _span = netobs::span!("suite_tests_seq");
-        let mut tracker = Tracker::new();
-        for job in jobs {
-            run_job(&mut bdd, net, &ms, info, &mut tracker, job);
-        }
-        tracker.into_trace()
-    });
-    bdd.clear_caches();
-    let runner = ParallelRunner::new(threads);
-    let ((par_trace, _reports), par_tests) = time_it(|| {
-        let _span = netobs::span!("suite_tests_par");
-        runner.run(
-            &mut bdd,
-            jobs,
-            |local| MatchSets::compute(net, local),
-            |local, ms, tracker, job| {
-                run_job(local, net, ms, info, tracker, job);
-            },
-        )
-    });
-    assert_eq!(seq_trace.rules, par_trace.rules, "rule marks diverge");
-    assert_eq!(seq_trace.packets.len(), par_trace.packets.len());
-    for (loc, set) in seq_trace.packets.iter() {
-        assert_eq!(
-            par_trace.packets.at(loc),
-            set,
-            "parallel trace diverges at {loc:?}"
-        );
-    }
-
-    // Phase: covered sets (Algorithm 1), sequential vs device-sharded.
-    bdd.clear_caches();
-    let (seq_cov, seq_cov_t) = time_it(|| {
-        let _span = netobs::span!("suite_covered_seq");
-        CoveredSets::compute(net, &ms, &seq_trace, &mut bdd)
-    });
-    bdd.clear_caches();
-    let (par_cov, par_cov_t) = time_it(|| {
-        let _span = netobs::span!("suite_covered_par");
-        CoveredSets::compute_parallel(net, &ms, &par_trace, &mut bdd, threads)
-    });
-    for (id, _) in net.rules() {
-        assert_eq!(seq_cov.get(id), par_cov.get(id), "covered set diverges");
-    }
-
-    // Phase: full analysis — covered sets plus the headline aggregates.
-    bdd.clear_caches();
-    let (seq_m, seq_an_t) = time_it(|| {
-        let _span = netobs::span!("suite_analysis_seq");
-        let a = Analyzer::new(net, &ms, &seq_trace, &mut bdd);
-        headline(&mut bdd, &a)
-    });
-    bdd.clear_caches();
-    let (par_m, par_an_t) = time_it(|| {
-        let _span = netobs::span!("suite_analysis_par");
-        let a = Analyzer::new_parallel(net, &ms, &par_trace, &mut bdd, threads);
-        headline(&mut bdd, &a)
-    });
-    assert_eq!(seq_m, par_m, "headline metrics diverge");
-
-    ParallelBench {
-        bench: bench.to_string(),
-        workload: workload.to_string(),
-        threads,
-        host_cpus: host_cpus(),
-        jobs: jobs.len(),
-        phases: vec![
-            PhaseRow {
-                name: "tests",
-                seq_secs: seq_tests.as_secs_f64(),
-                par_secs: par_tests.as_secs_f64(),
-            },
-            PhaseRow {
-                name: "covered_sets",
-                seq_secs: seq_cov_t.as_secs_f64(),
-                par_secs: par_cov_t.as_secs_f64(),
-            },
-            PhaseRow {
-                name: "analysis",
-                seq_secs: seq_an_t.as_secs_f64(),
-                par_secs: par_an_t.as_secs_f64(),
-            },
-        ],
-        metrics_identical: true,
-    }
-}
-
 /// Fat-tree sweep sizes up to `max_k` (even ks, growing stride like the
 /// paper's 8..88 sweep).
 pub fn sweep_ks(max_k: u64) -> Vec<u32> {
@@ -455,62 +198,5 @@ mod tests {
         let (v, d) = time_it(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
-    fn parallel_suite_bench_verifies_and_reports() {
-        let ft = fattree(FatTreeParams::paper(4));
-        let info = fattree_info(&ft);
-        let jobs = testsuite::fattree_suite_jobs(&ft.net, &info, 0xC0FFEE);
-        let pb = bench_parallel_suite("test", "fattree-k4", &ft.net, &info, &jobs, 2);
-        assert!(pb.metrics_identical);
-        assert_eq!(pb.jobs, jobs.len());
-        assert_eq!(pb.threads, 2);
-        assert_eq!(pb.phases.len(), 3);
-        assert!(pb
-            .phases
-            .iter()
-            .all(|p| p.seq_secs > 0.0 && p.par_secs > 0.0));
-        assert!(pb.total_seq() > 0.0 && pb.total_par() > 0.0);
-    }
-
-    #[test]
-    fn parallel_bench_json_has_the_contract_fields() {
-        let pb = ParallelBench {
-            bench: "fig9".into(),
-            workload: "fattree-k8".into(),
-            threads: 4,
-            host_cpus: 1,
-            jobs: 92,
-            phases: vec![
-                PhaseRow {
-                    name: "tests",
-                    seq_secs: 2.0,
-                    par_secs: 1.0,
-                },
-                PhaseRow {
-                    name: "covered_sets",
-                    seq_secs: 0.5,
-                    par_secs: 0.25,
-                },
-            ],
-            metrics_identical: true,
-        };
-        let json = pb.to_json();
-        for needle in [
-            "\"bench\": \"fig9\"",
-            "\"workload\": \"fattree-k8\"",
-            "\"threads\": 4",
-            "\"host_cpus\": 1",
-            "\"jobs\": 92",
-            "\"name\": \"tests\"",
-            "\"seq_secs\": 2.000000",
-            "\"speedup\": 2.000",
-            "\"total_seq_secs\": 2.500000",
-            "\"metrics_identical\": true",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        assert!((pb.speedup() - 2.0).abs() < 1e-12);
     }
 }

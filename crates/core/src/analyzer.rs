@@ -65,26 +65,6 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// [`Analyzer::new`], but with covered sets computed by the
-    /// device-sharded [`CoveredSets::compute_parallel`]. Every metric is
-    /// bit-identical to the sequential analyzer's.
-    pub fn new_parallel(
-        net: &'a Network,
-        ms: &'a MatchSets,
-        trace: &'a CoverageTrace,
-        bdd: &mut Bdd,
-        threads: usize,
-    ) -> Analyzer<'a> {
-        let _span = netobs::span!("analysis");
-        let covered = CoveredSets::compute_parallel(net, ms, trace, bdd, threads);
-        Analyzer {
-            net,
-            ms,
-            trace,
-            covered,
-        }
-    }
-
     /// Wrap covered sets that were computed elsewhere — the constructor a
     /// long-lived engine uses after incrementally refreshing its shards,
     /// so metrics never force a from-scratch Algorithm 1 pass. The caller

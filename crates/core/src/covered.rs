@@ -13,13 +13,10 @@
 //! Rules scoped to an ingress interface only intersect packets recorded
 //! on that interface, matching the forwarding engine's semantics.
 
-use std::collections::HashMap;
-
-use netbdd::{Bdd, PortableBdd, Ref};
+use netbdd::{Bdd, Ref};
 use netmodel::topology::DeviceId;
-use netmodel::{IfaceId, MatchSets, Network, RuleId};
+use netmodel::{MatchSets, Network, RuleId};
 
-use crate::parallel::ParallelRunner;
 use crate::trace::CoverageTrace;
 
 /// The covered sets `T[r]` of every rule in the network.
@@ -60,145 +57,6 @@ impl CoveredSets {
         device: DeviceId,
     ) {
         self.covered[device.0 as usize] = device_covered(net, ms, trace, bdd, device);
-    }
-
-    /// Algorithm 1 sharded by device across `threads` worker threads.
-    ///
-    /// Bit-identical to [`CoveredSets::compute`] on either backend. On a
-    /// private manager the main thread exports each device's inputs (the
-    /// trace's packets at the device, plus every rule's match set),
-    /// workers intersect them in private managers, and the results
-    /// import back — in device order — onto the same canonical `Ref`s
-    /// the sequential pass would produce. On a shared manager
-    /// (`Bdd::new_shared`) each worker runs the sequential per-device
-    /// body through its own [`Bdd::handle`] directly: match sets and
-    /// trace refs are already valid in the shared arena, results come
-    /// back as canonical refs, and the `PortableBdd` round-trip
-    /// disappears.
-    pub fn compute_parallel(
-        net: &Network,
-        ms: &MatchSets,
-        trace: &CoverageTrace,
-        bdd: &mut Bdd,
-        threads: usize,
-    ) -> CoveredSets {
-        if threads <= 1 {
-            return Self::compute(net, ms, trace, bdd);
-        }
-        if bdd.is_shared() {
-            let _span = netobs::span!("covered_sets_parallel");
-            let devices: Vec<DeviceId> = net.topology().devices().map(|(d, _)| d).collect();
-            let ranges = ParallelRunner::chunk_ranges(devices.len(), threads);
-            let seeds: Vec<Bdd> = ranges.iter().map(|_| bdd.handle()).collect();
-            let shards: Vec<Vec<Vec<Ref>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .zip(seeds)
-                    .map(|(range, mut local)| {
-                        let chunk = &devices[range];
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&device| device_covered(net, ms, trace, &mut local, device))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("covered-set worker panicked"))
-                    .collect()
-            });
-            // Ranges are contiguous and in device order, so flattening
-            // restores `covered[device]` indexing.
-            return CoveredSets {
-                covered: shards.into_iter().flatten().collect(),
-            };
-        }
-        let _span = netobs::span!("covered_sets_parallel");
-
-        /// `applicable` slot per rule: `None` for inspected rules (the
-        /// covered set is the match set, no intersection needed).
-        struct RuleJob {
-            m: PortableBdd,
-            applicable: Option<usize>,
-        }
-        /// One device's shard: slot 0 of `applicable` is the device-wide
-        /// packet set, further slots are per-ingress-interface sets.
-        struct DeviceJob {
-            applicable: Vec<PortableBdd>,
-            rules: Vec<RuleJob>,
-        }
-
-        let mut device_jobs: Vec<DeviceJob> = Vec::with_capacity(net.topology().device_count());
-        for (device, _) in net.topology().devices() {
-            let at_device = trace.packets.at_device(bdd, device);
-            let mut applicable = vec![bdd.export(at_device)];
-            let mut iface_slot: HashMap<IfaceId, usize> = HashMap::new();
-            let mut rules = Vec::with_capacity(net.device_rules(device).len());
-            for id in net.device_rule_ids(device) {
-                let slot = if trace.rules.contains(&id) {
-                    None
-                } else {
-                    Some(match net.rule(id).matches.in_iface {
-                        None => 0,
-                        Some(iface) => *iface_slot.entry(iface).or_insert_with(|| {
-                            let at_iface = trace.packets.at_device_iface(device, iface);
-                            applicable.push(bdd.export(at_iface));
-                            applicable.len() - 1
-                        }),
-                    })
-                };
-                rules.push(RuleJob {
-                    m: bdd.export(ms.get(id)),
-                    applicable: slot,
-                });
-            }
-            device_jobs.push(DeviceJob { applicable, rules });
-        }
-
-        let ranges = ParallelRunner::chunk_ranges(device_jobs.len(), threads);
-        let shards: Vec<Vec<Vec<PortableBdd>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let chunk = &device_jobs[range];
-                    scope.spawn(move || {
-                        let mut local = Bdd::new();
-                        chunk
-                            .iter()
-                            .map(|dev| {
-                                let applicable: Vec<Ref> =
-                                    dev.applicable.iter().map(|p| local.import(p)).collect();
-                                dev.rules
-                                    .iter()
-                                    .map(|rule| {
-                                        let m = local.import(&rule.m);
-                                        let t = match rule.applicable {
-                                            None => m,
-                                            Some(slot) => local.and(applicable[slot], m),
-                                        };
-                                        local.export(t)
-                                    })
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("covered-set worker panicked"))
-                .collect()
-        });
-
-        let mut covered = Vec::with_capacity(device_jobs.len());
-        for shard in shards {
-            for dev in shard {
-                covered.push(dev.iter().map(|p| bdd.import(p)).collect());
-            }
-        }
-        CoveredSets { covered }
     }
 
     /// The covered set `T[r]` of one rule.
@@ -435,62 +293,6 @@ mod tests {
         let a = CoveredSets::compute(&n, &ms, &inspect, &mut bdd);
         let b = CoveredSets::compute(&n, &ms, &sym, &mut bdd);
         assert_eq!(a.get(id), b.get(id));
-    }
-
-    #[test]
-    fn parallel_covered_sets_match_sequential_bit_for_bit() {
-        let (n, d) = net();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&n, &mut bdd);
-        let mut trace = CoverageTrace::new();
-        let p8 = header::dst_in(&mut bdd, &"10.0.0.0/8".parse().unwrap());
-        trace.add_packets(&mut bdd, Location::device(d), p8);
-        trace.add_rule(RuleId {
-            device: d,
-            index: 1,
-        });
-        let seq = CoveredSets::compute(&n, &ms, &trace, &mut bdd);
-        for threads in [1, 2, 3, 8] {
-            let par = CoveredSets::compute_parallel(&n, &ms, &trace, &mut bdd, threads);
-            for (id, _) in n.rules() {
-                assert_eq!(par.get(id), seq.get(id), "threads={threads} id={id:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_covered_sets_respect_ingress_scoping() {
-        use netmodel::MatchFields;
-        let mut t = Topology::new();
-        let d = t.add_device("r", Role::Tor);
-        let i0 = t.add_iface(d, "i0", IfaceKind::Host);
-        let _i1 = t.add_iface(d, "i1", IfaceKind::Host);
-        let mut n = Network::new(t);
-        n.add_rule(
-            d,
-            Rule {
-                matches: MatchFields {
-                    in_iface: Some(i0),
-                    ..MatchFields::default()
-                },
-                action: netmodel::Action::Drop,
-                class: RouteClass::Other,
-            },
-        );
-        n.finalize();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&n, &mut bdd);
-        let mut trace = CoverageTrace::new();
-        let half = header::dst_in(&mut bdd, &"10.0.0.0/8".parse().unwrap());
-        trace.add_packets(&mut bdd, Location::at(d, i0), half);
-        let seq = CoveredSets::compute(&n, &ms, &trace, &mut bdd);
-        let par = CoveredSets::compute_parallel(&n, &ms, &trace, &mut bdd, 2);
-        let id = RuleId {
-            device: d,
-            index: 0,
-        };
-        assert_eq!(par.get(id), seq.get(id));
-        assert!(par.is_exercised(id));
     }
 
     #[test]

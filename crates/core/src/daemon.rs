@@ -4,8 +4,8 @@
 //! over [`std::net::TcpListener`], one request per connection
 //! (`Connection: close`), hand-rolled HTTP/1.1 framing, and
 //! [`netobs::json`] for request bodies. No async runtime — coverage
-//! queries are CPU-bound BDD work, so a thread pool would only add
-//! contention on the single shared manager.
+//! queries are CPU-bound BDD work on the engine's one manager, which is
+//! `&mut` for every operation, so a thread pool would only serialise.
 //!
 //! Endpoints:
 //!
@@ -31,7 +31,7 @@ use netbdd::PortableBdd;
 use netmodel::provenance::Construct;
 use netmodel::topology::DeviceId;
 use netmodel::{Action, IfaceId, Location, MatchFields, Prefix, RouteClass, Rule, RuleId};
-use netobs::json::{self, Json};
+use netobs::json::{self, number, quote, Json};
 
 use crate::engine::{CoverageEngine, DeltaRecord, EngineError};
 use crate::testgen::{autogen, GenConfig};
@@ -99,7 +99,7 @@ impl Response {
     fn error(status: u16, message: &str) -> Response {
         Response {
             status,
-            body: format!("{{\"error\":{}}}", jstr(message)),
+            body: format!("{{\"error\":{}}}", quote(message)),
         }
     }
 }
@@ -136,39 +136,11 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-// ----- JSON emission (the parser in netobs::json is read-only) -----------
-
-/// A JSON string literal (quoted, escaped).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number (`f64` displays as `1` for `1.0`, which is valid JSON).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
+// ----- JSON emission ------------------------------------------------------
 
 /// `null` for `None`.
 fn jopt(x: Option<f64>) -> String {
-    x.map(jnum).unwrap_or_else(|| "null".to_string())
+    x.map(number).unwrap_or_else(|| "null".to_string())
 }
 
 // ----- wire decoding ------------------------------------------------------
@@ -371,8 +343,8 @@ fn handle_covers(engine: &mut CoverageEngine, req: &Request) -> Response {
         id.device.0,
         id.index,
         engine.version(),
-        jnum(c.match_probability),
-        jnum(c.covered_probability),
+        number(c.match_probability),
+        number(c.covered_probability),
         jopt(c.coverage),
         c.exercised
     );
@@ -397,12 +369,12 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
             };
             let uncovered: Vec<String> = cov
                 .uncovered()
-                .map(|c| jstr(&c.construct.wire_id()))
+                .map(|c| quote(&c.construct.wire_id()))
                 .collect();
             let unreferenced: Vec<String> = cov
                 .unreferenced
                 .iter()
-                .map(|c| jstr(&c.wire_id()))
+                .map(|c| quote(&c.wire_id()))
                 .collect();
             let body = format!(
                 "{{\"version\":{},\"coverable\":{},\"covered\":{},\"fractional\":{},\
@@ -440,22 +412,22 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
                     let rules: Vec<String> = entry
                         .rules
                         .iter()
-                        .map(|id| jstr(&format!("r{}.{}", id.device.0, id.index)))
+                        .map(|id| quote(&format!("r{}.{}", id.device.0, id.index)))
                         .collect();
                     let tests: Vec<String> = engine
                         .tests_exercising(&entry.rules)
                         .iter()
-                        .map(|name| jstr(name))
+                        .map(|name| quote(name))
                         .collect();
                     format!(
                         "{{\"construct\":{},\"version\":{},\"covered\":{},\
                          \"match_probability\":{},\"covered_probability\":{},\"weighted\":{},\
                          \"rules\":[{}],\"tests\":[{}]}}",
-                        jstr(&construct.wire_id()),
+                        quote(&construct.wire_id()),
                         engine.version(),
                         entry.covered,
-                        jnum(entry.match_probability),
-                        jnum(entry.covered_probability),
+                        number(entry.match_probability),
+                        number(entry.covered_probability),
                         jopt(entry.weighted()),
                         rules.join(","),
                         tests.join(",")
@@ -464,7 +436,7 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
                 None if cov.unreferenced.contains(&construct) => format!(
                     "{{\"construct\":{},\"version\":{},\"covered\":false,\
                      \"unreferenced\":true,\"rules\":[],\"tests\":[]}}",
-                    jstr(&construct.wire_id()),
+                    quote(&construct.wire_id()),
                     engine.version()
                 ),
                 None => {
@@ -486,11 +458,11 @@ fn handle_metrics(engine: &mut CoverageEngine) -> Response {
     let stats = engine.query_cache_stats();
     let gauges: Vec<String> = netobs::gauges_snapshot()
         .iter()
-        .map(|(k, v)| format!("{}:{}", jstr(k), jnum(*v)))
+        .map(|(k, v)| format!("{}:{}", quote(k), number(*v)))
         .collect();
     let counters: Vec<String> = netobs::counters_snapshot()
         .iter()
-        .map(|(k, v)| format!("{}:{}", jstr(k), v))
+        .map(|(k, v)| format!("{}:{}", quote(k), v))
         .collect();
     let body = format!(
         "{{\"version\":{},\"devices\":{},\"rules\":{},\"tests\":{},\
@@ -520,8 +492,8 @@ fn record_json(r: &DeltaRecord) -> String {
     format!(
         "{{\"version\":{},\"kind\":{},\"detail\":{},\"devices\":[{}]}}",
         r.version,
-        jstr(r.kind.as_str()),
-        jstr(&r.detail),
+        quote(r.kind.as_str()),
+        quote(&r.detail),
         devices.join(",")
     )
 }
@@ -545,7 +517,7 @@ fn delta_applied(engine: &CoverageEngine, detail: &str, devices: &[DeviceId]) ->
     Response::ok(format!(
         "{{\"ok\":true,\"version\":{},\"detail\":{},\"devices\":[{}]}}",
         engine.version(),
-        jstr(detail),
+        quote(detail),
         devices.join(",")
     ))
 }
@@ -686,16 +658,16 @@ fn handle_autogen(engine: &mut CoverageEngine, req: &Request) -> Response {
         .map(|t| {
             format!(
                 "{{\"name\":{},\"kind\":{},\"spec\":{}}}",
-                jstr(&t.name),
-                jstr(t.spec.kind()),
-                jstr(&t.spec.to_string())
+                quote(&t.name),
+                quote(t.spec.kind()),
+                quote(&t.spec.to_string())
             )
         })
         .collect();
     let gaps: Vec<String> = report
         .permanent_gaps
         .iter()
-        .map(|id| jstr(&format!("r{}.{}", id.device.0, id.index)))
+        .map(|id| quote(&format!("r{}.{}", id.device.0, id.index)))
         .collect();
     Response::ok(format!(
         "{{\"ok\":true,\"version\":{},\"rounds\":{},\"converged\":{},\"budget_exhausted\":{},\
@@ -745,9 +717,21 @@ pub fn handle(engine: &mut CoverageEngine, req: &Request) -> Response {
 
 // ----- wire framing -------------------------------------------------------
 
+/// Largest request body [`read_request`] accepts. The largest legitimate
+/// body is one exported trace in a `test-add` delta — 1.2 MB for the
+/// whole §8 suite as one test on a k=16 fat-tree — so 8 MiB leaves room,
+/// and is small enough that a hostile `Content-Length` cannot make the
+/// daemon allocate its way to an abort.
+const MAX_BODY_BYTES: usize = 8 << 20;
+
 /// Read one HTTP/1.1 request from a stream (request line, headers,
 /// `Content-Length` body).
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
+///
+/// The inner `Err` is a framing rejection to send back as is — `400`
+/// for a `Content-Length` that is not a number, `413` for one above
+/// the 8 MiB body cap — decided before any body byte is read or
+/// allocated for, and without involving the engine.
+pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -766,17 +750,21 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_len = value.trim().parse().unwrap_or(0);
+                content_len = match value.trim().parse::<u64>() {
+                    Ok(n) if n <= MAX_BODY_BYTES as u64 => n as usize,
+                    Ok(_) => return Ok(Err(Response::error(413, "request body too large"))),
+                    Err(_) => return Ok(Err(Response::error(400, "unparsable Content-Length"))),
+                };
             }
         }
     }
     let mut body = vec![0u8; content_len];
     reader.read_exact(&mut body)?;
-    Ok(Request::new(
+    Ok(Ok(Request::new(
         &method,
         &target,
         &String::from_utf8_lossy(&body),
-    ))
+    )))
 }
 
 /// Write a [`Response`] as an HTTP/1.1 message.
@@ -786,6 +774,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     write!(
@@ -809,7 +798,11 @@ pub fn serve(engine: &mut CoverageEngine, listener: TcpListener) -> std::io::Res
             Err(_) => continue,
         };
         let req = match read_request(&mut stream) {
-            Ok(r) => r,
+            Ok(Ok(r)) => r,
+            Ok(Err(rejection)) => {
+                let _ = write_response(&mut stream, &rejection);
+                continue;
+            }
             Err(_) => continue,
         };
         let shutdown = req.method == "POST" && req.path == "/shutdown";
@@ -1344,6 +1337,45 @@ mod tests {
         let (status, body) = http_post(&addr, "/shutdown", "").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"ok\":true"));
+        server.join().unwrap();
+    }
+
+    /// One raw round trip with a hand-written header block, for framing
+    /// the built-in client would never produce. Returns the status.
+    fn raw_status(addr: &str, head: &str) -> u16 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn hostile_content_length_is_rejected_without_touching_the_engine() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut engine = build_engine();
+            serve(&mut engine, listener).unwrap();
+        });
+        let version = |addr: &str| {
+            let (status, body) = http_get(addr, "/metrics").unwrap();
+            assert_eq!(status, 200, "{body}");
+            json::parse(&body).unwrap().get("version").unwrap().as_f64()
+        };
+        let before = version(&addr);
+        for (length, status) in [
+            ("99999999999999", 413),
+            (&(MAX_BODY_BYTES + 1).to_string(), 413),
+            ("banana", 400),
+            ("-1", 400),
+        ] {
+            let head = format!("POST /delta HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            assert_eq!(raw_status(&addr, &head), status, "Content-Length: {length}");
+            assert_eq!(version(&addr), before, "after Content-Length: {length}");
+        }
+        let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+        assert_eq!(status, 200);
         server.join().unwrap();
     }
 }

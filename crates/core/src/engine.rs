@@ -25,11 +25,10 @@
 //!
 //! The invalidation unit is the *device*, not the rule: match sets are
 //! first-match chains, so any rule change invalidates every later rule
-//! on the same device anyway, and the device shard is exactly what the
-//! parallel batch path ([`CoveredSets::compute_parallel`]) already
-//! ships to workers. Because every recompute runs the same math in the
-//! same hash-consed manager, incremental state is bit-identical to a
-//! from-scratch batch recompute of the same network and trace.
+//! on the same device anyway. Because every recompute runs the same
+//! math in the same hash-consed manager, incremental state is
+//! bit-identical to a from-scratch batch recompute of the same network
+//! and trace.
 //!
 //! Rule identity is positional (`RuleId.index`): an insert or withdraw
 //! renumbers later rules on that device. Rule marks in traces are
@@ -317,39 +316,6 @@ pub struct HeadlineMetrics {
     pub device_fractional: Option<f64>,
 }
 
-/// Which BDD manager backend a [`CoverageEngine`] runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// One private arena per manager (the default, and the differential
-    /// oracle): parallel paths shard work into per-worker managers and
-    /// merge by `PortableBdd` export/import.
-    Private,
-    /// One shared concurrent arena (`Bdd::new_shared`): parallel paths
-    /// hand each worker a handle, skipping the export/import round-trip.
-    Shared,
-}
-
-impl Backend {
-    /// Stable wire/flag name of the backend.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Private => "private",
-            Backend::Shared => "shared",
-        }
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s {
-            "private" => Ok(Backend::Private),
-            "shared" => Ok(Backend::Shared),
-            other => Err(format!("unknown backend {other:?} (private|shared)")),
-        }
-    }
-}
-
 /// The long-lived incremental coverage engine (see the module docs for
 /// the invalidation model).
 pub struct CoverageEngine {
@@ -363,7 +329,6 @@ pub struct CoverageEngine {
     tests: BTreeMap<String, CoverageTrace>,
     combined: CoverageTrace,
     covered: CoveredSets,
-    threads: usize,
     version: u64,
     log: Vec<DeltaRecord>,
     query_cache: QueryCache,
@@ -376,27 +341,19 @@ pub struct CoverageEngine {
 }
 
 impl CoverageEngine {
-    /// Build an engine around a finalized network. The initial covered
-    /// sets (of the empty trace) are computed with the device-sharded
-    /// parallel path when `threads > 1`.
-    pub fn new(net: Network, threads: usize) -> CoverageEngine {
-        Self::new_with_backend(net, threads, Backend::Private)
-    }
-
-    /// [`CoverageEngine::new`] with an explicit manager [`Backend`]. The
-    /// shared backend keeps one concurrent arena for the engine's whole
-    /// life; covered sets it computes are bit-identical (as canonical
-    /// `PortableBdd` exports) to the private backend's.
-    pub fn new_with_backend(net: Network, threads: usize, backend: Backend) -> CoverageEngine {
-        let threads = threads.max(1);
-        let mut bdd = match backend {
-            Backend::Private => Bdd::new(),
-            Backend::Shared => Bdd::new_shared(),
-        };
+    /// Build an engine around a finalized network.
+    ///
+    /// `_threads` is ignored: the engine is sequential (every delta path
+    /// is a per-device recompute, and no parallel form of Algorithm 1
+    /// beat the sequential one at any measured size — DESIGN decision
+    /// 13). The parameter survives only because the frozen
+    /// `benchmark/` crate calls this two-argument form.
+    pub fn new(net: Network, _threads: usize) -> CoverageEngine {
+        let mut bdd = Bdd::new();
         let mut ms_cache = MatchSetCache::new();
         let ms = MatchSets::compute_cached(&net, &mut bdd, &mut ms_cache);
         let combined = CoverageTrace::new();
-        let covered = CoveredSets::compute_parallel(&net, &ms, &combined, &mut bdd, threads);
+        let covered = CoveredSets::compute(&net, &ms, &combined, &mut bdd);
         CoverageEngine {
             net,
             routing: None,
@@ -406,7 +363,6 @@ impl CoverageEngine {
             tests: BTreeMap::new(),
             combined,
             covered,
-            threads,
             version: 0,
             log: Vec::new(),
             query_cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
@@ -444,11 +400,6 @@ impl CoverageEngine {
     /// Number of deltas applied so far.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Worker threads used for full (non-incremental) recomputes.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Names of the registered tests, sorted.
@@ -1133,88 +1084,44 @@ mod tests {
         assert_eq!(engine.query_cache().get("k"), None);
     }
 
-    /// Replay the same delta sequence on both backends; every covered
-    /// set must export byte-identically at every step (the canonical
-    /// `PortableBdd` form erases arena layout, so this is the bit-level
-    /// equivalence the shared backend promises).
-    #[test]
-    fn shared_backend_matches_private_bit_for_bit() {
-        fn assert_same(a: &CoverageEngine, b: &CoverageEngine) {
-            for (id, _) in a.net.rules() {
-                assert_eq!(
-                    a.bdd.export(a.covered.get(id)),
-                    b.bdd.export(b.covered.get(id)),
-                    "covered set diverged at {id:?}"
-                );
-            }
-        }
-        let (n, tor, spine, hosts) = build();
-        let mut a = CoverageEngine::new_with_backend(n.clone(), 2, Backend::Private);
-        let mut b = CoverageEngine::new_with_backend(n, 2, Backend::Shared);
-        assert!(b.bdd.is_shared() && !a.bdd.is_shared());
-        assert_same(&a, &b);
-        for engine in [&mut a, &mut b] {
-            engine
-                .add_test("probe", &mark_trace(tor, "10.0.0.0/8"))
-                .unwrap();
-            engine
-                .add_test("spine-probe", &mark_trace(spine, "10.0.0.128/25"))
-                .unwrap();
-            let rule = Rule::forward(
-                "10.0.1.0/24".parse().unwrap(),
-                vec![hosts],
-                RouteClass::HostSubnet,
-            );
-            engine.insert_rule(tor, rule).unwrap();
-            engine.remove_test("probe").unwrap();
-        }
-        assert_same(&a, &b);
-        assert_matches_batch(&mut b);
-    }
-
     /// Churn tests to strand garbage, collect, and check both halves of
     /// the GC contract: nodes are reclaimed, and every surviving covered
     /// set answers identically after relocation.
     #[test]
     fn gc_reclaims_garbage_and_preserves_answers() {
         use netbdd::PortableBdd;
-        for backend in [Backend::Private, Backend::Shared] {
-            let (n, tor, _, _) = build();
-            let mut engine = CoverageEngine::new_with_backend(n, 1, backend);
-            for i in 0..16 {
-                engine
-                    .add_test(
-                        &format!("t{i}"),
-                        &mark_trace(tor, &format!("10.{i}.0.0/16")),
-                    )
-                    .unwrap();
-            }
-            for i in 0..15 {
-                engine.remove_test(&format!("t{i}")).unwrap();
-            }
-            let before: Vec<(RuleId, PortableBdd)> = engine
-                .net
-                .rules()
-                .map(|(id, _)| (id, engine.bdd.export(engine.covered.get(id))))
-                .collect();
-            let stats = engine.gc();
-            assert!(
-                stats.reclaimed() > 0,
-                "churn left no garbage to reclaim ({backend:?})"
-            );
-            assert_eq!(engine.bdd.node_count(), stats.nodes_after);
-            assert_eq!(engine.gc_collections(), 1);
-            for (id, p) in &before {
-                assert_eq!(
-                    &engine.bdd.export(engine.covered.get(*id)),
-                    p,
-                    "covered set changed across GC at {id:?} ({backend:?})"
-                );
-            }
-            // The engine still computes correct fresh results in the
-            // compacted arena.
-            assert_matches_batch(&mut engine);
+        let (n, tor, _, _) = build();
+        let mut engine = CoverageEngine::new(n, 1);
+        for i in 0..16 {
+            engine
+                .add_test(
+                    &format!("t{i}"),
+                    &mark_trace(tor, &format!("10.{i}.0.0/16")),
+                )
+                .unwrap();
         }
+        for i in 0..15 {
+            engine.remove_test(&format!("t{i}")).unwrap();
+        }
+        let before: Vec<(RuleId, PortableBdd)> = engine
+            .net
+            .rules()
+            .map(|(id, _)| (id, engine.bdd.export(engine.covered.get(id))))
+            .collect();
+        let stats = engine.gc();
+        assert!(stats.reclaimed() > 0, "churn left no garbage to reclaim");
+        assert_eq!(engine.bdd.node_count(), stats.nodes_after);
+        assert_eq!(engine.gc_collections(), 1);
+        for (id, p) in &before {
+            assert_eq!(
+                &engine.bdd.export(engine.covered.get(*id)),
+                p,
+                "covered set changed across GC at {id:?}"
+            );
+        }
+        // The engine still computes correct fresh results in the
+        // compacted arena.
+        assert_matches_batch(&mut engine);
     }
 
     /// An armed watermark runs the collector automatically once a delta
@@ -1222,7 +1129,7 @@ mod tests {
     #[test]
     fn watermark_triggers_automatic_collection() {
         let (n, tor, _, _) = build();
-        let mut engine = CoverageEngine::new_with_backend(n, 1, Backend::Shared);
+        let mut engine = CoverageEngine::new(n, 1);
         engine.set_gc_watermark(Some(engine.bdd.node_count()));
         engine
             .add_test("t", &mark_trace(tor, "10.1.2.0/24"))

@@ -137,7 +137,7 @@ impl Analyzer<'_> {
                     regions_complete,
                     // Seeded per rule: the witness is a pure function of
                     // the rule's identity and the untested set, never of
-                    // report order, thread count, or manager backend.
+                    // report order or arena layout.
                     witness: seeded_witness(bdd, untested, rule_seed(WITNESS_SEED, id)),
                 }
             })

@@ -70,7 +70,6 @@ pub mod flowcov;
 pub mod framework;
 pub mod gaps;
 pub mod obs;
-pub mod parallel;
 pub mod pathcov;
 pub mod report;
 pub mod rng;
@@ -83,13 +82,12 @@ pub use atu::Atu;
 pub use config::{ConfigCoverage, ConstructCoverage};
 pub use covered::CoveredSets;
 pub use engine::{
-    Backend, CoverageEngine, DeltaKind, DeltaRecord, EngineError, HeadlineMetrics, QueryCache,
+    CoverageEngine, DeltaKind, DeltaRecord, EngineError, HeadlineMetrics, QueryCache,
     QueryCacheStats, RuleCoverage,
 };
 pub use framework::{Aggregator, Combinator, ComponentSpec, GuardedString, Measure};
 pub use gaps::{GapEntry, GapReport};
 pub use obs::publish_bdd_gauges;
-pub use parallel::{publish_worker_gauges, ParallelRunner, WorkerReport};
 pub use report::{ClassReport, CoverageReport, ReportRow};
 pub use testgen::{
     autogen, autogen_config, ConfigGenReport, GenConfig, GenReport, GeneratedTest, TestSpec,

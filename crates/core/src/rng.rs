@@ -34,8 +34,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// function of `(seed, key)`, so work units (ToR pairs, mutants) can be
 /// executed in any order — or sharded across any number of threads — and
 /// still see bit-identical pseudo-random choices. The exact bit pattern
-/// is load-bearing: Pingmesh pair seeds recorded in committed parallel
-/// baselines were produced by this function.
+/// is load-bearing: Pingmesh pair seeds recorded in committed baselines
+/// were produced by this function.
 pub fn seed_mix(seed: u64, key: u64) -> u64 {
     let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);

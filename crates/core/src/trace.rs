@@ -62,7 +62,8 @@ impl CoverageTrace {
     }
 
     /// Snapshot the trace into a manager-independent form, so a trace
-    /// collected in one thread's `Bdd` can be rebuilt in another's.
+    /// collected in one `Bdd` can be rebuilt in another (the wire form
+    /// of a test delta).
     pub fn export(&self, bdd: &Bdd) -> PortableTrace {
         PortableTrace {
             packets: self
@@ -77,7 +78,7 @@ impl CoverageTrace {
 
 /// A [`CoverageTrace`] detached from its manager: per-location
 /// [`PortableBdd`] snapshots plus the (manager-free) rule-id set. Plain
-/// data, so it can cross thread boundaries.
+/// data, so it can cross process and thread boundaries.
 #[derive(Clone, Debug, Default)]
 pub struct PortableTrace {
     packets: Vec<(Location, PortableBdd)>,

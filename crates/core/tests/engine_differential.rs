@@ -3,7 +3,7 @@
 //! [`CoverageEngine`] must leave it **bit identical** to a from-scratch
 //! batch recompute of the final state — every covered set (compared as
 //! exported canonical snapshots), every per-rule metric, and the
-//! headline aggregates, with the batch side run at 1 and 4 threads.
+//! headline aggregates.
 //!
 //! This is the property the device-sharded invalidation scheme stakes
 //! its correctness on: recomputing only touched devices must never be
@@ -145,10 +145,10 @@ fn mark_trace(device: DeviceId, prefix: &str, inspect: Option<u32>) -> PortableT
 
 /// Replay `ops` into a fresh engine; returns the engine plus the
 /// surviving tests' portable traces (the batch side's inputs).
-fn replay(ops: &[Op], threads: usize) -> (CoverageEngine, Vec<(String, PortableTrace)>) {
+fn replay(ops: &[Op]) -> (CoverageEngine, Vec<(String, PortableTrace)>) {
     let (net, dev_ifaces) = base_net();
     let device_count = net.topology().device_count() as u32;
-    let mut engine = CoverageEngine::new(net, threads);
+    let mut engine = CoverageEngine::new(net, 1);
     let mut tests: Vec<(String, PortableTrace)> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -273,7 +273,7 @@ proptest! {
         inserts in prop::collection::vec(
             (any::<u32>(), 0..PREFIXES.len(), any::<u32>(), any::<bool>()), 1..4),
     ) {
-        let (mut engine, _) = replay(&history, 1);
+        let (mut engine, _) = replay(&history);
         let (_, dev_ifaces) = base_net();
         reach_everywhere(&mut engine);
         for &(dev_sel, prefix_sel, iface_sel, drop) in &inserts {
@@ -300,75 +300,72 @@ proptest! {
     fn engine_after_deltas_is_bit_identical_to_batch_recompute(
         ops in prop::collection::vec(arb_op(), 0..12),
     ) {
-        for threads in [1usize, 4] {
-            let (mut engine, tests) = replay(&ops, threads);
+        let (mut engine, tests) = replay(&ops);
 
-            // From-scratch batch recompute of the engine's final state,
-            // in a fresh manager.
-            let net = engine.network().clone();
-            let mut bdd = Bdd::new();
-            let ms = MatchSets::compute(&net, &mut bdd);
-            let mut combined = CoverageTrace::new();
-            for (_, portable) in &tests {
-                let t = portable.import(&mut bdd);
-                combined.merge(&mut bdd, &t);
-            }
-            let covered = CoveredSets::compute_parallel(&net, &ms, &combined, &mut bdd, threads);
+        // From-scratch batch recompute of the engine's final state,
+        // in a fresh manager.
+        let net = engine.network().clone();
+        let mut bdd = Bdd::new();
+        let ms = MatchSets::compute(&net, &mut bdd);
+        let mut combined = CoverageTrace::new();
+        for (_, portable) in &tests {
+            let t = portable.import(&mut bdd);
+            combined.merge(&mut bdd, &t);
+        }
+        let covered = CoveredSets::compute(&net, &ms, &combined, &mut bdd);
 
-            // Covered sets: canonical exports must be equal node for node.
-            let engine_side: Vec<(RuleId, PortableBdd)> = engine.with_analyzer(|a, ebdd| {
-                net.rules()
-                    .map(|(id, _)| (id, ebdd.export(a.covered_sets().get(id))))
-                    .collect()
-            });
-            for (id, engine_snapshot) in engine_side {
-                let batch_snapshot = bdd.export(covered.get(id));
-                prop_assert_eq!(
-                    engine_snapshot,
-                    batch_snapshot,
-                    "covered set diverges at {:?} with {} threads",
-                    id,
-                    threads
-                );
-            }
-
-            // Metrics: per-rule and headline, exactly equal floats.
-            let batch = Analyzer::with_covered(&net, &ms, &combined, covered);
-            for (id, _) in net.rules() {
-                let e = engine.rule_coverage(id).unwrap();
-                let b = batch.rule_coverage(&mut bdd, id);
-                prop_assert_eq!(e.coverage, b, "rule metric diverges at {:?}", id);
-            }
-            let headline = engine.headline_metrics();
+        // Covered sets: canonical exports must be equal node for node.
+        let engine_side: Vec<(RuleId, PortableBdd)> = engine.with_analyzer(|a, ebdd| {
+            net.rules()
+                .map(|(id, _)| (id, ebdd.export(a.covered_sets().get(id))))
+                .collect()
+        });
+        for (id, engine_snapshot) in engine_side {
+            let batch_snapshot = bdd.export(covered.get(id));
             prop_assert_eq!(
-                headline.rule_fractional,
-                batch.aggregate_rules(&mut bdd, Aggregator::Fractional, |_, _| true)
+                engine_snapshot,
+                batch_snapshot,
+                "covered set diverges at {:?}",
+                id
             );
-            prop_assert_eq!(
-                headline.rule_weighted,
-                batch.aggregate_rules(&mut bdd, Aggregator::Weighted, |_, _| true)
-            );
-            prop_assert_eq!(
-                headline.device_fractional,
-                batch.aggregate_devices(&mut bdd, Aggregator::Fractional, |_, _| true)
-            );
+        }
 
-            // A warm `/covers` answers from the LRU cache: the hit
-            // counter increments and the body is unchanged.
-            let first_rule = net.rules().next().map(|(id, _)| id);
-            if let Some(id) = first_rule {
-                let req = Request::new(
-                    "GET",
-                    &format!("/covers?rule={}.{}", id.device.0, id.index),
-                    "",
-                );
-                let cold = handle(&mut engine, &req);
-                prop_assert_eq!(cold.status, 200);
-                let hits_before = engine.query_cache_stats().hits;
-                let warm = handle(&mut engine, &req);
-                prop_assert_eq!(warm, cold);
-                prop_assert_eq!(engine.query_cache_stats().hits, hits_before + 1);
-            }
+        // Metrics: per-rule and headline, exactly equal floats.
+        let batch = Analyzer::with_covered(&net, &ms, &combined, covered);
+        for (id, _) in net.rules() {
+            let e = engine.rule_coverage(id).unwrap();
+            let b = batch.rule_coverage(&mut bdd, id);
+            prop_assert_eq!(e.coverage, b, "rule metric diverges at {:?}", id);
+        }
+        let headline = engine.headline_metrics();
+        prop_assert_eq!(
+            headline.rule_fractional,
+            batch.aggregate_rules(&mut bdd, Aggregator::Fractional, |_, _| true)
+        );
+        prop_assert_eq!(
+            headline.rule_weighted,
+            batch.aggregate_rules(&mut bdd, Aggregator::Weighted, |_, _| true)
+        );
+        prop_assert_eq!(
+            headline.device_fractional,
+            batch.aggregate_devices(&mut bdd, Aggregator::Fractional, |_, _| true)
+        );
+
+        // A warm `/covers` answers from the LRU cache: the hit
+        // counter increments and the body is unchanged.
+        let first_rule = net.rules().next().map(|(id, _)| id);
+        if let Some(id) = first_rule {
+            let req = Request::new(
+                "GET",
+                &format!("/covers?rule={}.{}", id.device.0, id.index),
+                "",
+            );
+            let cold = handle(&mut engine, &req);
+            prop_assert_eq!(cold.status, 200);
+            let hits_before = engine.query_cache_stats().hits;
+            let warm = handle(&mut engine, &req);
+            prop_assert_eq!(warm, cold);
+            prop_assert_eq!(engine.query_cache_stats().hits, hits_before + 1);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Topology-delta differential tests for the coverage engine: failure
 //! and recovery sequences re-converged incrementally through
 //! [`CoverageEngine::apply_topology`] must leave the engine bit-identical
-//! to a from-scratch batch engine built over the degraded network — at 1
-//! and 4 threads, on the private and shared BDD backends — and the
+//! to a from-scratch batch engine built over the degraded network, and the
 //! headline fractional metric must equal a direct counting of exercised
 //! rules (the counting-oracle form of the fractional aggregator).
 
@@ -13,7 +12,7 @@ use netmodel::Location;
 use routing::TopologyDelta;
 use topogen::{fattree_with_engine, FatTreeParams};
 use yardstick::daemon::{handle, Request};
-use yardstick::{Backend, CoverageEngine, CoverageTrace, PortableTrace};
+use yardstick::{CoverageEngine, CoverageTrace, PortableTrace};
 
 /// A portable trace marking `prefix` at `device` (packet marks only —
 /// rule marks are positional and topology deltas shift indices).
@@ -27,11 +26,11 @@ fn mark_trace(device: DeviceId, prefix: &str) -> PortableTrace {
 
 /// A deterministic k=4 fat-tree coverage engine with routing attached
 /// and two registered probe traces.
-fn scenario_engine(threads: usize, backend: Backend) -> CoverageEngine {
+fn scenario_engine() -> CoverageEngine {
     let (ft, routing) = fattree_with_engine(FatTreeParams::paper(4));
     let (tor0, p0, _) = ft.tors[0];
     let (tor7, p7, _) = ft.tors[7];
-    let mut engine = CoverageEngine::new_with_backend(ft.net, threads, backend);
+    let mut engine = CoverageEngine::new(ft.net, 1);
     engine.attach_routing(routing);
     engine
         .add_test("probe-local", &mark_trace(tor0, &p0.to_string()))
@@ -69,66 +68,61 @@ fn arc() -> Vec<TopologyDelta> {
 }
 
 #[test]
-fn topology_deltas_match_batch_across_threads_and_backends() {
-    for threads in [1usize, 4] {
-        for backend in [Backend::Private, Backend::Shared] {
-            let mut engine = scenario_engine(threads, backend);
-            for delta in arc() {
-                engine.apply_topology(&delta).unwrap();
+fn topology_deltas_match_batch() {
+    let mut engine = scenario_engine();
+    for delta in arc() {
+        engine.apply_topology(&delta).unwrap();
 
-                // The served network must be bit-identical to a
-                // from-scratch rebuild of the degraded control plane.
-                let rebuilt = engine.routing().unwrap().full_rebuild().unwrap();
-                for (d, _) in rebuilt.topology().devices() {
-                    assert_eq!(
-                        engine.network().device_rules(d),
-                        rebuilt.device_rules(d),
-                        "FIB diverged at device {} after {:?} ({threads} threads, {backend:?})",
-                        d.0,
-                        delta
-                    );
-                }
+        // The served network must be bit-identical to a
+        // from-scratch rebuild of the degraded control plane.
+        let rebuilt = engine.routing().unwrap().full_rebuild().unwrap();
+        for (d, _) in rebuilt.topology().devices() {
+            assert_eq!(
+                engine.network().device_rules(d),
+                rebuilt.device_rules(d),
+                "FIB diverged at device {} after {:?}",
+                d.0,
+                delta
+            );
+        }
 
-                // And the covered sets must equal a fresh batch engine's
-                // over that network, as canonical exports.
-                let (ft, _) = fattree_with_engine(FatTreeParams::paper(4));
-                let (tor0, p0, _) = ft.tors[0];
-                let (tor7, p7, _) = ft.tors[7];
-                let mut batch = CoverageEngine::new_with_backend(rebuilt, threads, backend);
-                batch
-                    .add_test("probe-local", &mark_trace(tor0, &p0.to_string()))
-                    .unwrap();
-                batch
-                    .add_test("probe-remote", &mark_trace(tor7, &p7.to_string()))
-                    .unwrap();
-                let ids: Vec<_> = engine.network().rules().map(|(id, _)| id).collect();
-                let mut exercised = 0usize;
-                for id in &ids {
-                    let (_, _, covered, bdd) = engine.analysis_parts();
-                    let engine_snapshot = bdd.export(covered.get(*id));
-                    let (_, _, bcovered, bbdd) = batch.analysis_parts();
-                    let batch_snapshot = bbdd.export(bcovered.get(*id));
-                    assert_eq!(
-                        engine_snapshot, batch_snapshot,
-                        "covered set diverged at {id:?} after {delta:?} \
-                         ({threads} threads, {backend:?})"
-                    );
-                    if engine.is_exercised(*id) {
-                        exercised += 1;
-                    }
-                }
-
-                // Counting oracle for the fractional aggregate: the
-                // headline equals exercised/total, counted directly.
-                let headline = engine.headline_metrics();
-                let want = exercised as f64 / ids.len() as f64;
-                let got = headline.rule_fractional.unwrap();
-                assert!(
-                    (got - want).abs() < 1e-12,
-                    "rule_fractional {got} != counted {want}"
-                );
+        // And the covered sets must equal a fresh batch engine's
+        // over that network, as canonical exports.
+        let (ft, _) = fattree_with_engine(FatTreeParams::paper(4));
+        let (tor0, p0, _) = ft.tors[0];
+        let (tor7, p7, _) = ft.tors[7];
+        let mut batch = CoverageEngine::new(rebuilt, 1);
+        batch
+            .add_test("probe-local", &mark_trace(tor0, &p0.to_string()))
+            .unwrap();
+        batch
+            .add_test("probe-remote", &mark_trace(tor7, &p7.to_string()))
+            .unwrap();
+        let ids: Vec<_> = engine.network().rules().map(|(id, _)| id).collect();
+        let mut exercised = 0usize;
+        for id in &ids {
+            let (_, _, covered, bdd) = engine.analysis_parts();
+            let engine_snapshot = bdd.export(covered.get(*id));
+            let (_, _, bcovered, bbdd) = batch.analysis_parts();
+            let batch_snapshot = bbdd.export(bcovered.get(*id));
+            assert_eq!(
+                engine_snapshot, batch_snapshot,
+                "covered set diverged at {id:?} after {delta:?}"
+            );
+            if engine.is_exercised(*id) {
+                exercised += 1;
             }
         }
+
+        // Counting oracle for the fractional aggregate: the
+        // headline equals exercised/total, counted directly.
+        let headline = engine.headline_metrics();
+        let want = exercised as f64 / ids.len() as f64;
+        let got = headline.rule_fractional.unwrap();
+        assert!(
+            (got - want).abs() < 1e-12,
+            "rule_fractional {got} != counted {want}"
+        );
     }
 }
 
@@ -146,7 +140,7 @@ fn strip_version(body: &str) -> String {
 
 #[test]
 fn link_down_changes_covers_over_the_wire_and_recovers() {
-    let mut engine = scenario_engine(1, Backend::Private);
+    let mut engine = scenario_engine();
     let version = engine.version();
 
     // tor-0-0's table: 8 hosted /24s plus the static default at index 8.
@@ -197,7 +191,7 @@ fn link_down_changes_covers_over_the_wire_and_recovers() {
 
 #[test]
 fn topology_delta_wire_errors_are_mapped() {
-    let mut engine = scenario_engine(1, Backend::Private);
+    let mut engine = scenario_engine();
     // No link between the two ToRs: 404 (UnknownLink).
     let resp = handle(
         &mut engine,
@@ -230,7 +224,7 @@ fn topology_delta_wire_errors_are_mapped() {
 
 #[test]
 fn topology_deltas_are_versioned_in_the_log() {
-    let mut engine = scenario_engine(1, Backend::Private);
+    let mut engine = scenario_engine();
     let since = engine.version();
     engine
         .apply_topology(&TopologyDelta::LinkDown {

@@ -2,19 +2,24 @@
 //! (fat-tree) workload.
 //!
 //! * Gap reports — including the per-rule witness packets — must be
-//!   identical whatever the engine's thread count or manager backend:
-//!   witnesses are seeded per rule (`testgen::rule_seed`), never drawn
-//!   from iteration order.
+//!   identical whatever the arena looks like underneath: witnesses are
+//!   seeded per rule (`testgen::rule_seed`), never drawn from iteration
+//!   order or node indices.
 //! * The coverage-guided generation loop must emit a bit-identical test
-//!   suite across 1/2/4 threads and across private/shared backends —
-//!   the acceptance bar for reproducible autogen runs.
+//!   suite from the same logical state — the acceptance bar for
+//!   reproducible autogen runs.
+//!
+//! Both are checked between a freshly booted engine and one that reached
+//! the same state the long way round: a test added and removed again
+//! (stranding garbage) and a collection (every `Ref` relocated).
 
-use netmodel::Network;
+use netbdd::Bdd;
+use netmodel::topology::DeviceId;
+use netmodel::{header, Location, Network};
 use topogen::acl::{install_acl, AclEntry};
 use topogen::{fattree, FatTreeParams};
-use yardstick::engine::Backend;
 use yardstick::testgen::{autogen, GenConfig};
-use yardstick::{CoverageEngine, GapEntry};
+use yardstick::{CoverageEngine, CoverageTrace, GapEntry};
 
 /// Fat-tree k=4 with the §8 bogon ACLs on the cores, so the workload
 /// has both FIB-shaped and ACL-shaped gaps.
@@ -44,61 +49,48 @@ fn gap_fingerprint(engine: &mut CoverageEngine) -> Vec<(String, String, String)>
     })
 }
 
-#[test]
-fn gap_reports_identical_across_threads_and_backends() {
-    let configs = [
-        (1usize, Backend::Private),
-        (2, Backend::Private),
-        (4, Backend::Private),
-        (2, Backend::Shared),
-    ];
-    let mut fingerprints = Vec::new();
-    for (threads, backend) in configs {
-        let mut engine = CoverageEngine::new_with_backend(guarded_net(), threads, backend);
-        fingerprints.push(gap_fingerprint(&mut engine));
+/// An engine on [`guarded_net`] in the freshly booted logical state but
+/// with a churned, collected arena.
+fn churned_engine() -> CoverageEngine {
+    let mut engine = CoverageEngine::new(guarded_net(), 1);
+    let mut bdd = Bdd::new();
+    let mut trace = CoverageTrace::new();
+    for d in 0..4 {
+        let set = header::dst_in(&mut bdd, &format!("10.{d}.0.0/16").parse().unwrap());
+        trace.add_packets(&mut bdd, Location::device(DeviceId(d)), set);
     }
-    assert!(!fingerprints[0].is_empty(), "untested network must gap");
-    for (i, other) in fingerprints.iter().enumerate().skip(1) {
-        assert_eq!(
-            &fingerprints[0], other,
-            "gap report diverged at config #{i}"
-        );
-    }
+    engine.add_test("churn", &trace.export(&bdd)).unwrap();
+    engine.remove_test("churn").unwrap();
+    assert!(engine.gc().reclaimed() > 0, "churn must strand garbage");
+    engine
 }
 
 #[test]
-fn autogen_suite_bit_identical_across_threads_and_backends() {
-    let configs = [
-        (1usize, Backend::Private),
-        (2, Backend::Private),
-        (4, Backend::Private),
-        (2, Backend::Shared),
-    ];
+fn gap_reports_are_arena_layout_invariant() {
+    let fresh = gap_fingerprint(&mut CoverageEngine::new(guarded_net(), 1));
+    assert!(!fresh.is_empty(), "untested network must gap");
+    assert_eq!(fresh, gap_fingerprint(&mut churned_engine()));
+}
+
+#[test]
+fn autogen_suite_is_arena_layout_invariant() {
     let cfg = GenConfig {
         budget: 4096,
         ..GenConfig::default()
     };
-    let mut suites = Vec::new();
-    let mut reference_exercised: Option<Vec<bool>> = None;
-    for (threads, backend) in configs {
-        let net = guarded_net();
-        let ids: Vec<_> = net.rules().map(|(id, _)| id).collect();
-        let mut engine = CoverageEngine::new_with_backend(net, threads, backend);
+    let ids: Vec<_> = guarded_net().rules().map(|(id, _)| id).collect();
+    let run = |mut engine: CoverageEngine| {
         let report = autogen(&mut engine, &cfg);
-        assert!(report.converged, "{threads} threads: loop did not converge");
+        assert!(report.converged, "loop did not converge");
         assert!(!report.budget_exhausted);
         assert!(!report.tests.is_empty());
         let exercised: Vec<bool> = ids.iter().map(|&id| engine.is_exercised(id)).collect();
-        if let Some(reference) = &reference_exercised {
-            assert_eq!(reference, &exercised);
-        } else {
-            reference_exercised = Some(exercised);
-        }
-        suites.push(report.tests);
-    }
-    for (i, other) in suites.iter().enumerate().skip(1) {
-        assert_eq!(&suites[0], other, "emitted suite diverged at config #{i}");
-    }
+        (report.tests, exercised)
+    };
+    assert_eq!(
+        run(CoverageEngine::new(guarded_net(), 1)),
+        run(churned_engine())
+    );
 }
 
 #[test]

@@ -9,17 +9,20 @@
 //! [`SuiteJob`] list the coverage run uses — executes against the mutated
 //! snapshot; any failing test **kills** the mutant.
 //!
-//! Parallelism follows the workspace's sharding-not-sharing idiom: the
-//! mutant list is split into contiguous ranges, each worker owns a
-//! private [`Bdd`] and evaluates its range independently, and results are
-//! concatenated in worker order. Verdicts are semantic booleans (suite
-//! pass/fail), so the outcome vector — and therefore the surviving-mutant
-//! list — is bit-identical for every thread count.
+//! Mutants are independent, so this is the one threaded path in the
+//! workspace: the mutant list is split into contiguous ranges, each
+//! worker owns a private [`Bdd`] and evaluates its range independently,
+//! and results are concatenated in worker order — nothing is merged.
+//! Verdicts are semantic booleans (suite pass/fail), so the outcome
+//! vector — and therefore the surviving-mutant list — is bit-identical
+//! for every thread count.
+
+use std::ops::Range;
 
 use netbdd::Bdd;
 use netmodel::{MatchSets, Network};
 use testsuite::{run_job, NetworkInfo, SuiteJob, SuiteVerdict};
-use yardstick::{ParallelRunner, Tracker};
+use yardstick::Tracker;
 
 use crate::engine::{apply, Mutant};
 
@@ -38,6 +41,29 @@ pub struct MutantOutcome {
     pub failed_tests: Vec<&'static str>,
 }
 
+/// Deterministic balanced partition of `0..n` into at most `parts`
+/// contiguous *non-empty* ranges whose lengths differ by at most one
+/// (front-loaded). With more parts than items every item gets its own
+/// range and no empty trailing ranges are produced — [`evaluate`] spawns
+/// one worker per range, and a worker with no mutants would pay a manager
+/// and a match-set computation to contribute nothing.
+fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, n.max(1));
+    if n == 0 {
+        return Vec::new();
+    }
+    let base = n / parts;
+    let extra = n % parts;
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 0..parts {
+        let len = base + usize::from(i < extra);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
+}
+
 /// Evaluate every mutant across `threads` workers and return outcomes in
 /// mutant order. `jobs` is the suite to run per mutant; it must pass on
 /// the unmutated network for kill verdicts to mean anything (the caller
@@ -49,7 +75,7 @@ pub fn evaluate(
     mutants: &[Mutant],
     threads: usize,
 ) -> Vec<MutantOutcome> {
-    let ranges = ParallelRunner::chunk_ranges(mutants.len(), threads);
+    let ranges = chunk_ranges(mutants.len(), threads);
     let mut results: Vec<Vec<MutantOutcome>> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -126,6 +152,32 @@ mod tests {
         };
         let jobs = fattree_suite_jobs(&ft.net, &info, 0xC0FFEE);
         (ft.net, info, jobs)
+    }
+
+    #[test]
+    fn chunk_ranges_partition_exactly() {
+        for n in 0..20 {
+            for parts in 1..6 {
+                let ranges = chunk_ranges(n, parts);
+                assert_eq!(ranges.len(), parts.min(n), "n={n} parts={parts}");
+                assert!(
+                    ranges.iter().all(|r| !r.is_empty()),
+                    "no empty ranges: n={n} parts={parts} {ranges:?}"
+                );
+                // Contiguous, exhaustive and balanced.
+                let mut expect_start = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, expect_start);
+                    expect_start = r.end;
+                }
+                assert_eq!(expect_start, n);
+                if n > 0 {
+                    let max = ranges.iter().map(|r| r.len()).max().unwrap();
+                    let min = ranges.iter().map(|r| r.len()).min().unwrap();
+                    assert!(max - min <= 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub(crate) struct IteCache {
 }
 
 #[inline]
-pub(crate) fn mix(f: u32, g: u32, h: u32) -> u64 {
+fn mix(f: u32, g: u32, h: u32) -> u64 {
     // Each word gets its own odd multiplier before combining, and callers
     // index with the *high* bits of the final product: the low bits of a
     // multiply depend only on equally-low input bits, so a single

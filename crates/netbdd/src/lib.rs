@@ -26,13 +26,10 @@
 //! * **Handles are plain `u32` ids** ([`Ref`]); they are `Copy` and carry
 //!   no lifetime, so callers can store them in network data structures
 //!   freely as long as the owning manager stays alive.
-//! * **Two backends, one API.** The default manager owns a private arena
-//!   (no synchronisation, the differential oracle). [`Bdd::new_shared`]
-//!   builds a Sylvan-style shared arena instead — a lock-striped sharded
-//!   unique table plus a seqlock computed cache (see [`shared`]) — whose
-//!   [`Bdd::handle`]s parallelize a *single* analysis across threads
-//!   while hash-consing still lands canonical refs. [`Bdd::collect`]
-//!   adds copying GC with a [`Relocation`] map for long-lived daemons.
+//! * **One private arena.** A manager owns its nodes exclusively — no
+//!   synchronisation anywhere; parallel sweeps run one manager per
+//!   thread. [`Bdd::collect`] adds copying GC with a [`Relocation`] map
+//!   for long-lived daemons.
 //! * **Counting is probability-based.** Packet headers in this project are
 //!   ~200 bits, so exact satisfying counts overflow any fixed-width
 //!   integer. [`Bdd::probability`] returns the fraction of the full
@@ -67,12 +64,10 @@ mod fxhash;
 mod manager;
 mod node;
 mod portable;
-pub mod shared;
 
 pub use cube::Cube;
 pub use debug::{OpCounts, Stats};
-pub use manager::Bdd;
+pub use manager::{Bdd, GcStats, Relocation};
 pub use node::Ref;
 pub use node::Var;
 pub use portable::{PortableBdd, PortableBddError, Slot};
-pub use shared::{GcStats, Relocation};

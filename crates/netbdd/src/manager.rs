@@ -1,11 +1,8 @@
 //! The BDD manager: arena, unique table, ITE engine, and set algebra.
 
-use std::sync::Arc;
-
 use crate::cache::{IteCache, DEFAULT_ITE_CACHE_LOG2};
 use crate::fxhash::FxHashMap;
 use crate::node::{Node, Ref, Var, TERMINAL_VAR};
-use crate::shared::{GcStats, Relocation, SharedState};
 
 /// Entry bound on the probability memo. Like the match-set cache, the
 /// policy is full flush at capacity (between queries, never mid-query):
@@ -29,27 +26,13 @@ pub(crate) const PROB_CACHE_CAPACITY: usize = 1 << 18;
 /// the negation-heavy workloads coverage computation produces
 /// (Algorithm 1 is a `diff`/`or` loop).
 ///
-/// Two backends share the `Bdd` API. A **private** manager owns its
-/// arena exclusively — no synchronisation anywhere on the hot path, and
-/// the backend every differential test treats as the oracle. A
-/// **shared** manager ([`Bdd::new_shared`]) is a handle onto a
-/// [`SharedState`] arena that any number of sibling handles
-/// ([`Bdd::handle`]) use concurrently from other threads; hash-consing
-/// still lands canonical [`Ref`]s, so refs cross handles freely.
-enum Store {
-    Private {
-        nodes: Vec<Node>,
-        unique: FxHashMap<Node, Ref>,
-        ite_cache: IteCache,
-    },
-    Shared(Arc<SharedState>),
-}
-
-/// The manager itself is not shared between threads — parallel sweeps
-/// either run one private manager per thread, or one *handle* per thread
-/// onto a shared arena ([`Bdd::new_shared`] / [`Bdd::handle`]).
+/// The manager owns its arena exclusively — no synchronisation anywhere
+/// on the hot path. Parallel sweeps (e.g. `mutate::evaluate`) run one
+/// manager per thread and never merge them.
 pub struct Bdd {
-    store: Store,
+    nodes: Vec<Node>,
+    unique: FxHashMap<Node, Ref>,
+    ite_cache: IteCache,
     prob_cache: FxHashMap<Ref, f64>,
     prob_evictions: u64,
     /// Reusable memo tables for `restrict`/`exists`, recycled instead of
@@ -59,16 +42,9 @@ pub struct Bdd {
     /// Reusable operand buffers for `or_all`/`and_all`, pooled like the
     /// memo tables so the hot fromRule path reduces without allocating.
     reduce_pool: Vec<Vec<Ref>>,
-    // Cumulative lookup/hit counters (survive `clear_caches`); a worker
-    // thread's hit rates tell whether its shard re-derives shared
-    // structure or genuinely explores distinct state. On a shared
-    // manager these are per-handle, so each worker reports its own view.
+    // Cumulative lookup/hit counters (survive `clear_caches`).
     unique_lookups: u64,
     unique_hits: u64,
-    // Per-handle computed-cache traffic for the shared backend (the
-    // private backend counts inside its own IteCache).
-    shared_ite_lookups: u64,
-    shared_ite_hits: u64,
     ops: crate::debug::OpCounts,
 }
 
@@ -97,83 +73,33 @@ impl Bdd {
             lo: Ref::TRUE,
             hi: Ref::TRUE,
         };
-        Self::from_store(Store::Private {
+        Bdd {
             nodes: vec![terminal],
             unique: FxHashMap::default(),
             ite_cache: IteCache::new(log2),
-        })
-    }
-
-    /// Create the owning handle of a **shared** manager: one concurrent
-    /// arena (sharded unique table + seqlock computed cache, see
-    /// [`crate::shared`]) that sibling handles from [`Bdd::handle`] use
-    /// from other threads. Functions built here export byte-identically
-    /// to a private manager's — the sequential backend stays the oracle.
-    pub fn new_shared() -> Self {
-        Self::new_shared_with_ite_cache_log2(DEFAULT_ITE_CACHE_LOG2)
-    }
-
-    /// [`Bdd::new_shared`] with an explicit computed-cache size, matching
-    /// [`Bdd::with_ite_cache_log2`].
-    pub fn new_shared_with_ite_cache_log2(log2: u32) -> Self {
-        Self::from_store(Store::Shared(Arc::new(SharedState::new(log2))))
-    }
-
-    fn from_store(store: Store) -> Self {
-        Bdd {
-            store,
             prob_cache: FxHashMap::default(),
             prob_evictions: 0,
             scratch: Vec::new(),
             reduce_pool: Vec::new(),
             unique_lookups: 0,
             unique_hits: 0,
-            shared_ite_lookups: 0,
-            shared_ite_hits: 0,
             ops: crate::debug::OpCounts::default(),
         }
-    }
-
-    /// A fresh handle onto the same shared arena, for use from another
-    /// thread. Handles see each other's nodes immediately (hash-consing
-    /// is global), while per-handle memos and counters start empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a private manager — exclusive arenas cannot be shared.
-    pub fn handle(&self) -> Bdd {
-        match &self.store {
-            Store::Shared(s) => Self::from_store(Store::Shared(Arc::clone(s))),
-            Store::Private { .. } => panic!("Bdd::handle requires a shared manager"),
-        }
-    }
-
-    /// Whether this manager is backed by the shared concurrent arena.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.store, Store::Shared(_))
     }
 
     /// Number of live nodes in the arena (including the terminal). A
     /// function and its complement share every node, so this is the
     /// engine's true memory residency.
     pub fn node_count(&self) -> usize {
-        match &self.store {
-            Store::Private { nodes, .. } => nodes.len(),
-            Store::Shared(s) => s.node_count(),
-        }
+        self.nodes.len()
     }
 
     /// Drop all operation caches, keeping the node arena intact.
     ///
     /// Useful between analysis phases on very large networks; every `Ref`
     /// remains valid, and the cumulative hit/eviction counters survive.
-    /// On a shared manager the computed cache is global, so this clears
-    /// it for every sibling handle too (call at quiescent points).
     pub fn clear_caches(&mut self) {
-        match &mut self.store {
-            Store::Private { ite_cache, .. } => ite_cache.clear(),
-            Store::Shared(s) => s.ite.clear(),
-        }
+        self.ite_cache.clear();
         self.prob_cache.clear();
     }
 
@@ -182,10 +108,7 @@ impl Bdd {
     /// [`Bdd::expand`]).
     #[inline]
     pub(crate) fn node(&self, r: Ref) -> Node {
-        match &self.store {
-            Store::Private { nodes, .. } => nodes[r.index()],
-            Store::Shared(s) => s.node(r.index()),
-        }
+        self.nodes[r.index()]
     }
 
     /// The Shannon children of `r` *as the function `r` denotes*: the
@@ -235,50 +158,14 @@ impl Bdd {
         debug_assert!(hi.is_terminal() || self.node(hi).var > var);
         let node = Node { var, lo, hi };
         self.unique_lookups += 1;
-        match &mut self.store {
-            Store::Private { nodes, unique, .. } => {
-                if let Some(&r) = unique.get(&node) {
-                    self.unique_hits += 1;
-                    return r;
-                }
-                let r = Ref::pack(nodes.len(), false);
-                nodes.push(node);
-                unique.insert(node, r);
-                r
-            }
-            Store::Shared(s) => {
-                let (r, hit) = s.mk_raw(node);
-                if hit {
-                    self.unique_hits += 1;
-                }
-                r
-            }
+        if let Some(&r) = self.unique.get(&node) {
+            self.unique_hits += 1;
+            return r;
         }
-    }
-
-    /// Probe the computed cache for a normalized standard triple.
-    #[inline]
-    fn ite_cache_lookup(&mut self, f: Ref, g: Ref, h: Ref) -> Option<Ref> {
-        match &mut self.store {
-            Store::Private { ite_cache, .. } => ite_cache.lookup(f, g, h),
-            Store::Shared(s) => {
-                self.shared_ite_lookups += 1;
-                let r = s.ite.lookup(f, g, h);
-                if r.is_some() {
-                    self.shared_ite_hits += 1;
-                }
-                r
-            }
-        }
-    }
-
-    /// Publish a computed ITE result (best-effort on the shared backend).
-    #[inline]
-    fn ite_cache_insert(&mut self, f: Ref, g: Ref, h: Ref, r: Ref) {
-        match &mut self.store {
-            Store::Private { ite_cache, .. } => ite_cache.insert(f, g, h, r),
-            Store::Shared(s) => s.ite.insert(f, g, h, r),
-        }
+        let r = Ref::pack(self.nodes.len(), false);
+        self.nodes.push(node);
+        self.unique.insert(node, r);
+        r
     }
 
     // ----- core operations ------------------------------------------------
@@ -415,7 +302,7 @@ impl Bdd {
             h = h.complement();
         }
 
-        if let Some(r) = self.ite_cache_lookup(f, g, h) {
+        if let Some(r) = self.ite_cache.lookup(f, g, h) {
             return if complemented { r.complement() } else { r };
         }
 
@@ -429,7 +316,7 @@ impl Bdd {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(v, lo, hi);
-        self.ite_cache_insert(f, g, h, r);
+        self.ite_cache.insert(f, g, h, r);
         if complemented {
             r.complement()
         } else {
@@ -752,27 +639,14 @@ impl Bdd {
     }
 
     pub(crate) fn ite_cache_stats(&self) -> (usize, usize, u64, u64, u64) {
-        match &self.store {
-            Store::Private { ite_cache, .. } => {
-                let (lookups, hits, evictions) = ite_cache.counters();
-                (
-                    ite_cache.occupied(),
-                    ite_cache.capacity(),
-                    lookups,
-                    hits,
-                    evictions,
-                )
-            }
-            // Occupancy/evictions are arena-global (approximate under
-            // concurrency); lookups/hits are this handle's own traffic.
-            Store::Shared(s) => (
-                s.ite.occupied(),
-                s.ite.capacity(),
-                self.shared_ite_lookups,
-                self.shared_ite_hits,
-                s.ite.evictions(),
-            ),
-        }
+        let (lookups, hits, evictions) = self.ite_cache.counters();
+        (
+            self.ite_cache.occupied(),
+            self.ite_cache.capacity(),
+            lookups,
+            hits,
+            evictions,
+        )
     }
 
     pub(crate) fn prob_cache_len(&self) -> usize {
@@ -797,30 +671,21 @@ impl Bdd {
     /// dropping every unreachable node, and return the [`Relocation`]
     /// that rewrites surviving `Ref`s plus before/after [`GcStats`].
     ///
-    /// Works on both backends (a long-lived private manager compacts the
-    /// same way). Every `Ref` not reachable from `roots` — and every
-    /// cached result — is invalid afterwards; callers must rewrite all
-    /// retained refs through [`Relocation::relocate`] before touching the
-    /// manager again. Complement tags on the roots are irrelevant: a
-    /// function and its complement are the same nodes.
+    /// Long-lived daemons accrete garbage: every delta recomputes covered
+    /// sets, and the dead intermediates stay in the arena forever. From
+    /// the registered roots this rebuilds a fresh arena children first;
+    /// everything unreachable is simply never copied, and the computed
+    /// cache starts empty. Owners of `Ref`s (match sets, covered sets,
+    /// traces) rewrite themselves through the relocation in O(refs).
     ///
-    /// # Panics
-    ///
-    /// On a shared manager, panics unless this is the only live handle
-    /// (`collect` moves nodes, which is only sound stop-the-world).
+    /// Every `Ref` not reachable from `roots` — and every cached result —
+    /// is invalid afterwards; callers must rewrite all retained refs
+    /// through [`Relocation::relocate`] before touching the manager
+    /// again. Complement tags on the roots are irrelevant: a function
+    /// and its complement are the same nodes.
     pub fn collect(&mut self, roots: &[Ref]) -> (Relocation, GcStats) {
         let nodes_before = self.node_count();
-        let mut fresh = match &self.store {
-            Store::Private { ite_cache, .. } => Self::with_ite_cache_log2(ite_cache.log2()),
-            Store::Shared(s) => {
-                assert_eq!(
-                    Arc::strong_count(s),
-                    1,
-                    "Bdd::collect requires every sibling handle to be dropped"
-                );
-                Self::new_shared_with_ite_cache_log2(s.ite_log2())
-            }
-        };
+        let mut fresh = Self::with_ite_cache_log2(self.ite_cache.log2());
         // Children-first copy through an explicit stack: Enter schedules
         // the children, Exit re-makes the node in the fresh arena once
         // both relocated children exist. Stored lo edges are regular and
@@ -831,24 +696,15 @@ impl Bdd {
             Enter(Ref),
             Exit(Ref),
         }
-        let mut map: FxHashMap<u32, Ref> = FxHashMap::default();
+        let mut reloc = Relocation {
+            map: FxHashMap::default(),
+        };
         let mut scheduled: std::collections::HashSet<u32> = std::collections::HashSet::new();
         let mut stack: Vec<Walk> = roots
             .iter()
             .filter(|r| !r.is_terminal())
             .map(|r| Walk::Enter(r.regular()))
             .collect();
-        let relocate_edge = |map: &FxHashMap<u32, Ref>, e: Ref| -> Ref {
-            if e.is_terminal() {
-                return e;
-            }
-            let fresh = map[&e.regular().0];
-            if e.is_complemented() {
-                fresh.complement()
-            } else {
-                fresh
-            }
-        };
         while let Some(step) = stack.pop() {
             match step {
                 Walk::Enter(r) => {
@@ -866,26 +722,86 @@ impl Bdd {
                 }
                 Walk::Exit(r) => {
                     let n = self.node(r);
-                    let lo = relocate_edge(&map, n.lo);
-                    let hi = relocate_edge(&map, n.hi);
+                    let lo = reloc.relocate(n.lo);
+                    let hi = reloc.relocate(n.hi);
                     let moved = fresh.mk(n.var, lo, hi);
-                    map.insert(r.0, moved);
+                    reloc.map.insert(r.0, moved);
                 }
             }
         }
-        self.store = fresh.store;
+        self.nodes = fresh.nodes;
+        self.unique = fresh.unique;
+        self.ite_cache = fresh.ite_cache;
         // Every cached or pooled ref is stale; memos in the scratch/
         // reduce pools are cleared on return, so only the probability
         // memo holds refs across calls.
         self.prob_cache.clear();
         let nodes_after = self.node_count();
         (
-            Relocation { map },
+            reloc,
             GcStats {
                 nodes_before,
                 nodes_after,
             },
         )
+    }
+}
+
+/// The old-ref → new-ref map produced by a collection ([`Bdd::collect`]).
+/// Keyed on *regular* refs; [`Relocation::relocate`] reapplies the
+/// complement tag, so both polarities of a function relocate through one
+/// entry.
+pub struct Relocation {
+    /// Old regular raw ref → new (always regular) ref. Regularity of the
+    /// values is an invariant of the copying pass: stored `lo` edges are
+    /// regular, and `mk` with a regular `lo` returns a regular ref.
+    map: FxHashMap<u32, Ref>,
+}
+
+impl Relocation {
+    /// The post-GC ref denoting the same function as pre-GC `r`.
+    ///
+    /// `r` must be a terminal or reachable from the root set the
+    /// collection ran with; anything else was reclaimed and panics.
+    pub fn relocate(&self, r: Ref) -> Ref {
+        if r.is_terminal() {
+            return r;
+        }
+        let fresh = *self
+            .map
+            .get(&r.regular().0)
+            .expect("ref not reachable from the GC root set");
+        if r.is_complemented() {
+            fresh.complement()
+        } else {
+            fresh
+        }
+    }
+
+    /// Number of relocated (live) decision nodes.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when the root set reached no decision nodes at all.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
+/// Before/after accounting for one collection, suitable for gauges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GcStats {
+    /// Arena node count when the collection started.
+    pub nodes_before: usize,
+    /// Arena node count after compaction (live nodes + terminal).
+    pub nodes_after: usize,
+}
+
+impl GcStats {
+    /// Nodes reclaimed by the collection.
+    pub fn reclaimed(&self) -> usize {
+        self.nodes_before.saturating_sub(self.nodes_after)
     }
 }
 

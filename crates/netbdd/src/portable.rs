@@ -1,14 +1,15 @@
 //! Manager-independent snapshots of single functions.
 //!
-//! A [`Ref`] is only meaningful inside the manager that created it, which
-//! makes one-manager-per-thread sharding impossible without a transfer
-//! format. [`PortableBdd`] is that format: a topologically sorted copy of
-//! one function's reachable nodes, with child references encoded
+//! A [`Ref`] is only meaningful inside the manager that created it, so
+//! a function that leaves its manager — a test's trace sent to the
+//! daemon, a job run on an isolated manager — needs a transfer format.
+//! [`PortableBdd`] is that format: a topologically sorted copy of one
+//! function's reachable nodes, with child references encoded
 //! positionally instead of as arena indices. Exporting walks the diagram
 //! once; importing replays it bottom-up through `mk`, so the rebuilt
 //! function is hash-consed into the target manager and lands on the
 //! canonical `Ref` for that function there — imports from different
-//! workers that denote the same packet set collapse to the same node.
+//! sources that denote the same packet set collapse to the same node.
 //!
 //! Complement edges travel in the format: each slot carries the edge's
 //! complement tag in its low bit, and there is a single terminal slot

@@ -1,10 +1,14 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader, and the two scalar writers.
 //!
 //! The workspace is offline (no `serde`), but `benchdiff` has to *read*
 //! the bench JSONs the harnesses emit, and tests want to round-trip the
 //! report format. This is a straightforward recursive-descent parser for
 //! the JSON subset those files use — which is to say, all of JSON except
 //! exotic number forms beyond what `f64::from_str` accepts.
+//!
+//! Emitters build documents by hand with `format!`; the only parts that
+//! can go wrong are string escaping and non-finite numbers, so those go
+//! through [`quote`] and [`number`] and nowhere else.
 //!
 //! Objects preserve key order (they are vectors of pairs, not maps), so
 //! diffing two files reports phases in their original order.
@@ -75,6 +79,36 @@ impl Json {
         }
         .iter()
         .map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+/// A JSON string literal: `s` quoted, with `"`, `\` and every control
+/// character escaped.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON number (`f64` displays as `1` for `1.0`, which is valid JSON);
+/// `null` for NaN and the infinities, which JSON cannot express.
+pub fn number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
     }
 }
 
@@ -245,6 +279,29 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writers_round_trip_through_the_parser() {
+        for (s, literal) in [
+            ("plain", r#""plain""#),
+            ("say \"hi\"", r#""say \"hi\"""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("line\nbreak", r#""line\nbreak""#),
+            ("\u{1}bell", r#""\u0001bell""#),
+            ("tor-\u{e9}\u{2192}agg", "\"tor-\u{e9}\u{2192}agg\""),
+        ] {
+            assert_eq!(quote(s), literal);
+            assert_eq!(parse(&quote(s)).unwrap(), Json::Str(s.into()));
+        }
+        for (x, literal) in [(1.0, "1"), (-0.25, "-0.25"), (1e-9, "0.000000001")] {
+            assert_eq!(number(x), literal);
+            assert_eq!(parse(&number(x)).unwrap(), Json::Num(x));
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(number(x), "null");
+            assert_eq!(parse(&number(x)).unwrap(), Json::Null);
+        }
+    }
 
     #[test]
     fn parses_scalars() {

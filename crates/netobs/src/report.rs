@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{number, quote};
 use crate::span::{Event, SpanNode};
 
 /// One flushed thread: its span tree and flat event list.
@@ -68,9 +69,9 @@ impl Report {
                 first = false;
                 let _ = write!(
                     out,
-                    "    {{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
+                    "    {{\"name\": {}, \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
                      \"ts\": {}, \"dur\": {}}}",
-                    escape(&e.name),
+                    quote(&e.name),
                     tid,
                     e.ts_ns / 1_000,
                     (e.dur_ns / 1_000).max(1)
@@ -83,8 +84,8 @@ impl Report {
         for (i, t) in self.threads.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"thread\": \"{}\", \"events_dropped\": {}, \"tree\": ",
-                escape(&t.label),
+                "    {{\"thread\": {}, \"events_dropped\": {}, \"tree\": ",
+                quote(&t.label),
                 t.events_dropped
             );
             span_json(&mut out, &t.root, 2);
@@ -99,14 +100,14 @@ impl Report {
         out.push_str("  \"gauges\": {\n");
         let ng = self.gauges.len();
         for (i, (k, v)) in self.gauges.iter().enumerate() {
-            let _ = write!(out, "    \"{}\": {}", escape(k), fmt_f64(*v));
+            let _ = write!(out, "    {}: {}", quote(k), number(*v));
             out.push_str(if i + 1 < ng { ",\n" } else { "\n" });
         }
         out.push_str("  },\n");
         out.push_str("  \"counters\": {\n");
         let nc = self.counters.len();
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            let _ = write!(out, "    \"{}\": {}", escape(k), v);
+            let _ = write!(out, "    {}: {}", quote(k), v);
             out.push_str(if i + 1 < nc { ",\n" } else { "\n" });
         }
         out.push_str("  }\n}\n");
@@ -146,9 +147,9 @@ impl Report {
 fn span_json(out: &mut String, n: &SpanNode, _depth: usize) {
     let _ = write!(
         out,
-        "{{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
+        "{{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
          \"children\": [",
-        escape(&n.name),
+        quote(&n.name),
         n.count,
         n.stats.total_ns,
         n.stats.min_ns,
@@ -161,30 +162,4 @@ fn span_json(out: &mut String, n: &SpanNode, _depth: usize) {
         span_json(out, c, _depth + 1);
     }
     out.push_str("]}");
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }

@@ -3,10 +3,10 @@
 //! Every test in this crate is a loop over independent units — devices,
 //! links, `(origin, prefix)` contracts, source ToRs, ToR pairs. A
 //! [`SuiteJob`] names one such unit, and [`run_job`] executes it against
-//! any manager/tracker, so a whole suite can run sequentially (same
-//! marks, same checks as the monolithic test functions) or sharded
-//! across threads via `yardstick::ParallelRunner` with bit-identical
-//! coverage traces.
+//! any manager/tracker: running a suite's jobs in order makes the same
+//! marks and the same checks as the monolithic test functions, and one
+//! job can run alone ([`run_job_isolated`]) to give a resident engine
+//! that test's own trace.
 //!
 //! Pingmesh jobs carry their own RNG seed, derived per pair from the
 //! suite seed (see [`crate::e2e`]); that is what makes the concrete test
@@ -87,8 +87,9 @@ pub enum SuiteJob {
     },
     /// One test emitted by the coverage-guided generation loop
     /// (`yardstick::testgen`): a self-contained spec replayed via
-    /// `run_spec`, so autogen suites shard exactly like hand-written
-    /// ones (the mutation study's `--autogen` leg relies on this).
+    /// `run_spec`, so autogen suites run as jobs exactly like
+    /// hand-written ones (the mutation study's `--autogen` leg relies on
+    /// this).
     Generated {
         /// The generated test's self-contained replayable spec.
         spec: yardstick::testgen::TestSpec,
@@ -187,7 +188,7 @@ pub fn regional_suite_jobs(net: &Network, info: &NetworkInfo) -> Vec<SuiteJob> {
 }
 
 /// Execute one job against the given manager and tracker. `ms` must have
-/// been computed in `bdd` (workers compute their own).
+/// been computed in `bdd`.
 pub fn run_job(
     bdd: &mut Bdd,
     net: &Network,
@@ -275,7 +276,6 @@ mod tests {
     use crate::inspection::default_route_check;
     use crate::local::tor_contract;
     use topogen::{fattree, FatTreeParams};
-    use yardstick::ParallelRunner;
 
     const SEED: u64 = 0xC0FFEE;
 
@@ -325,35 +325,6 @@ mod tests {
         assert_eq!(sharded.packets.len(), mono.packets.len());
         for (loc, set) in mono.packets.iter() {
             assert_eq!(sharded.packets.at(loc), set, "at {loc:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_suite_trace_is_bit_identical() {
-        let (ft, info) = setup();
-        let mut bdd = Bdd::new();
-        let mono = run_monolithic(&mut bdd, &ft.net, &info);
-
-        let jobs = fattree_suite_jobs(&ft.net, &info, SEED);
-        let net = &ft.net;
-        let info_ref = &info;
-        for threads in [2, 4] {
-            let runner = ParallelRunner::new(threads);
-            let (merged, reports) = runner.run(
-                &mut bdd,
-                &jobs,
-                |local| MatchSets::compute(net, local),
-                |local, ms, tracker, job| {
-                    let rep = run_job(local, net, ms, info_ref, tracker, job);
-                    assert!(rep.passed(), "{}: {:?}", rep.name, &rep.failures[..1]);
-                },
-            );
-            assert_eq!(reports.len(), threads);
-            assert_eq!(merged.rules, mono.rules);
-            assert_eq!(merged.packets.len(), mono.packets.len());
-            for (loc, set) in mono.packets.iter() {
-                assert_eq!(merged.packets.at(loc), set, "{threads} threads at {loc:?}");
-            }
         }
     }
 
