@@ -26,6 +26,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use netbdd::PortableBdd;
 use netmodel::provenance::Construct;
@@ -788,21 +789,45 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
     stream.flush()
 }
 
+/// How long [`serve`] waits on one connection for the next bytes of a
+/// request, and for the peer to take the next bytes of the answer. The
+/// loop is single-threaded, so a client that connects and goes quiet
+/// would otherwise hold every other client off for good; the slowest
+/// legitimate request is a loopback `test-add` body, which arrives in
+/// milliseconds.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Serve requests until a `POST /shutdown` arrives (which is answered
 /// before the loop exits). One request per connection, handled on the
-/// accepting thread.
+/// accepting thread. A connection that stays silent for five seconds
+/// before its request is complete is dropped, and the engine never sees
+/// it.
 pub fn serve(engine: &mut CoverageEngine, listener: TcpListener) -> std::io::Result<()> {
+    serve_with_timeout(engine, listener, IO_TIMEOUT)
+}
+
+fn serve_with_timeout(
+    engine: &mut CoverageEngine,
+    listener: TcpListener,
+    io_timeout: Duration,
+) -> std::io::Result<()> {
     for stream in listener.incoming() {
         let mut stream = match stream {
             Ok(s) => s,
             Err(_) => continue,
         };
+        if stream.set_read_timeout(Some(io_timeout)).is_err()
+            || stream.set_write_timeout(Some(io_timeout)).is_err()
+        {
+            continue;
+        }
         let req = match read_request(&mut stream) {
             Ok(Ok(r)) => r,
             Ok(Err(rejection)) => {
                 let _ = write_response(&mut stream, &rejection);
                 continue;
             }
+            // Timed out or hung up mid-request: nothing reaches the engine.
             Err(_) => continue,
         };
         let shutdown = req.method == "POST" && req.path == "/shutdown";
@@ -1338,6 +1363,30 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"ok\":true"));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_silent_client_is_dropped_and_the_next_one_is_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut engine = build_engine();
+            serve_with_timeout(&mut engine, listener, Duration::from_millis(100)).unwrap();
+            engine.version()
+        });
+        // Two ways to say nothing useful: no byte at all, and a request
+        // that stops before its blank line. Both stay connected.
+        let silent = TcpStream::connect(&addr).unwrap();
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled
+            .write_all(b"POST /delta HTTP/1.1\r\nContent-")
+            .unwrap();
+        let (status, body) = http_get(&addr, "/metrics").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(server.join().unwrap(), 0, "no delta reached the engine");
+        drop((silent, stalled));
     }
 
     /// One raw round trip with a hand-written header block, for framing

@@ -15,6 +15,17 @@
 //!   disjoint match sets ([`MatchSets::recompute_device`]) and re-run
 //!   Algorithm 1 for that device ([`CoveredSets::recompute_device`]).
 //!   Every other device's shard is untouched.
+//! * **Topology deltas** ([`CoverageEngine::apply_topology`])
+//!   re-converge the attached [`routing::RoutingEngine`] and walk the FIB
+//!   diff it returns. A device that gained or lost a prefix takes the
+//!   rule-delta refresh above. A device whose entries only swapped their
+//!   next-hops — every change an in-place replacement, as on every
+//!   device a ToR-uplink flap of a fat-tree touches — keeps both shards:
+//!   `M[r]`, `T[r]` and the device total are functions of match fields,
+//!   table order and the trace, and none of those moved. Only its
+//!   action classes ([`MatchSets::action_classes`]), the one thing
+//!   derived from actions, are dropped. A delta made of such devices
+//!   alone does no BDD work at all.
 //! * **Test deltas** ([`CoverageEngine::add_test`] /
 //!   [`CoverageEngine::remove_test`]) keep one isolated
 //!   [`CoverageTrace`] per test. Adding a test unions its trace into the
@@ -23,12 +34,12 @@
 //!   not subtractive, `P_T` is a union — and re-runs Algorithm 1 only at
 //!   the devices the departed trace had marked.
 //!
-//! The invalidation unit is the *device*, not the rule: match sets are
-//! first-match chains, so any rule change invalidates every later rule
-//! on the same device anyway. Because every recompute runs the same
-//! math in the same hash-consed manager, incremental state is
-//! bit-identical to a from-scratch batch recompute of the same network
-//! and trace.
+//! The unit of recomputation is the *device*, not the rule: match sets
+//! are first-match chains, so a rule that comes or goes invalidates
+//! every later rule on the same device anyway. Because every recompute
+//! runs the same math in the same hash-consed manager, incremental state
+//! is bit-identical to a from-scratch batch recompute of the same
+//! network and trace.
 //!
 //! Rule identity is positional (`RuleId.index`): an insert or withdraw
 //! renumbers later rules on that device. Rule marks in traces are
@@ -189,7 +200,10 @@ pub struct DeltaRecord {
     /// Human-readable subject: `r<device>.<index>` for rule deltas, the
     /// test name for test deltas.
     pub detail: String,
-    /// The devices whose shards were recomputed.
+    /// The devices the delta names: those whose tables changed (rule
+    /// and topology deltas) or that the test's trace marks (test
+    /// deltas). Not every one of them is recomputed — a device whose
+    /// rules a topology delta only replaced in place keeps its shards.
     pub devices: Vec<DeviceId>,
 }
 
@@ -332,7 +346,13 @@ pub struct CoverageEngine {
     version: u64,
     log: Vec<DeltaRecord>,
     query_cache: QueryCache,
+    /// Devices named by the deltas applied so far
+    /// (`engine.devices_invalidated_total`).
     devices_invalidated: u64,
+    /// Device shards Algorithm 1 re-ran on so far
+    /// (`engine.shards_recomputed_total`): fewer than the devices named
+    /// wherever a topology delta only replaced actions.
+    shards_recomputed: u64,
     /// Node-count watermark above which a delta triggers a collection
     /// (`None` disables automatic GC).
     gc_watermark: Option<usize>,
@@ -367,6 +387,7 @@ impl CoverageEngine {
             log: Vec::new(),
             query_cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
             devices_invalidated: 0,
+            shards_recomputed: 0,
             gc_watermark: None,
             gc_collections: 0,
             gc_reclaimed_total: 0,
@@ -589,13 +610,7 @@ impl CoverageEngine {
         }
         self.combined.merge(&mut self.bdd, &trace);
         for &device in &devices {
-            self.covered.recompute_device(
-                &self.net,
-                &self.ms,
-                &self.combined,
-                &mut self.bdd,
-                device,
-            );
+            self.recompute_covered(device);
         }
         self.tests.insert(name.to_string(), trace);
         self.record(DeltaKind::TestAdded, name.to_string(), devices.clone());
@@ -618,23 +633,23 @@ impl CoverageEngine {
         }
         self.combined = combined;
         for &device in &devices {
-            self.covered.recompute_device(
-                &self.net,
-                &self.ms,
-                &self.combined,
-                &mut self.bdd,
-                device,
-            );
+            self.recompute_covered(device);
         }
         self.record(DeltaKind::TestRemoved, name.to_string(), devices.clone());
         Ok(devices)
     }
 
     /// Apply a topology failure/recovery delta through the attached
-    /// routing engine. The FIB diff it emits drives device-sharded
-    /// invalidation — only devices whose tables actually changed are
-    /// recomputed — and the delta is versioned in the log like any rule
-    /// or test delta. Returns the recomputed devices.
+    /// routing engine and walk the FIB diff it emits, device by device.
+    /// A device all of whose changes are in-place replacements
+    /// ([`routing::FibChange::is_replacement`]: same key, same match
+    /// fields, same index) keeps its match-set and covered-set shards —
+    /// `M[r]`, `T[r]` and the device total are functions of match
+    /// fields, table order and the trace, never of actions — and only
+    /// drops its action classes. A device that gained or lost a prefix
+    /// takes the whole-device refresh a rule delta takes. The delta is
+    /// versioned in the log like any rule or test delta. Returns the
+    /// devices whose tables changed.
     pub fn apply_topology(
         &mut self,
         delta: &routing::TopologyDelta,
@@ -643,9 +658,15 @@ impl CoverageEngine {
         let diff = routing
             .apply(&mut self.net, delta)
             .map_err(EngineError::Routing)?;
-        let devices = diff.devices();
-        for &device in &devices {
-            self.refresh_device(device);
+        let mut devices = Vec::new();
+        for changes in diff.changes.chunk_by(|x, y| x.device == y.device) {
+            let device = changes[0].device;
+            devices.push(device);
+            if changes.iter().all(routing::FibChange::is_replacement) {
+                self.ms.drop_action_classes(device);
+            } else {
+                self.refresh_device(device);
+            }
         }
         let (kind, detail) = match *delta {
             routing::TopologyDelta::LinkDown { a, b } => {
@@ -674,6 +695,10 @@ impl CoverageEngine {
         netobs::gauge(
             "engine.devices_invalidated_total",
             self.devices_invalidated as f64,
+        );
+        netobs::gauge(
+            "engine.shards_recomputed_total",
+            self.shards_recomputed as f64,
         );
         let s = self.query_cache.stats();
         netobs::gauge("engine.query_cache.hits", s.hits as f64);
@@ -763,12 +788,18 @@ impl CoverageEngine {
     }
 
     /// Refresh one device's match-set and covered-set shards after its
-    /// table changed.
+    /// table gained or lost a rule.
     fn refresh_device(&mut self, device: DeviceId) {
         self.ms
             .recompute_device(&self.net, &mut self.bdd, &mut self.ms_cache, device);
+        self.recompute_covered(device);
+    }
+
+    /// Re-run Algorithm 1 on one device's shard.
+    fn recompute_covered(&mut self, device: DeviceId) {
         self.covered
             .recompute_device(&self.net, &self.ms, &self.combined, &mut self.bdd, device);
+        self.shards_recomputed += 1;
     }
 
     /// Log a delta, bump the version, and flush the query cache.
@@ -1082,6 +1113,55 @@ mod tests {
             .add_test("t", &mark_trace(tor, "10.0.0.0/8"))
             .unwrap();
         assert_eq!(engine.query_cache().get("k"), None);
+    }
+
+    /// `engine.devices_invalidated_total` counts the devices a delta
+    /// names, `engine.shards_recomputed_total` the shards Algorithm 1
+    /// re-ran on: a ToR-uplink flap names devices and recomputes none, a
+    /// device failure recomputes the device that lost its table.
+    #[test]
+    fn an_action_only_delta_names_devices_and_recomputes_no_shard() {
+        use routing::TopologyDelta;
+        let (ft, routing) = topogen::fattree_with_engine(topogen::FatTreeParams::paper(4));
+        let (tor, agg, core) = (ft.tors[0].0, ft.aggs[0], ft.cores[0]);
+        let mut engine = CoverageEngine::new(ft.net, 1);
+        engine.attach_routing(routing);
+        engine
+            .add_test("t", &mark_trace(tor, "10.0.0.0/8"))
+            .unwrap();
+        let counters = |e: &CoverageEngine| (e.devices_invalidated, e.shards_recomputed);
+        assert_eq!(counters(&engine), (1, 1), "one test on one device");
+
+        for delta in [
+            TopologyDelta::LinkDown { a: tor, b: agg },
+            TopologyDelta::LinkUp { a: tor, b: agg },
+        ] {
+            let (named, recomputed) = counters(&engine);
+            let devices = engine.apply_topology(&delta).unwrap();
+            assert!(devices.contains(&tor), "{delta:?} names {devices:?}");
+            assert_eq!(
+                counters(&engine),
+                (named + devices.len() as u64, recomputed),
+                "{delta:?}"
+            );
+            assert_eq!(
+                engine.deltas_since(engine.version() - 1)[0].devices,
+                devices
+            );
+            assert_matches_batch(&mut engine);
+        }
+
+        let (named, recomputed) = counters(&engine);
+        let devices = engine
+            .apply_topology(&TopologyDelta::DeviceDown { device: core })
+            .unwrap();
+        assert!(devices.len() > 1 && devices.contains(&core));
+        // The core lost its table; the aggs under it only lost an ECMP leg.
+        assert_eq!(
+            counters(&engine),
+            (named + devices.len() as u64, recomputed + 1)
+        );
+        assert_matches_batch(&mut engine);
     }
 
     /// Churn tests to strand garbage, collect, and check both halves of

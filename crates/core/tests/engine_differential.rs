@@ -13,7 +13,8 @@
 //! action classes symbolic reachability steps through must be rebuilt
 //! after a rule delta and after a collection, so `reach` on a mutated
 //! and collected engine equals `reach` on an engine booted from its
-//! final network.
+//! final network. A topology delta that only replaces actions keeps the
+//! sets and drops the classes alone; the same comparison gates that.
 
 use std::collections::BTreeMap;
 
@@ -258,6 +259,53 @@ fn differing(a: &BTreeMap<String, PortableBdd>, b: &BTreeMap<String, PortableBdd
         .filter(|k| a.get(*k) != b.get(*k))
         .cloned()
         .collect()
+}
+
+/// Every device's action classes as `(scope, first member, canonical
+/// set)`, built if they were not.
+fn classes_everywhere(
+    engine: &mut CoverageEngine,
+) -> Vec<(Option<netmodel::IfaceId>, RuleId, PortableBdd)> {
+    let (net, ms, _, bdd) = engine.analysis_parts();
+    let mut out = Vec::new();
+    for (d, _) in net.topology().devices() {
+        let classes = ms.action_classes(net, bdd, d).to_vec();
+        out.extend(classes.iter().map(|c| (c.scope, c.rule, bdd.export(c.set))));
+    }
+    out
+}
+
+/// A link flap replaces actions and nothing else, so it keeps every
+/// match-set shard — but the action classes are joined by action and
+/// must not outlive the actions they were joined by: after each half of
+/// the flap, `action_classes` and `reach` say what an engine booted on
+/// the degraded network says.
+#[test]
+fn reach_and_action_classes_follow_a_link_flap() {
+    let (ft, routing) = topogen::fattree_with_engine(topogen::FatTreeParams::paper(4));
+    let mut engine = CoverageEngine::new(ft.net, 1);
+    engine.attach_routing(routing);
+    reach_everywhere(&mut engine); // every device's classes are built
+    let (a, b) = (DeviceId(0), DeviceId(2));
+    for delta in [
+        routing::TopologyDelta::LinkDown { a, b },
+        routing::TopologyDelta::LinkUp { a, b },
+    ] {
+        engine.apply_topology(&delta).unwrap();
+        let mut fresh = CoverageEngine::new(engine.network().clone(), 1);
+        assert_eq!(
+            classes_everywhere(&mut engine),
+            classes_everywhere(&mut fresh),
+            "action classes after {delta:?}"
+        );
+        let expected = reach_everywhere(&mut fresh);
+        let got = reach_everywhere(&mut engine);
+        assert_eq!(
+            differing(&got, &expected),
+            Vec::<String>::new(),
+            "reach after {delta:?}"
+        );
+    }
 }
 
 proptest! {

@@ -218,6 +218,15 @@ impl MatchSets {
         let (dev_sets, total) = device_match_sets(net, bdd, cache, device);
         self.sets[device.0 as usize] = dev_sets;
         self.device_total[device.0 as usize] = total;
+        self.drop_action_classes(device);
+    }
+
+    /// Drop one device's action classes after rules of its table were
+    /// replaced in place ([`Network::replace_rule`]): match fields and
+    /// table order are what the match sets and the device total are
+    /// computed from, so those stay; the classes group rules by action
+    /// and are rebuilt on next use.
+    pub fn drop_action_classes(&mut self, device: DeviceId) {
         self.classes[device.0 as usize] = OnceLock::new();
     }
 

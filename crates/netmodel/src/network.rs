@@ -139,6 +139,15 @@ impl Network {
         self.state[id.device.0 as usize].remove(id.index as usize)
     }
 
+    /// Swap the rule `id` for `rule` in place and return the old rule
+    /// (see [`Table::replace`]: the match fields must be equal). No
+    /// `RuleId` changes meaning and no match set changes, so the only
+    /// per-rule state a caller must drop is what it derived from
+    /// actions.
+    pub fn replace_rule(&mut self, id: RuleId, rule: Rule) -> Rule {
+        self.state[id.device.0 as usize].replace(id.index as usize, rule)
+    }
+
     /// All rules on `device` that forward out of `iface` (the rule set of
     /// the paper's *outgoing interface coverage*).
     pub fn rules_out_iface(&self, iface: IfaceId) -> Vec<RuleId> {
@@ -286,6 +295,34 @@ mod tests {
             .dst
             .unwrap()
             .is_default());
+    }
+
+    #[test]
+    fn replace_rule_swaps_the_action_and_moves_nothing() {
+        let (mut n, a, _, ai, _) = tiny_network();
+        let before: Vec<Rule> = n.device_rules(a).to_vec();
+        let id = RuleId {
+            device: a,
+            index: 0,
+        };
+        let dropped = Rule::null_route("10.0.0.0/24".parse().unwrap(), RouteClass::Other);
+        let old = n.replace_rule(id, dropped.clone());
+        assert_eq!(old, before[0]);
+        assert_eq!(old.action.out_ifaces(), [ai]);
+        assert_eq!(n.device_rules(a), [dropped, before[1].clone()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the match fields")]
+    fn replace_rule_refuses_another_match() {
+        let (mut n, a, _, ai, _) = tiny_network();
+        n.replace_rule(
+            RuleId {
+                device: a,
+                index: 0,
+            },
+            Rule::forward("10.0.0.0/16".parse().unwrap(), vec![ai], RouteClass::Other),
+        );
     }
 
     #[test]

@@ -360,6 +360,24 @@ impl Table {
         assert!(self.sorted, "table not finalized");
         self.rules.remove(index)
     }
+
+    /// Swap the rule at `index` of a finalized table for `rule`, which
+    /// must match exactly what the old rule matched, and return the old
+    /// rule. Only the action and the route class can differ, so no rule
+    /// moves and every match set derived from the table stays valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is not finalized, `index` is out of range, or
+    /// the two rules' match fields differ.
+    pub fn replace(&mut self, index: usize, rule: Rule) -> Rule {
+        assert!(self.sorted, "table not finalized");
+        assert_eq!(
+            self.rules[index].matches, rule.matches,
+            "an in-place replacement keeps the match fields"
+        );
+        std::mem::replace(&mut self.rules[index], rule)
+    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 use netbdd::Bdd;
 use netmodel::addr::Prefix;
 use netmodel::header::{self, Packet};
-use netmodel::rule::{RouteClass, Rule};
+use netmodel::rule::{Action, RouteClass, Rule};
 use netmodel::topology::{IfaceId, IfaceKind, Role, Topology};
-use netmodel::{describe_set, Family, MatchFields, MatchSets, Network};
+use netmodel::{describe_set, Family, MatchFields, MatchSetCache, MatchSets, Network, RuleId};
 use proptest::prelude::*;
 
 fn arb_v4_prefix() -> impl Strategy<Value = Prefix> {
@@ -215,6 +215,61 @@ proptest! {
         let union_raw = bdd.or_all(raws);
         prop_assert!(bdd.equal(union_res, union_raw));
         prop_assert!(bdd.equal(union_res, ms.device_total(d)));
+    }
+
+    /// What skipping the refresh of an action-only FIB change rests on:
+    /// `M[r]` and the device total are functions of match fields and
+    /// table order, so replacing actions in place leaves everything
+    /// `recompute_device` derives `Ref`-identical — while the action
+    /// classes, which do read actions, equal a fresh computation's once
+    /// they are dropped.
+    #[test]
+    fn replacing_actions_in_place_keeps_every_match_set(
+        fields in prop::collection::vec(arb_match_fields(), 1..10),
+        edits in prop::collection::vec((any::<u16>(), 0u8..4), 1..6),
+    ) {
+        let mut t = Topology::new();
+        let d = t.add_device("r", Role::Tor);
+        let i0 = t.add_iface(d, "p0", IfaceKind::Host);
+        let i1 = t.add_iface(d, "p1", IfaceKind::Host);
+        let mut n = Network::new(t);
+        for f in &fields {
+            n.add_rule(d, Rule {
+                matches: f.clone(),
+                action: Action::Forward(vec![i0]),
+                class: RouteClass::Other,
+            });
+        }
+        n.finalize();
+        let mut bdd = Bdd::new();
+        let mut cache = MatchSetCache::new();
+        let mut ms = MatchSets::compute_cached(&n, &mut bdd, &mut cache);
+        ms.action_classes(&n, &mut bdd, d); // built, so there is something to go stale
+        let before = ms.clone();
+
+        for &(pick, kind) in &edits {
+            let id = RuleId { device: d, index: pick as u32 % fields.len() as u32 };
+            let action = match kind {
+                0 => Action::Drop,
+                1 => Action::Forward(vec![i1]),
+                2 => Action::Forward(vec![i0, i1]),
+                _ => Action::Forward(Vec::new()),
+            };
+            let matches = n.rule(id).matches.clone();
+            n.replace_rule(id, Rule { matches, action, class: RouteClass::Wan });
+        }
+        ms.drop_action_classes(d);
+
+        let mut oracle = ms.clone();
+        oracle.recompute_device(&n, &mut bdd, &mut cache, d);
+        for id in n.device_rule_ids(d) {
+            prop_assert_eq!(oracle.get(id), before.get(id), "match set of {:?}", id);
+            prop_assert_eq!(ms.get(id), before.get(id));
+        }
+        prop_assert_eq!(oracle.device_total(d), before.device_total(d));
+        prop_assert_eq!(ms.device_total(d), before.device_total(d));
+        let kept = ms.action_classes(&n, &mut bdd, d).to_vec();
+        prop_assert_eq!(kept, oracle.action_classes(&n, &mut bdd, d).to_vec());
     }
 
     /// Region decomposition is lossless: re-encoding the regions of a

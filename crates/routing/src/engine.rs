@@ -15,12 +15,16 @@
 //! Devices whose distance or ECMP set changed are *re-folded* — the
 //! admin-distance merge of [`RibBuilder::try_build`] is replayed for just
 //! their `(device, prefix)` keys — and the resulting rule edits are
-//! applied to the live [`Network`] at canonical batch positions
-//! ([`Network::insert_rule_canonical`]), so the incremental FIB stays
-//! bit-identical to a from-scratch rebuild of the degraded topology
-//! ([`RoutingEngine::full_rebuild`] is exactly that, and the differential
-//! tests gate on it). The per-device edits are reported as a [`FibDiff`]
-//! so coverage engines can invalidate exactly the touched device shards.
+//! applied to the live [`Network`]: a key that stays routed is swapped
+//! where it sits ([`Network::replace_rule`] — same key, same match
+//! fields, same index), a gained key lands at its canonical batch
+//! position ([`Network::insert_rule_canonical`]), so the incremental
+//! FIB stays bit-identical to a from-scratch rebuild of the degraded
+//! topology ([`RoutingEngine::full_rebuild`] is exactly that, and the
+//! differential tests gate on it). The per-device edits are reported as
+//! a [`FibDiff`], from which a coverage engine can tell the devices it
+//! must recompute from the ones that only swapped next-hops
+//! ([`FibChange::is_replacement`]).
 //!
 //! Validation follows `routing::delta`'s [`RibError`] discipline: every
 //! delta is checked against the topology (unknown device/link) and the
@@ -70,6 +74,13 @@ pub enum TopologyDelta {
 }
 
 /// One FIB entry edit produced by re-convergence.
+///
+/// When `old` and `new` are both present the entry kept its key, hence
+/// its match fields, and [`RoutingEngine::apply`] swapped the rule *in
+/// place* ([`Network::replace_rule`]): it sits at the index it had, and
+/// no other rule of the device moved because of this change. A device
+/// all of whose changes are such replacements has the table order and
+/// the match sets it had before the delta.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FibChange {
     /// Device whose table changed.
@@ -80,6 +91,14 @@ pub struct FibChange {
     pub old: Option<Rule>,
     /// The rule now installed for the key (`None` = withdrawn).
     pub new: Option<Rule>,
+}
+
+impl FibChange {
+    /// Whether the entry was replaced in place: the key was routed
+    /// before and still is, with another action or route class.
+    pub fn is_replacement(&self) -> bool {
+        self.old.is_some() && self.new.is_some()
+    }
 }
 
 /// The per-device FIB diff of one applied [`TopologyDelta`], in
@@ -663,24 +682,37 @@ impl RoutingEngine {
         let mut diff = FibDiff::default();
         for key in refold {
             let new = self.fold_key(key);
-            let old = self.installed.get(&key).cloned();
-            if old == new {
+            let installed = self.installed.get(&key);
+            if installed == new.as_ref() {
                 continue;
             }
             let device = DeviceId(key.0);
-            if let Some(o) = &old {
+            // A key that stays routed keeps its match: swap the rule
+            // where it sits (the `FibChange` contract). Only a gained
+            // key needs its canonical position looked up.
+            let old = installed.map(|o| {
                 let index = net
                     .device_rules(device)
                     .iter()
                     .position(|r| r == o)
                     .expect("engine-managed rule present in the network")
                     as u32;
-                net.withdraw_rule(RuleId { device, index });
-                self.installed.remove(&key);
-            }
-            if let Some(nr) = &new {
-                net.insert_rule_canonical(device, nr.clone());
-                self.installed.insert(key, nr.clone());
+                let id = RuleId { device, index };
+                match &new {
+                    Some(nr) => net.replace_rule(id, nr.clone()),
+                    None => net.withdraw_rule(id),
+                }
+            });
+            match &new {
+                Some(nr) => {
+                    if old.is_none() {
+                        net.insert_rule_canonical(device, nr.clone());
+                    }
+                    self.installed.insert(key, nr.clone());
+                }
+                None => {
+                    self.installed.remove(&key);
+                }
             }
             diff.changes.push(FibChange {
                 device,
@@ -991,31 +1023,34 @@ impl RoutingEngine {
 
     /// Per-device provenance of one prefix group: for every device the
     /// group reaches, the constructs on its winning/ECMP announcement
-    /// paths. Computed in increasing-distance order so each device unions
-    /// `{session to parent} ∪ provenance(parent)` over its ECMP parents —
-    /// the same edges `fold_key` turns into next-hops.
-    fn group_provenance(&self, gi: usize) -> Vec<BTreeSet<Construct>> {
+    /// paths, sorted and deduplicated. Computed in increasing-distance
+    /// order so each device unions `{session to parent} ∪
+    /// provenance(parent)` over its ECMP parents — the same edges
+    /// `fold_key` turns into next-hops.
+    fn group_provenance(&self, gi: usize) -> Vec<Vec<Construct>> {
         let g = &self.groups[gi];
         let n = self.topo.device_count();
-        let mut prov: Vec<BTreeSet<Construct>> = vec![BTreeSet::new(); n];
+        let mut prov: Vec<Vec<Construct>> = vec![Vec::new(); n];
         let mut order: Vec<usize> = (0..n).filter(|&d| g.dist[d] != u32::MAX).collect();
         order.sort_by_key(|&d| g.dist[d]);
         for d in order {
             let du = g.dist[d];
             if du == 0 {
-                prov[d].insert(Construct::Origination {
+                prov[d].push(Construct::Origination {
                     device: DeviceId(d as u32),
                     prefix: g.prefix,
                 });
                 continue;
             }
-            let mut set = BTreeSet::new();
+            let mut set = Vec::new();
             for a in &self.adj[d] {
                 if self.link_live(a.link) && g.dist[a.peer as usize] == du - 1 {
-                    set.insert(Construct::session(DeviceId(d as u32), DeviceId(a.peer)));
-                    set.extend(prov[a.peer as usize].iter().copied());
+                    set.push(Construct::session(DeviceId(d as u32), DeviceId(a.peer)));
+                    set.extend_from_slice(&prov[a.peer as usize]);
                 }
             }
+            set.sort_unstable();
+            set.dedup();
             prov[d] = set;
         }
         prov
@@ -1025,11 +1060,12 @@ impl RoutingEngine {
     /// key, given memoised group provenance. Replays `fold_key`'s winner
     /// determination: a valid static candidate always outranks BGP
     /// (admin distance 0/1 vs 20), so the winner's source is decidable
-    /// without re-folding.
+    /// without re-folding. A `(group, device)` entry belongs to this one
+    /// key, so it is moved out of the memo, not copied.
     fn key_provenance(
         &self,
         key: (u32, Prefix),
-        memo: &mut BTreeMap<usize, Vec<BTreeSet<Construct>>>,
+        memo: &mut BTreeMap<usize, Vec<Vec<Construct>>>,
     ) -> BTreeSet<Construct> {
         let (device, prefix) = key;
         if let Some(sis) = self.static_keys.get(&key) {
@@ -1042,7 +1078,9 @@ impl RoutingEngine {
         }
         if let Some(&gi) = self.group_of.get(&prefix) {
             let prov = memo.entry(gi).or_insert_with(|| self.group_provenance(gi));
-            return prov[device as usize].clone();
+            return std::mem::take(&mut prov[device as usize])
+                .into_iter()
+                .collect();
         }
         BTreeSet::new()
     }

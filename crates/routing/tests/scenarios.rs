@@ -6,13 +6,13 @@
 //! simulator) computes for the degraded topology.
 
 use netmodel::provenance::Construct;
-use netmodel::rule::RouteClass;
+use netmodel::rule::{RouteClass, Rule};
 use netmodel::topology::{DeviceId, IfaceId, IfaceKind, Role, Topology};
 use netmodel::{Network, Prefix};
 use proptest::prelude::*;
 use routing::{
-    try_simulate, BgpConfig, Origination, RibBuilder, RibError, RoutingEngine, Scope, StaticRoute,
-    StaticTarget, TopologyDelta,
+    try_simulate, BgpConfig, FibChange, FibDiff, Origination, RibBuilder, RibError, RoutingEngine,
+    Scope, StaticRoute, StaticTarget, TopologyDelta,
 };
 
 /// A two-tier mini-Clos: 2 ToRs, 2 aggs, 2 spines, full bipartite
@@ -343,6 +343,91 @@ fn device_flap_restores_baseline_bit_identically() {
     }
 }
 
+// ---- the in-place replacement contract ----
+
+/// Every table of the network, as owned rows.
+fn tables(net: &Network) -> Vec<Vec<Rule>> {
+    net.topology()
+        .devices()
+        .map(|(d, _)| net.device_rules(d).to_vec())
+        .collect()
+}
+
+/// The `FibChange` contract, checked against the tables from before the
+/// delta: on a device all of whose changes are replacements, each
+/// replaced rule sits where its predecessor sat and nothing else moved.
+fn replaced_in_place(before: &[Vec<Rule>], diff: &FibDiff, net: &Network) -> Result<(), String> {
+    for changes in diff.changes.chunk_by(|x, y| x.device == y.device) {
+        if !changes.iter().all(FibChange::is_replacement) {
+            continue;
+        }
+        let device = changes[0].device;
+        let mut want = before[device.0 as usize].clone();
+        for c in changes {
+            let at = want
+                .iter()
+                .position(|r| Some(r) == c.old.as_ref())
+                .ok_or(format!(
+                    "{:?}: the old rule of {} was not installed",
+                    device, c.prefix
+                ))?;
+            want[at] = c.new.clone().expect("a replacement has a new rule");
+        }
+        if net.device_rules(device) != want {
+            return Err(format!(
+                "{device:?}: a replacement moved a rule: {:?}, expected {want:?}",
+                net.device_rules(device)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A user rule whose prefix sorts *before* the managed /24s of its
+/// table, appended after them by `insert_sorted`: the length class is no
+/// longer in canonical order, so a withdraw + `insert_canonical` of a
+/// managed /24 would land behind the user rule. A replacement never
+/// looks a position up, so it cannot be perturbed.
+#[test]
+fn a_replacement_stays_put_where_user_rules_unsort_its_length_class() {
+    let (mut engine, mut net) = mini_engine(true);
+    let (tor0, agg1) = (DeviceId(0), DeviceId(3));
+    net.insert_rule(
+        tor0,
+        Rule::null_route("9.0.0.0/24".parse().unwrap(), RouteClass::Other),
+    );
+    let dsts = |net: &Network| -> Vec<String> {
+        net.device_rules(tor0)
+            .iter()
+            .map(|r| r.matches.dst.unwrap().to_string())
+            .collect()
+    };
+    let order = [
+        "192.168.0.0/31",
+        "10.0.0.0/24",
+        "10.0.1.0/24",
+        "9.0.0.0/24",
+        "0.0.0.0/0",
+    ];
+    assert_eq!(dsts(&net), order);
+    for delta in [
+        TopologyDelta::LinkDown { a: tor0, b: agg1 },
+        TopologyDelta::LinkUp { a: tor0, b: agg1 },
+    ] {
+        let before = tables(&net);
+        let diff = engine.apply(&mut net, &delta).unwrap();
+        // tor0's route to tor1's /24 and its static default narrow to
+        // (widen from) the agg0 leg; nothing of tor0 comes or goes.
+        let on_tor0: Vec<&FibChange> = diff.changes.iter().filter(|c| c.device == tor0).collect();
+        assert!(
+            on_tor0.len() == 2 && on_tor0.iter().all(|c| c.is_replacement()),
+            "{delta:?}: {on_tor0:?}"
+        );
+        replaced_in_place(&before, &diff, &net).unwrap();
+        assert_eq!(dsts(&net), order, "after {delta:?}");
+    }
+}
+
 // ---- provenance attribution ----
 
 #[test]
@@ -599,6 +684,51 @@ proptest! {
                     d
                 );
             }
+        }
+    }
+
+    /// The in-place contract under random failure/recovery sequences, on
+    /// a network that also carries user-inserted rules of the prefix
+    /// lengths the engine manages (`insert_sorted` puts them after the
+    /// managed rules of their length): replacements never move a rule,
+    /// and every table equals `full_rebuild` plus the user rules.
+    #[test]
+    fn replacements_stay_in_place_beside_user_rules(
+        ops in proptest::collection::vec((0u8..4, 0u16..1024), 1..12),
+    ) {
+        let (mut engine, mut net) = mini_engine(true);
+        // Prefixes above every managed one of their length, so gained
+        // keys still find their canonical position in front of them.
+        let users: Vec<(DeviceId, Rule)> = [
+            (0, "203.0.113.0/24"),
+            (2, "203.0.113.0/24"),
+            (2, "203.0.0.0/16"),
+            (4, "203.0.113.0/24"),
+        ]
+        .into_iter()
+        .map(|(d, p)| (DeviceId(d), Rule::null_route(p.parse().unwrap(), RouteClass::Other)))
+        .collect();
+        for (d, rule) in &users {
+            net.insert_rule(*d, rule.clone());
+        }
+        let mut down_links = vec![false; engine.link_count()];
+        let mut down_devs = vec![false; net.topology().device_count()];
+        for (kind, pick) in ops {
+            let Some(delta) =
+                interpret(&engine, kind, pick, &mut down_links, &mut down_devs)
+            else {
+                continue;
+            };
+            let before = tables(&net);
+            let diff = engine.apply(&mut net, &delta).unwrap();
+            if let Err(e) = replaced_in_place(&before, &diff, &net) {
+                prop_assert!(false, "after {:?}: {}", delta, e);
+            }
+            let mut want = engine.full_rebuild().unwrap();
+            for (d, rule) in &users {
+                want.insert_rule(*d, rule.clone());
+            }
+            prop_assert_eq!(tables(&net), tables(&want), "after {:?}", delta);
         }
     }
 }
