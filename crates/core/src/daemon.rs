@@ -1116,6 +1116,27 @@ mod tests {
     }
 
     #[test]
+    fn ingress_scoped_rule_into_an_unscoped_table_is_a_400_and_changes_nothing() {
+        // Well-formed on the wire and valid interface by interface; it
+        // used to mutate the table and then panic in match-set
+        // derivation, killing the daemon with the delta half applied.
+        let mut engine = build_engine();
+        let table = engine.network().device_rules(DeviceId(0)).to_vec();
+        let delta = Request::new(
+            "POST",
+            "/delta",
+            r#"{"kind":"rule-insert","device":0,"rule":{"dst":"10.9.0.0/24","in_iface":0,"out_ifaces":[1]}}"#,
+        );
+        let resp = handle(&mut engine, &delta);
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains("ingress-scoped"), "{}", resp.body);
+        assert_eq!(engine.version(), 0);
+        assert_eq!(engine.network().device_rules(DeviceId(0)), table);
+        let metrics = handle(&mut engine, &Request::new("GET", "/metrics", ""));
+        assert_eq!(metrics.status, 200, "{}", metrics.body);
+    }
+
+    #[test]
     fn test_delta_roundtrip_over_the_wire_format() {
         let mut engine = build_engine();
         let body = format!(

@@ -68,7 +68,8 @@ const DEFAULT_QUERY_CACHE_CAPACITY: usize = 128;
 
 /// Why the engine refused a delta or a query. Deltas arrive over the
 /// wire, so every malformed one must be a named error, never a panic —
-/// the same discipline `routing::delta` applies to batch pipelines.
+/// the same discipline `routing::RibError` applies to control-plane
+/// descriptions and topology deltas.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EngineError {
     /// The device id is outside the topology.
@@ -92,6 +93,12 @@ pub enum EngineError {
         id: RuleId,
         /// The device's current table length.
         table_len: usize,
+    },
+    /// The rule would leave its device's table mixing ingress-scoped and
+    /// unscoped rules, which match-set derivation does not support.
+    MixedIngressScope {
+        /// The device the rule was destined for.
+        device: DeviceId,
     },
     /// A test with this name is already registered.
     DuplicateTest {
@@ -134,6 +141,10 @@ impl std::fmt::Display for EngineError {
                 f,
                 "rule r{}.{} is outside its device's table ({table_len} rules)",
                 id.device.0, id.index
+            ),
+            EngineError::MixedIngressScope { device } => write!(
+                f,
+                "the rule would mix ingress-scoped and unscoped rules in the table of {device:?}"
             ),
             EngineError::DuplicateTest { name } => {
                 write!(f, "test {name:?} is already registered")
@@ -562,8 +573,14 @@ impl CoverageEngine {
         for &iface in rule.action.out_ifaces() {
             self.check_iface(device, iface)?;
         }
+        let scoped = rule.matches.in_iface.is_some();
         if let Some(iface) = rule.matches.in_iface {
             self.check_iface(device, iface)?;
+        }
+        // An empty table accepts either kind; after that it holds one.
+        let table = self.net.device_rules(device);
+        if table.iter().any(|r| r.matches.in_iface.is_some() != scoped) {
+            return Err(EngineError::MixedIngressScope { device });
         }
         let id = self.net.insert_rule(device, rule);
         self.refresh_device(device);
@@ -1052,6 +1069,48 @@ mod tests {
         ));
         // No delta was applied by any of the rejected calls.
         assert_eq!(engine.version(), 1);
+    }
+
+    #[test]
+    fn a_rule_of_the_other_ingress_kind_is_rejected_before_the_table_changes() {
+        let (n, tor, spine, hosts) = build();
+        let mut engine = CoverageEngine::new(n, 1);
+        let dst: Prefix = "10.9.0.0/24".parse().unwrap();
+        let scoped = |iface: IfaceId| {
+            let mut r = Rule::null_route(dst, RouteClass::Other);
+            r.matches.in_iface = Some(iface);
+            r
+        };
+
+        // Scoped into the tor's non-empty unscoped table.
+        let before = engine.network().device_rules(tor).to_vec();
+        assert_eq!(
+            engine.insert_rule(tor, scoped(hosts)),
+            Err(EngineError::MixedIngressScope { device: tor })
+        );
+        assert_eq!(engine.version(), 0);
+        assert_eq!(engine.network().device_rules(tor), before);
+
+        // An empty table accepts either kind; once scoped, the reverse
+        // is refused the same way.
+        let down = engine.network().device_rules(spine)[0].action.out_ifaces()[0];
+        engine
+            .withdraw_rule(RuleId {
+                device: spine,
+                index: 0,
+            })
+            .unwrap();
+        engine.insert_rule(spine, scoped(down)).unwrap();
+        let before = engine.network().device_rules(spine).to_vec();
+        let err = engine
+            .insert_rule(spine, Rule::null_route(dst, RouteClass::Other))
+            .unwrap_err();
+        assert_eq!(err, EngineError::MixedIngressScope { device: spine });
+        assert!(err.to_string().contains("ingress-scoped"), "{err}");
+        assert_eq!(engine.version(), 2);
+        assert_eq!(engine.network().device_rules(spine), before);
+        // The engine still answers.
+        assert!(engine.headline_metrics().rule_fractional.is_some());
     }
 
     #[test]

@@ -1,10 +1,24 @@
-//! Delta-aware incremental eBGP re-convergence.
+//! The control plane: eBGP convergence, the admin-distance fold, FIB
+//! compilation — and their delta-aware re-convergence.
 //!
-//! [`RoutingEngine`] keeps the eBGP fixpoint *resident*: per-prefix BFS
-//! distance vectors (the frontier bookkeeping of [`RibBuilder::try_build`])
-//! plus the folded FIB entry installed for every `(device, prefix)` key.
-//! Topology deltas — [`TopologyDelta::LinkDown`]/[`TopologyDelta::LinkUp`]
-//! and device counterparts — re-converge only the affected subtrees:
+//! [`RoutingEngine`] construction is the only code in this crate that
+//! turns a control-plane description into FIBs. It runs in three stages:
+//!
+//! 1. **converge** — index links and adjacencies, group originations by
+//!    prefix (multi-origin = anycast), and run one multi-source BFS per
+//!    group over the devices whose scope accepts the route;
+//! 2. **fold** — for every `(device, prefix)` key, in key order, merge
+//!    the key's static candidates and its group's BGP candidate by
+//!    administrative distance (connected < static < BGP, first in config
+//!    order wins ties);
+//! 3. **compile** — push the folded rules into a [`Network`].
+//!
+//! [`RibBuilder::try_build`] runs the three stages and stops, dropping
+//! the converged state. [`RibBuilder::into_engine`] runs the same three
+//! and keeps the fixpoint *resident* — per-prefix distance vectors plus
+//! the folded FIB entry installed for every key — so that topology
+//! deltas — [`TopologyDelta::LinkDown`]/[`TopologyDelta::LinkUp`] and
+//! device counterparts — re-converge only the affected subtrees:
 //!
 //! * **deletion** runs the two-phase shortest-path repair (identify the
 //!   orphaned region seeded from the dead element's BFS children, then
@@ -12,23 +26,23 @@
 //! * **addition** runs a decrease-only relaxation seeded from the revived
 //!   element's endpoints (and restored origination seeds).
 //!
-//! Devices whose distance or ECMP set changed are *re-folded* — the
-//! admin-distance merge of [`RibBuilder::try_build`] is replayed for just
-//! their `(device, prefix)` keys — and the resulting rule edits are
-//! applied to the live [`Network`]: a key that stays routed is swapped
-//! where it sits ([`Network::replace_rule`] — same key, same match
-//! fields, same index), a gained key lands at its canonical batch
-//! position ([`Network::insert_rule_canonical`]), so the incremental
-//! FIB stays bit-identical to a from-scratch rebuild of the degraded
-//! topology ([`RoutingEngine::full_rebuild`] is exactly that, and the
+//! Devices whose distance or ECMP set changed are *re-folded* — stage 2
+//! for just their `(device, prefix)` keys, under the current failure
+//! state — and the resulting rule edits are applied to the live
+//! [`Network`]: a key that stays routed is swapped where it sits
+//! ([`Network::replace_rule`] — same key, same match fields, same
+//! index), a gained key lands at its canonical batch position
+//! ([`Network::insert_rule_canonical`]), so the incremental FIB stays
+//! bit-identical to a from-scratch build of the degraded description
+//! ([`RoutingEngine::full_rebuild`] is exactly that, and the
 //! differential tests gate on it). The per-device edits are reported as
 //! a [`FibDiff`], from which a coverage engine can tell the devices it
 //! must recompute from the ones that only swapped next-hops
 //! ([`FibChange::is_replacement`]).
 //!
-//! Validation follows `routing::delta`'s [`RibError`] discipline: every
-//! delta is checked against the topology (unknown device/link) and the
-//! failure state (double-down, not-down) before any state is mutated.
+//! Every delta is validated into a named [`RibError`] — against the
+//! topology (unknown device/link) and the failure state (double-down,
+//! not-down) — before any state is mutated.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -182,6 +196,8 @@ pub struct RoutingEngine {
     group_of: BTreeMap<Prefix, usize>,
     /// Static routes per `(device, prefix)` key, in config order.
     static_keys: BTreeMap<(u32, Prefix), Vec<usize>>,
+    // The next three are the resident-only state: empty until
+    // `into_resident`, which the batch stopping point never reaches.
     /// Static indexes per device.
     statics_by_device: Vec<Vec<usize>>,
     /// `(device, prefix)` keys whose statics reference an iface.
@@ -195,20 +211,20 @@ pub struct RoutingEngine {
 }
 
 impl RoutingEngine {
-    /// Build the engine plus the compiled healthy-state [`Network`] from
-    /// a validated control-plane description. Called through
-    /// [`RibBuilder::into_engine`]; the produced network is bit-identical
-    /// to [`RibBuilder::try_build`] on the same description.
-    pub(crate) fn new_internal(
-        topo: Topology,
-        tiers: Vec<u8>,
-        asns: Vec<u32>,
-        originations: Vec<Origination>,
-        statics: Vec<StaticRoute>,
-    ) -> (RoutingEngine, Network) {
+    /// Stage 1 of construction: index the validated description and run
+    /// the initial multi-source BFS of every prefix group. The result
+    /// holds everything [`Self::fold_key`] reads and none of the
+    /// delta-only state.
+    pub(crate) fn converge(description: RibBuilder) -> RoutingEngine {
+        let _span = netobs::span!("fib_converge");
+        let RibBuilder {
+            topo,
+            mut tiers,
+            mut asns,
+            originations,
+            statics,
+        } = description;
         let n = topo.device_count();
-        let mut tiers = tiers;
-        let mut asns = asns;
         tiers.resize(n.max(tiers.len()), 0);
         asns.resize(n.max(asns.len()), 0);
 
@@ -243,23 +259,16 @@ impl RoutingEngine {
             })
             .collect();
 
-        // Static route indexes.
         let mut static_keys: BTreeMap<(u32, Prefix), Vec<usize>> = BTreeMap::new();
-        let mut statics_by_device = vec![Vec::new(); n];
-        let mut statics_by_iface: BTreeMap<u32, Vec<(u32, Prefix)>> = BTreeMap::new();
         for (si, s) in statics.iter().enumerate() {
-            let key = (s.device.0, s.prefix);
-            static_keys.entry(key).or_default().push(si);
-            statics_by_device[s.device.0 as usize].push(si);
-            if let StaticTarget::Ifaces(outs) = &s.target {
-                for &i in outs {
-                    statics_by_iface.entry(i.0).or_default().push(key);
-                }
-            }
+            static_keys
+                .entry((s.device.0, s.prefix))
+                .or_default()
+                .push(si);
         }
 
-        // Prefix groups with their initial BFS distances — the same
-        // grouping, seeding, and acceptance as `RibBuilder::try_build`.
+        // Prefix groups: originations of one prefix converge together
+        // (multi-origin = anycast ECMP towards the nearest originators).
         let mut group_of = BTreeMap::new();
         let mut by_prefix: BTreeMap<Prefix, Vec<usize>> = BTreeMap::new();
         for (oi, o) in originations.iter().enumerate() {
@@ -267,26 +276,52 @@ impl RoutingEngine {
         }
         let mut groups = Vec::new();
         for (prefix, origin_idxs) in by_prefix {
+            let blocked = |dev: DeviceId| {
+                origin_idxs
+                    .iter()
+                    .any(|&oi| originations[oi].blocked.contains(&dev))
+            };
+            // Scope union: a device accepts if any origination's scope
+            // admits it (in practice all originations of one prefix
+            // share a scope) and none blocks it.
             let accepts: Vec<bool> = (0..n)
                 .map(|d| {
-                    let dev = DeviceId(d as u32);
-                    let tier = tiers[d];
                     origin_idxs
                         .iter()
-                        .any(|&oi| originations[oi].scope.accepts(tier))
-                        && !origin_idxs
-                            .iter()
-                            .any(|&oi| originations[oi].blocked.contains(&dev))
+                        .any(|&oi| originations[oi].scope.accepts(tiers[d]))
+                        && !blocked(DeviceId(d as u32))
                 })
                 .collect();
+            // A blocked originator neither installs nor advertises its
+            // own route — the same seeding rule as the message-passing
+            // simulator (`bgp::simulate`); seeding it anyway would leave
+            // its neighbors a finite distance but no usable next-hop.
+            // Scope is deliberately not checked here: an out-of-scope
+            // originator still holds and advertises its origination,
+            // exactly as in eBGP.
             let mut seeds = Vec::new();
             for &oi in &origin_idxs {
-                let d = originations[oi].device.0;
-                let blocked = origin_idxs
-                    .iter()
-                    .any(|&oo| originations[oo].blocked.contains(&DeviceId(d)));
-                if !blocked && !seeds.contains(&d) {
-                    seeds.push(d);
+                let d = originations[oi].device;
+                if !blocked(d) && !seeds.contains(&d.0) {
+                    seeds.push(d.0);
+                }
+            }
+            // Multi-source BFS over accepting devices (every link is
+            // live at construction).
+            let mut dist = vec![u32::MAX; n];
+            let mut q = VecDeque::new();
+            for &s in &seeds {
+                dist[s as usize] = 0;
+                q.push_back(s);
+            }
+            while let Some(v) = q.pop_front() {
+                let dv = dist[v as usize];
+                for a in &adj[v as usize] {
+                    let u = a.peer as usize;
+                    if dist[u] == u32::MAX && accepts[u] {
+                        dist[u] = dv + 1;
+                        q.push_back(a.peer);
+                    }
                 }
             }
             let class = originations[origin_idxs[0]].class;
@@ -297,77 +332,87 @@ impl RoutingEngine {
                 class,
                 accepts,
                 seeds,
-                dist: vec![u32::MAX; n],
+                dist,
             });
         }
 
-        let mut engine = RoutingEngine {
+        RoutingEngine {
             topo,
             tiers,
             asns,
             originations,
             statics,
+            link_down: vec![false; links.len()],
             links,
             iface_link,
             adj,
-            link_down: Vec::new(),
             device_down: vec![false; n],
             groups,
             group_of,
             static_keys,
-            statics_by_device,
-            statics_by_iface,
+            statics_by_device: Vec::new(),
+            statics_by_iface: BTreeMap::new(),
             installed: BTreeMap::new(),
             reconverge_count: 0,
             devices_touched_total: 0,
             rules_changed_total: 0,
-        };
-        engine.link_down = vec![false; engine.links.len()];
+        }
+    }
 
-        // Initial multi-source BFS per group (everything is live).
-        for gi in 0..engine.groups.len() {
-            let mut dist = vec![u32::MAX; n];
-            let mut q = VecDeque::new();
-            for &s in &engine.groups[gi].seeds {
-                if dist[s as usize] == u32::MAX {
-                    dist[s as usize] = 0;
-                    q.push_back(s);
+    /// Stage 2 of construction: every `(device, prefix)` key a static
+    /// names or a group reaches, folded in key order.
+    fn fold_all(&self) -> impl Iterator<Item = ((u32, Prefix), Rule)> + '_ {
+        let mut keys: Vec<(u32, Prefix)> = self.static_keys.keys().copied().collect();
+        for g in &self.groups {
+            for (d, &dist) in g.dist.iter().enumerate() {
+                if dist != u32::MAX {
+                    keys.push((d as u32, g.prefix));
                 }
             }
-            while let Some(v) = q.pop_front() {
-                let dv = dist[v as usize];
-                for a in &engine.adj[v as usize] {
-                    let u = a.peer as usize;
-                    if dist[u] == u32::MAX && engine.groups[gi].accepts[u] {
-                        dist[u] = dv + 1;
-                        q.push_back(a.peer);
-                    }
-                }
-            }
-            engine.groups[gi].dist = dist;
         }
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
+            .filter_map(|key| self.fold_key(key).map(|rule| (key, rule)))
+    }
 
-        // Fold every key and compile the network in key order — the same
-        // iteration `try_build` performs over its `best` map.
-        let mut keys: BTreeSet<(u32, Prefix)> = engine.static_keys.keys().copied().collect();
-        for g in &engine.groups {
-            for d in 0..n {
-                if g.dist[d] != u32::MAX {
-                    keys.insert((d as u32, g.prefix));
+    /// The batch stopping point: fold, compile, and drop the converged
+    /// state ([`RibBuilder::try_build`]).
+    pub(crate) fn compile(mut self) -> Network {
+        let _span = netobs::span!("fib_compile");
+        // The fold reads the adjacency index, never `topo`, so the
+        // network can take the topology without a copy.
+        let topo = std::mem::take(&mut self.topo);
+        compile_fib(topo, self.fold_all())
+    }
+
+    /// The resident stopping point: fold into `installed`, compile from
+    /// it, and index the statics for [`Self::apply`]
+    /// ([`RibBuilder::into_engine`]).
+    pub(crate) fn into_resident(mut self) -> (RoutingEngine, Network) {
+        let compile_span = netobs::span!("fib_compile");
+        self.installed = self.fold_all().collect();
+        let net = compile_fib(
+            self.topo.clone(),
+            self.installed
+                .iter()
+                .map(|(&key, rule)| (key, rule.clone())),
+        );
+        drop(compile_span);
+
+        self.statics_by_device = vec![Vec::new(); self.topo.device_count()];
+        for (si, s) in self.statics.iter().enumerate() {
+            self.statics_by_device[s.device.0 as usize].push(si);
+            if let StaticTarget::Ifaces(outs) = &s.target {
+                for &i in outs {
+                    self.statics_by_iface
+                        .entry(i.0)
+                        .or_default()
+                        .push((s.device.0, s.prefix));
                 }
             }
         }
-        for key in keys {
-            if let Some(rule) = engine.fold_key(key) {
-                engine.installed.insert(key, rule);
-            }
-        }
-        let mut net = Network::new(engine.topo.clone());
-        for (&(device, _), rule) in &engine.installed {
-            net.add_rule(DeviceId(device), rule.clone());
-        }
-        net.finalize();
-        (engine, net)
+        (self, net)
     }
 
     /// Number of point-to-point links in the topology.
@@ -903,7 +948,7 @@ impl RoutingEngine {
                 continue;
             }
             // Seeds (distance 0) are exempt from acceptance, exactly as
-            // in the batch BFS seeding.
+            // in `converge`'s seeding.
             if d > 0 && !self.groups[gi].accepts[vi] {
                 continue;
             }
@@ -923,10 +968,12 @@ impl RoutingEngine {
         changed
     }
 
-    /// Replay `try_build`'s admin-distance merge for one `(device,
-    /// prefix)` key under the current failure state: statics first (in
-    /// config order, dead next-hops pruned), then the group's BGP
-    /// candidate; lowest distance wins, first candidate wins ties.
+    /// The admin-distance merge for one `(device, prefix)` key under the
+    /// current failure state: statics first (in config order, dead
+    /// next-hops pruned), then the group's BGP candidate. When one
+    /// device has the same prefix from several sources the lowest
+    /// distance wins, as on real routers (connected 0, static 1, BGP
+    /// 20); the first candidate wins ties.
     fn fold_key(&self, key: (u32, Prefix)) -> Option<Rule> {
         let (device, prefix) = key;
         if self.device_down[device as usize] {
@@ -938,38 +985,34 @@ impl RoutingEngine {
             _ => best = Some((dist, class, action)),
         };
         if let Some(sis) = self.static_keys.get(&key) {
-            for &si in sis {
-                let s = &self.statics[si];
+            for s in sis.iter().map(|&si| &self.statics[si]) {
+                if !self.static_applies(s) {
+                    continue;
+                }
                 let dist = if s.class == RouteClass::Connected {
                     0
                 } else {
                     1
                 };
-                match &s.target {
-                    StaticTarget::Null => consider(dist, s.class, Action::Drop),
-                    StaticTarget::Ifaces(outs) => {
-                        if outs.is_empty() {
-                            // Degenerate empty ECMP sets are preserved
-                            // verbatim, as in the batch compile.
-                            consider(dist, s.class, Action::Forward(Vec::new()));
-                            continue;
-                        }
-                        let live: Vec<IfaceId> = outs
-                            .iter()
+                let action = match &s.target {
+                    StaticTarget::Null => Action::Drop,
+                    StaticTarget::Ifaces(outs) => Action::Forward(
+                        outs.iter()
                             .copied()
                             .filter(|&i| self.iface_live(i))
-                            .collect();
-                        if !live.is_empty() {
-                            consider(dist, s.class, Action::Forward(live));
-                        }
-                    }
-                }
+                            .collect(),
+                    ),
+                };
+                consider(dist, s.class, action);
             }
         }
         if let Some(&gi) = self.group_of.get(&prefix) {
             let g = &self.groups[gi];
             let du = g.dist[device as usize];
             if du == 0 {
+                // Originator: deliver locally if a delivery iface was
+                // given; otherwise the prefix is advertised but the
+                // originator holds no usable route (blackhole).
                 let outs: Vec<IfaceId> = g
                     .origins
                     .iter()
@@ -981,6 +1024,12 @@ impl RoutingEngine {
                     consider(20, g.class, Action::Forward(outs));
                 }
             } else if du != u32::MAX {
+                // ECMP next-hops: every live link to a neighbor one step
+                // closer. Finite distance already implies the neighbor
+                // accepted (or legitimately originated) the route, so no
+                // acceptance re-check — re-checking would wrongly exclude
+                // seeded originators, as acceptance is about *installing*
+                // propagated routes, not about being a next-hop.
                 let mut outs = Vec::new();
                 for a in &self.adj[device as usize] {
                     if self.link_live(a.link) && g.dist[a.peer as usize] == du - 1 {
@@ -1004,12 +1053,12 @@ impl RoutingEngine {
 
     // ----- provenance ------------------------------------------------------
 
-    /// Whether a static route can currently contribute a FIB candidate:
-    /// its device is up and it is a null route, a (preserved) degenerate
-    /// empty ECMP set, or has at least one live next-hop. Mirrors both
-    /// `fold_key`'s static arm and `full_rebuild`'s static pruning.
-    fn static_applies(&self, si: usize) -> bool {
-        let s = &self.statics[si];
+    /// Whether a static route currently contributes a FIB candidate: its
+    /// device is up and it is a null route, a degenerate empty ECMP set
+    /// (preserved verbatim), or has at least one live next-hop.
+    /// [`Self::degraded_builder`] prunes statics by the same rule, on
+    /// its own, as the reference side of the differential tests.
+    fn static_applies(&self, s: &StaticRoute) -> bool {
         if self.device_down[s.device.0 as usize] {
             return false;
         }
@@ -1069,7 +1118,7 @@ impl RoutingEngine {
     ) -> BTreeSet<Construct> {
         let (device, prefix) = key;
         if let Some(sis) = self.static_keys.get(&key) {
-            if sis.iter().any(|&si| self.static_applies(si)) {
+            if sis.iter().any(|&si| self.static_applies(&self.statics[si])) {
                 return BTreeSet::from([Construct::Static {
                     device: DeviceId(device),
                     prefix,
@@ -1185,8 +1234,8 @@ impl RoutingEngine {
                 });
             }
         }
-        for (si, s) in self.statics.iter().enumerate() {
-            if self.static_applies(si) {
+        for s in &self.statics {
+            if self.static_applies(s) {
                 db.constructs.insert(Construct::Static {
                     device: s.device,
                     prefix: s.prefix,
@@ -1200,4 +1249,15 @@ impl RoutingEngine {
         }
         db
     }
+}
+
+/// Stage 3 of construction: the one loop that turns folded rules, in
+/// `(device, prefix)` order, into forwarding state.
+fn compile_fib(topo: Topology, rules: impl Iterator<Item = ((u32, Prefix), Rule)>) -> Network {
+    let mut net = Network::new(topo);
+    for ((device, _), rule) in rules {
+        net.add_rule(DeviceId(device), rule);
+    }
+    net.finalize();
+    net
 }

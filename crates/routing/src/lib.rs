@@ -12,11 +12,17 @@
 //! per-tier ASNs and `allow-as-in`, BGP best-path selection (shortest AS
 //! path, ECMP across ties) converges to the set of *topological shortest
 //! paths* towards each prefix's originators — which is exactly the
-//! property InternalRouteCheck validates in §7.3. [`RibBuilder`] computes
-//! that fixpoint by multi-source BFS per originated prefix, applies route
-//! scopes (the stand-in for route-leak policy), resolves same-prefix
-//! conflicts by administrative distance (connected < static < BGP), and
-//! compiles everything into [`netmodel::Network`] forwarding state.
+//! property InternalRouteCheck validates in §7.3.
+//!
+//! There is one implementation of it. [`RibBuilder`] holds and validates
+//! the control-plane description; [`RoutingEngine`]'s construction
+//! (see [`engine`]) converges it by multi-source BFS per originated
+//! prefix, applies route scopes (the stand-in for route-leak policy),
+//! resolves same-prefix conflicts by administrative distance (connected
+//! < static < BGP), and compiles everything into [`netmodel::Network`]
+//! forwarding state. [`RibBuilder::try_build`] stops there;
+//! [`RibBuilder::into_engine`] keeps the converged state resident and
+//! re-converges it incrementally under [`TopologyDelta`]s.
 //!
 //! Substitution note (recorded in DESIGN.md): the real network computes
 //! FIBs with a production BGP simulator/emulator; what coverage analysis
@@ -26,11 +32,9 @@
 #![deny(missing_docs)]
 
 pub mod bgp;
-pub mod delta;
 pub mod engine;
 pub mod rib;
 
 pub use bgp::{simulate, try_simulate, BgpConfig, BgpRibs, BgpRoute};
-pub use delta::{apply_rule_insert, apply_rule_withdraw};
 pub use engine::{FibChange, FibDiff, RoutingEngine, TopologyDelta};
 pub use rib::{Origination, RibBuilder, RibError, Scope, StaticRoute, StaticTarget};

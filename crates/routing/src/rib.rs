@@ -1,12 +1,14 @@
-//! RIB computation and FIB compilation.
+//! The control-plane description ([`RibBuilder`]) and its validation.
+//! Converging it into FIBs is [`crate::engine`]'s job.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use netmodel::provenance::ConfigDb;
-use netmodel::rule::{Action, RouteClass, Rule};
+use netmodel::rule::RouteClass;
 use netmodel::topology::{DeviceId, IfaceId, Topology};
 use netmodel::{Network, Prefix};
+
+use crate::engine::RoutingEngine;
 
 /// Why a control-plane description cannot be compiled into forwarding
 /// state. Every variant names the offending object so the error message
@@ -40,16 +42,6 @@ pub enum RibError {
         got: usize,
         /// The device count it must match.
         expected: usize,
-    },
-    /// A rule id names an index outside its device's table (rule
-    /// deltas).
-    BadRule {
-        /// The offending rule id.
-        id: netmodel::RuleId,
-        /// The device's current table length.
-        table_len: usize,
-        /// Which operation held the reference.
-        context: &'static str,
     },
     /// A topology delta names a device pair with no link between them.
     UnknownLink {
@@ -111,15 +103,6 @@ impl fmt::Display for RibError {
             } => write!(
                 f,
                 "{what}: got {got} entries, need one per device ({expected})"
-            ),
-            RibError::BadRule {
-                id,
-                table_len,
-                context,
-            } => write!(
-                f,
-                "{context}: rule {id:?} is outside its device's table \
-                 ({table_len} rules)"
             ),
             RibError::UnknownLink { a, b } => {
                 write!(f, "topology delta: no link exists between {a:?} and {b:?}")
@@ -230,34 +213,17 @@ pub struct StaticRoute {
     pub class: RouteClass,
 }
 
-/// Administrative distance: when one device has the same prefix from
-/// several sources, the lowest-distance source wins (as on real routers).
-fn admin_distance(source: Source) -> u8 {
-    match source {
-        Source::Connected => 0,
-        Source::Static => 1,
-        Source::Bgp => 20,
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Source {
-    Connected,
-    Static,
-    Bgp,
-}
-
 /// Builds a network's forwarding state from a control-plane description.
 pub struct RibBuilder {
-    topo: Topology,
+    pub(crate) topo: Topology,
     /// Per-device tier (0 = ToR ... upward). Used by [`Scope::MinTier`].
-    tiers: Vec<u8>,
+    pub(crate) tiers: Vec<u8>,
     /// Per-device BGP ASN. The ASN assignment doesn't change best paths
     /// on a tiered Clos with allow-as-in (path length == hop count), but
     /// it is kept for fidelity and surfaced in diagnostics.
-    asns: Vec<u32>,
-    originations: Vec<Origination>,
-    statics: Vec<StaticRoute>,
+    pub(crate) asns: Vec<u32>,
+    pub(crate) originations: Vec<Origination>,
+    pub(crate) statics: Vec<StaticRoute>,
 }
 
 impl RibBuilder {
@@ -370,8 +336,8 @@ impl RibBuilder {
     }
 
     /// Check every device/interface reference in the control-plane
-    /// description against the topology before [`Self::build`] indexes
-    /// with them. Malformed descriptions (hand-written configs, fuzzed
+    /// description against the topology before the engine indexes with
+    /// them. Malformed descriptions (hand-written configs, fuzzed
     /// inputs) become a [`RibError`] instead of an index panic deep in
     /// the BFS.
     fn validate(&self) -> Result<(), RibError> {
@@ -432,19 +398,15 @@ impl RibBuilder {
     }
 
     /// Validate the description and hand it to a resident
-    /// [`crate::engine::RoutingEngine`], returning the engine plus the
+    /// [`RoutingEngine`], returning the engine plus the
     /// compiled healthy-state network. The network is bit-identical to
-    /// what [`Self::try_build`] on the same description produces; the
-    /// engine then keeps it converged under topology deltas.
-    pub fn into_engine(self) -> Result<(crate::engine::RoutingEngine, Network), RibError> {
+    /// what [`Self::try_build`] on the same description produces — the
+    /// same construction, not stopped early; the engine then keeps it
+    /// converged under topology deltas.
+    pub fn into_engine(self) -> Result<(RoutingEngine, Network), RibError> {
+        let _span = netobs::span!("fib_build");
         self.validate()?;
-        Ok(crate::engine::RoutingEngine::new_internal(
-            self.topo,
-            self.tiers,
-            self.asns,
-            self.originations,
-            self.statics,
-        ))
+        Ok(RoutingEngine::converge(self).into_resident())
     }
 
     /// [`Self::try_build`] plus the attribution database: compile the
@@ -488,185 +450,13 @@ impl RibBuilder {
     }
 
     /// [`Self::build`], returning [`RibError`] on out-of-range device or
-    /// interface references instead of panicking.
+    /// interface references instead of panicking. Runs the engine's
+    /// construction — converge, fold, compile — and drops the converged
+    /// state.
     pub fn try_build(self) -> Result<Network, RibError> {
         let _span = netobs::span!("fib_build");
         self.validate()?;
-        // candidate[(device, prefix)] -> (distance source, class, action)
-        let mut best: BTreeMap<(u32, Prefix), (u8, RouteClass, Action)> = BTreeMap::new();
-        let consider = |best: &mut BTreeMap<(u32, Prefix), (u8, RouteClass, Action)>,
-                        device: DeviceId,
-                        prefix: Prefix,
-                        source: Source,
-                        class: RouteClass,
-                        action: Action| {
-            let key = (device.0, prefix);
-            let dist = admin_distance(source);
-            match best.get(&key) {
-                Some(&(d, _, _)) if d <= dist => {}
-                _ => {
-                    best.insert(key, (dist, class, action));
-                }
-            }
-        };
-
-        // Statics and connected routes first (they also win ties).
-        let statics_span = netobs::span!("fib_statics");
-        for s in &self.statics {
-            let source = if s.class == RouteClass::Connected {
-                Source::Connected
-            } else {
-                Source::Static
-            };
-            let action = match &s.target {
-                StaticTarget::Ifaces(outs) => Action::Forward(outs.clone()),
-                StaticTarget::Null => Action::Drop,
-            };
-            consider(&mut best, s.device, s.prefix, source, s.class, action);
-        }
-        drop(statics_span);
-
-        // BGP: group originations by prefix (multi-origin = anycast ECMP
-        // towards the nearest originators), BFS per group.
-        let bgp_span = netobs::span!("fib_bgp");
-        let mut groups: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
-        for o in &self.originations {
-            groups.entry(o.prefix).or_default().push(o);
-        }
-        for (prefix, origins) in groups {
-            // Scope union: a device accepts if any origination's scope
-            // admits it (in practice all originations of one prefix share
-            // a scope).
-            let accepts = |d: DeviceId| {
-                origins.iter().any(|o| o.scope.accepts(self.tier(d)))
-                    && !origins.iter().any(|o| o.blocked.contains(&d))
-            };
-            let dist = self.bfs(&origins, &accepts);
-            for (device, _) in self.topo.devices() {
-                let du = dist[device.0 as usize];
-                if du == u32::MAX {
-                    continue;
-                }
-                if du == 0 {
-                    // Originator: deliver locally if a delivery iface was
-                    // given; otherwise the prefix is advertised but the
-                    // originator holds no usable route (blackhole).
-                    let outs: Vec<IfaceId> = origins
-                        .iter()
-                        .filter(|o| o.device == device)
-                        .filter_map(|o| o.deliver)
-                        .collect();
-                    if !outs.is_empty() {
-                        let class = origins[0].class;
-                        consider(
-                            &mut best,
-                            device,
-                            prefix,
-                            Source::Bgp,
-                            class,
-                            Action::Forward(outs),
-                        );
-                    }
-                    continue;
-                }
-                // ECMP next-hops: every link to a neighbor one step
-                // closer. Finite distance already implies the neighbor
-                // accepted (or legitimately originated) the route, so no
-                // acceptance re-check — re-checking would wrongly exclude
-                // seeded originators, as acceptance is about *installing*
-                // propagated routes, not about being a next-hop.
-                let mut outs = Vec::new();
-                for (iface, neigh) in self.topo.neighbors(device) {
-                    if dist[neigh.0 as usize] == du - 1 {
-                        outs.push(iface);
-                    }
-                }
-                debug_assert!(
-                    !outs.is_empty(),
-                    "BFS invariant: device {device:?} at distance {du} from {prefix} \
-                     must have a neighbor one step closer"
-                );
-                let class = origins[0].class;
-                consider(
-                    &mut best,
-                    device,
-                    prefix,
-                    Source::Bgp,
-                    class,
-                    Action::Forward(outs),
-                );
-            }
-        }
-        drop(bgp_span);
-
-        // Compile.
-        let _compile_span = netobs::span!("fib_compile");
-        let mut net = Network::new(self.topo);
-        for ((device, prefix), (_dist, class, action)) in best {
-            net.add_rule(
-                DeviceId(device),
-                Rule {
-                    matches: netmodel::MatchFields::dst_prefix(prefix),
-                    action,
-                    class,
-                },
-            );
-        }
-        net.finalize();
-        Ok(net)
-    }
-
-    /// Multi-source BFS over devices accepted by `accepts`; returns hop
-    /// distances (u32::MAX = unreachable or not accepting).
-    fn bfs(&self, origins: &[&Origination], accepts: &impl Fn(DeviceId) -> bool) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.topo.device_count()];
-        let mut q = VecDeque::new();
-        for o in origins {
-            // A blocked originator neither installs nor advertises its
-            // own route — the same seeding rule as the message-passing
-            // simulator (`bgp::simulate`). Seeding it anyway used to
-            // leave downstream devices with a finite distance but no
-            // usable next-hop (empty ECMP set). Scope is deliberately
-            // not checked here: an out-of-scope originator still holds
-            // and advertises its origination, exactly as in eBGP.
-            if origins.iter().any(|oo| oo.blocked.contains(&o.device)) {
-                continue;
-            }
-            if dist[o.device.0 as usize] == u32::MAX {
-                dist[o.device.0 as usize] = 0;
-                q.push_back(o.device);
-            }
-        }
-        while let Some(v) = q.pop_front() {
-            let dv = dist[v.0 as usize];
-            for (_iface, u) in self.topo.neighbors(v) {
-                if dist[u.0 as usize] == u32::MAX && accepts(u) {
-                    dist[u.0 as usize] = dv + 1;
-                    q.push_back(u);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Shortest hop distances from a single device over the raw topology
-    /// (no scope filtering) — the oracle InternalRouteCheck's local
-    /// contracts are built from (§7.3).
-    pub fn hop_distances(topo: &Topology, from: DeviceId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; topo.device_count()];
-        let mut q = VecDeque::new();
-        dist[from.0 as usize] = 0;
-        q.push_back(from);
-        while let Some(v) = q.pop_front() {
-            let dv = dist[v.0 as usize];
-            for (_i, u) in topo.neighbors(v) {
-                if dist[u.0 as usize] == u32::MAX {
-                    dist[u.0 as usize] = dv + 1;
-                    q.push_back(u);
-                }
-            }
-        }
-        dist
+        Ok(RoutingEngine::converge(self).compile())
     }
 }
 
@@ -674,6 +464,7 @@ impl RibBuilder {
 mod tests {
     use super::*;
     use netmodel::addr::ipv4;
+    use netmodel::rule::Action;
     use netmodel::topology::{IfaceKind, Role};
 
     /// tor1, tor2 -- spine1, spine2 (full mesh), one prefix per ToR.
@@ -839,6 +630,106 @@ mod tests {
     }
 
     #[test]
+    fn admin_distance_merge_table() {
+        // a -- b -- c in a line; a originates `p`, so b always holds a
+        // BGP candidate for `p` (forward towards a). Each row adds
+        // statics for the same `(b, p)` key, in config order, and names
+        // the rule the merge must install — at both stopping points of
+        // the engine's construction.
+        let p: Prefix = "10.0.1.0/24".parse().unwrap();
+        let line = || {
+            let mut t = Topology::new();
+            let a = t.add_device("a", Role::Tor);
+            let b = t.add_device("b", Role::Spine);
+            let c = t.add_device("c", Role::Tor);
+            let hosts = t.add_iface(a, "hosts", IfaceKind::Host);
+            let (_, b_a) = t.add_link(a, b);
+            let (b_c, _) = t.add_link(b, c);
+            let mut rb = RibBuilder::new(t);
+            rb.originate(Origination::new(
+                a,
+                p,
+                RouteClass::HostSubnet,
+                Some(hosts),
+                Scope::All,
+            ));
+            (rb, b, b_a, b_c)
+        };
+        let (_, b, b_a, b_c) = line();
+        use StaticTarget::{Ifaces, Null};
+        struct Row {
+            what: &'static str,
+            statics: Vec<(RouteClass, StaticTarget)>,
+            class: RouteClass,
+            action: Action,
+        }
+        let rows = [
+            Row {
+                what: "connected beats an earlier static, which beats BGP",
+                statics: vec![
+                    (RouteClass::StaticDefault, Ifaces(vec![b_c])),
+                    (RouteClass::Connected, Ifaces(vec![b_c, b_a])),
+                ],
+                class: RouteClass::Connected,
+                action: Action::Forward(vec![b_c, b_a]),
+            },
+            Row {
+                what: "among equal distances the first in config order wins",
+                statics: vec![
+                    (RouteClass::StaticDefault, Ifaces(vec![b_c])),
+                    (RouteClass::Other, Null),
+                ],
+                class: RouteClass::StaticDefault,
+                action: Action::Forward(vec![b_c]),
+            },
+            Row {
+                what: "a null static is a drop, and a later static does not displace it",
+                statics: vec![
+                    (RouteClass::Other, Null),
+                    (RouteClass::StaticDefault, Ifaces(vec![b_c])),
+                ],
+                class: RouteClass::Other,
+                action: Action::Drop,
+            },
+            Row {
+                what: "a degenerate empty ECMP set is installed verbatim",
+                statics: vec![(RouteClass::Other, Ifaces(Vec::new()))],
+                class: RouteClass::Other,
+                action: Action::Forward(Vec::new()),
+            },
+        ];
+        for Row {
+            what,
+            statics,
+            class,
+            action,
+        } in rows
+        {
+            let describe = || {
+                let (mut rb, ..) = line();
+                for (class, target) in &statics {
+                    rb.add_static(StaticRoute {
+                        device: b,
+                        prefix: p,
+                        target: target.clone(),
+                        class: *class,
+                    });
+                }
+                rb
+            };
+            let batch = describe().try_build().unwrap();
+            let (_, resident) = describe().into_engine().unwrap();
+            for (entry, net) in [("try_build", &batch), ("into_engine", &resident)] {
+                let rules = net.device_rules(b);
+                assert_eq!(rules.len(), 1, "{what} ({entry}): one rule per key");
+                assert_eq!(rules[0].matches.dst, Some(p), "{what} ({entry})");
+                assert_eq!(rules[0].class, class, "{what} ({entry})");
+                assert_eq!(rules[0].action, action, "{what} ({entry})");
+            }
+        }
+    }
+
+    #[test]
     fn connected_routes_and_self_hosts() {
         let mut t = Topology::new();
         let a = t.add_device("a", Role::Tor);
@@ -900,15 +791,6 @@ mod tests {
                 .clone();
             assert_eq!(r.action.out_ifaces().len(), 2); // ECMP to both ToRs
         }
-    }
-
-    #[test]
-    fn hop_distances_bfs() {
-        let f = fabric();
-        let d = RibBuilder::hop_distances(f.b.topology(), f.tors[0]);
-        assert_eq!(d[f.tors[0].0 as usize], 0);
-        assert_eq!(d[f.spines[0].0 as usize], 1);
-        assert_eq!(d[f.tors[1].0 as usize], 2);
     }
 
     #[test]

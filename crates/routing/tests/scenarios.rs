@@ -1,6 +1,6 @@
 //! Failure-scenario differential tests for the incremental
-//! [`RoutingEngine`]: validation error paths mirroring `routing::delta`'s
-//! `RibError` discipline, plus the bit-identity gate — every random
+//! [`RoutingEngine`]: validation error paths (every malformed delta is a
+//! named `RibError`, never a panic), plus the bit-identity gate — every random
 //! failure/recovery sequence re-converged incrementally must produce
 //! exactly the FIBs a from-scratch rebuild (and the message-passing eBGP
 //! simulator) computes for the degraded topology.

@@ -107,6 +107,13 @@ pub struct Regional {
 /// Generate a regional network per §7.1.
 pub fn regional(params: RegionalParams) -> Regional {
     let _span = netobs::span!("topogen_regional");
+    let (rb, finish) = describe(params);
+    finish(rb.build())
+}
+
+/// The control-plane description of a regional network, plus the step
+/// that wraps its compiled forwarding state into a [`Regional`].
+fn describe(params: RegionalParams) -> (RibBuilder, impl FnOnce(Network) -> Regional) {
     assert!(params.datacenters >= 1 && params.pods_per_dc >= 1);
     assert!(params.tors_per_pod >= 1 && params.aggs_per_pod >= 1);
     assert!(params.spines_per_dc >= 1 && params.hubs >= 1 && params.wan_routers >= 1);
@@ -346,12 +353,11 @@ pub fn regional(params: RegionalParams) -> Regional {
         });
     }
 
-    let net = rb.build();
-    Regional {
+    let finish = move |net| Regional {
         net,
         params,
         tors: tor_info,
-        tor_host_ports: tor_host_ports.clone(),
+        tor_host_ports,
         host_port_slices,
         aggs,
         spines,
@@ -360,7 +366,8 @@ pub fn regional(params: RegionalParams) -> Regional {
         wan_prefixes,
         loopback_ifaces,
         links,
-    }
+    };
+    (rb, finish)
 }
 
 #[cfg(test)]
@@ -373,6 +380,23 @@ mod tests {
 
     fn small() -> Regional {
         regional(RegionalParams::default())
+    }
+
+    #[test]
+    fn batch_and_resident_construction_agree() {
+        // The two stopping points of the engine's construction, on the
+        // default regional description (scoped WAN routes, dual-stack
+        // connected routes, loopbacks, static defaults).
+        let batch = describe(RegionalParams::default()).0.try_build().unwrap();
+        let (_, resident) = describe(RegionalParams::default()).0.into_engine().unwrap();
+        for (d, dev) in batch.topology().devices() {
+            assert_eq!(
+                batch.device_rules(d),
+                resident.device_rules(d),
+                "FIB of {} diverged",
+                dev.name
+            );
+        }
     }
 
     #[test]
