@@ -1137,6 +1137,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_body_is_a_400_not_a_stack_overflow() {
+        // 100 000 `[` — 100 KB, far under the body cap — used to recurse
+        // the JSON parser off the end of the stack: an abort, not a panic.
+        let mut engine = build_engine();
+        let body = "[".repeat(100_000);
+        for target in ["/delta", "/autogen"] {
+            let resp = handle(&mut engine, &Request::new("POST", target, &body));
+            assert_eq!(resp.status, 400, "{target}: {}", resp.body);
+            assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+        }
+        assert_eq!(engine.version(), 0);
+        let metrics = handle(&mut engine, &Request::new("GET", "/metrics", ""));
+        assert_eq!(metrics.status, 200, "{}", metrics.body);
+    }
+
+    #[test]
     fn test_delta_roundtrip_over_the_wire_format() {
         let mut engine = build_engine();
         let body = format!(

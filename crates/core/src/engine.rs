@@ -369,6 +369,10 @@ pub struct CoverageEngine {
     gc_watermark: Option<usize>,
     gc_collections: u64,
     gc_reclaimed_total: u64,
+    /// Wall time of the last collection and the longest so far, in µs
+    /// (`bdd.gc.pause_us`, `bdd.gc.pause_us_max`).
+    gc_pause_us: f64,
+    gc_pause_us_max: f64,
 }
 
 impl CoverageEngine {
@@ -402,6 +406,8 @@ impl CoverageEngine {
             gc_watermark: None,
             gc_collections: 0,
             gc_reclaimed_total: 0,
+            gc_pause_us: 0.0,
+            gc_pause_us_max: 0.0,
         }
     }
 
@@ -722,9 +728,11 @@ impl CoverageEngine {
         netobs::gauge("engine.query_cache.misses", s.misses as f64);
         netobs::gauge("engine.query_cache.evictions", s.evictions as f64);
         netobs::gauge("engine.query_cache.entries", s.entries as f64);
-        netobs::gauge("bdd.nodes", self.bdd.node_count() as f64);
+        crate::publish_bdd_gauges("bdd", &self.bdd.stats());
         netobs::gauge("bdd.gc.collections", self.gc_collections as f64);
         netobs::gauge("bdd.gc.reclaimed_total", self.gc_reclaimed_total as f64);
+        netobs::gauge("bdd.gc.pause_us", self.gc_pause_us);
+        netobs::gauge("bdd.gc.pause_us_max", self.gc_pause_us_max);
     }
 
     /// Arm (or, with `None`, disarm) automatic garbage collection: after
@@ -739,8 +747,11 @@ impl CoverageEngine {
     /// test trace). Every held `Ref` is rewritten through the relocation
     /// map, so all subsequent queries see identical packet sets; the
     /// match-set and query caches are flushed. Publishes the `bdd.gc.*`
-    /// gauges and returns the collection's stats.
+    /// gauges — `pause_us` is this whole call, root registration and
+    /// every owner's rewrite included — and returns the collection's
+    /// stats.
     pub fn gc(&mut self) -> GcStats {
+        let started = std::time::Instant::now();
         let mut roots = Vec::new();
         self.ms.collect_refs(&mut roots);
         self.covered.collect_refs(&mut roots);
@@ -761,6 +772,10 @@ impl CoverageEngine {
         self.query_cache.flush();
         self.gc_collections += 1;
         self.gc_reclaimed_total += stats.reclaimed() as u64;
+        self.gc_pause_us = started.elapsed().as_secs_f64() * 1e6;
+        self.gc_pause_us_max = self.gc_pause_us_max.max(self.gc_pause_us);
+        netobs::gauge("bdd.gc.pause_us", self.gc_pause_us);
+        netobs::gauge("bdd.gc.pause_us_max", self.gc_pause_us_max);
         netobs::gauge("bdd.gc.collections", self.gc_collections as f64);
         netobs::gauge("bdd.gc.nodes_before", stats.nodes_before as f64);
         netobs::gauge("bdd.gc.nodes_after", stats.nodes_after as f64);

@@ -57,6 +57,14 @@ pub fn publish_bdd_gauges(prefix: &str, stats: &Stats) {
         netobs::gauge(&format!("{prefix}.ops.{class}"), n as f64);
     }
     netobs::gauge(&format!("{prefix}.ops.total"), ops.total() as f64);
+    for (part, bytes) in [
+        ("arena", stats.arena_bytes),
+        ("unique", stats.unique_bytes),
+        ("ite_cache", stats.ite_cache_bytes),
+        ("prob_memo", stats.prob_memo_bytes),
+    ] {
+        netobs::gauge(&format!("{prefix}.bytes.{part}"), bytes as f64);
+    }
 }
 
 #[cfg(test)]
@@ -80,6 +88,19 @@ mod tests {
         assert!(report.gauges["bdd.ite_cache_occupancy"] >= 0.0);
         assert_eq!(report.gauges["bdd.ite_evictions"], 0.0);
         assert_eq!(report.gauges["bdd.prob_evictions"], 0.0);
+        // Where the bytes go, straight from the allocations.
+        let s = bdd.stats();
+        assert_eq!(report.gauges["bdd.bytes.arena"], s.arena_bytes as f64);
+        assert_eq!(report.gauges["bdd.bytes.unique"], s.unique_bytes as f64);
+        assert_eq!(
+            report.gauges["bdd.bytes.ite_cache"],
+            s.ite_cache_bytes as f64
+        );
+        assert_eq!(
+            report.gauges["bdd.bytes.prob_memo"],
+            s.prob_memo_bytes as f64
+        );
+        assert!(s.unique_bytes > 0 && s.ite_cache_bytes > 0);
         netobs::disable();
     }
 }

@@ -46,8 +46,9 @@ pub(crate) struct IteCache {
     evictions: u64,
 }
 
+/// The key mix shared with the unique table (`unique.rs`).
 #[inline]
-fn mix(f: u32, g: u32, h: u32) -> u64 {
+pub(crate) fn mix(f: u32, g: u32, h: u32) -> u64 {
     // Each word gets its own odd multiplier before combining, and callers
     // index with the *high* bits of the final product: the low bits of a
     // multiply depend only on equally-low input bits, so a single
@@ -79,10 +80,9 @@ impl IteCache {
         1usize << self.log2
     }
 
-    /// The configured size exponent (for building an equally-sized cache).
-    #[inline]
-    pub fn log2(&self) -> u32 {
-        self.log2
+    /// Bytes allocated for the slot array (0 until the first insert).
+    pub fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// Slots currently holding an entry.

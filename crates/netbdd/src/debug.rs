@@ -69,6 +69,17 @@ pub struct Stats {
     pub ite_hits: u64,
     /// Public set operations served, by class.
     pub ops: OpCounts,
+    /// Bytes allocated for the node arena (12 per node of capacity).
+    pub arena_bytes: usize,
+    /// Bytes allocated for the unique table (4 per slot; it stores arena
+    /// indices only, never a second copy of a node).
+    pub unique_bytes: usize,
+    /// Bytes allocated for the ITE computed cache (16 per slot; 0 until
+    /// the first cached operation).
+    pub ite_cache_bytes: usize,
+    /// Bytes the probability memo's current capacity occupies (one
+    /// `(Ref, f64)` entry plus one control byte per entry it can hold).
+    pub prob_memo_bytes: usize,
 }
 
 impl Stats {
@@ -107,6 +118,7 @@ impl Bdd {
         let (unique_lookups, unique_hits) = self.unique_counters();
         let (ite_entries, ite_capacity, ite_lookups, ite_hits, ite_evictions) =
             self.ite_cache_stats();
+        let (arena_bytes, unique_bytes, ite_cache_bytes, prob_memo_bytes) = self.allocated_bytes();
         Stats {
             nodes: self.node_count(),
             ite_cache_entries: ite_entries,
@@ -119,6 +131,10 @@ impl Bdd {
             ite_lookups,
             ite_hits,
             ops: self.op_counts(),
+            arena_bytes,
+            unique_bytes,
+            ite_cache_bytes,
+            prob_memo_bytes,
         }
     }
 
@@ -156,7 +172,7 @@ impl Bdd {
             target(f),
             arc_style(f, "solid")
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::fxhash::FxHashSet::default();
         let mut stack = vec![f.regular()];
         while let Some(r) = stack.pop() {
             if r.is_terminal() || !seen.insert(r) {

@@ -17,7 +17,9 @@
 //!   its complement share one diagram, and there is a single terminal.
 //!   The canonical-form invariant (lo edges regular) plus a unique table
 //!   guarantees that equal functions are pointer-equal, which makes
-//!   equality, emptiness, and complement-of checks O(1).
+//!   equality, emptiness, and complement-of checks O(1). The unique
+//!   table holds arena indices only (open addressing, load ≤ ½), so a
+//!   node is stored once.
 //! * **ITE with a bounded computed cache.** All binary operations reduce
 //!   to if-then-else; calls normalize to standard triples (argument
 //!   ordering + complement rewrites) and are memoised in a fixed-size,
@@ -28,8 +30,10 @@
 //!   freely as long as the owning manager stays alive.
 //! * **One private arena.** A manager owns its nodes exclusively — no
 //!   synchronisation anywhere; parallel sweeps run one manager per
-//!   thread. [`Bdd::collect`] adds copying GC with a [`Relocation`] map
-//!   for long-lived daemons.
+//!   thread. The arena is append-only with children made before parents,
+//!   so index order is a topological order; [`Bdd::collect`] uses it for
+//!   a mark-compact GC — two linear sweeps, then a [`Relocation`]
+//!   forwarding table — for long-lived daemons.
 //! * **Counting is probability-based.** Packet headers in this project are
 //!   ~200 bits, so exact satisfying counts overflow any fixed-width
 //!   integer. [`Bdd::probability`] returns the fraction of the full
@@ -64,6 +68,7 @@ mod fxhash;
 mod manager;
 mod node;
 mod portable;
+mod unique;
 
 pub use cube::Cube;
 pub use debug::{OpCounts, Stats};

@@ -1,8 +1,9 @@
 //! The BDD manager: arena, unique table, ITE engine, and set algebra.
 
 use crate::cache::{IteCache, DEFAULT_ITE_CACHE_LOG2};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::node::{Node, Ref, Var, TERMINAL_VAR};
+use crate::unique::UniqueTable;
 
 /// Entry bound on the probability memo. Like the match-set cache, the
 /// policy is full flush at capacity (between queries, never mid-query):
@@ -30,8 +31,11 @@ pub(crate) const PROB_CACHE_CAPACITY: usize = 1 << 18;
 /// on the hot path. Parallel sweeps (e.g. `mutate::evaluate`) run one
 /// manager per thread and never merge them.
 pub struct Bdd {
+    /// Append-only between collections, and a node's children are made
+    /// before it: every stored edge points to a smaller index, so index
+    /// order is a topological order (what [`Bdd::collect`] sweeps in).
     nodes: Vec<Node>,
-    unique: FxHashMap<Node, Ref>,
+    unique: UniqueTable,
     ite_cache: IteCache,
     prob_cache: FxHashMap<Ref, f64>,
     prob_evictions: u64,
@@ -75,7 +79,7 @@ impl Bdd {
         };
         Bdd {
             nodes: vec![terminal],
-            unique: FxHashMap::default(),
+            unique: UniqueTable::default(),
             ite_cache: IteCache::new(log2),
             prob_cache: FxHashMap::default(),
             prob_evictions: 0,
@@ -158,14 +162,18 @@ impl Bdd {
         debug_assert!(hi.is_terminal() || self.node(hi).var > var);
         let node = Node { var, lo, hi };
         self.unique_lookups += 1;
-        if let Some(&r) = self.unique.get(&node) {
-            self.unique_hits += 1;
-            return r;
+        match self.unique.find(&self.nodes, node) {
+            Ok(i) => {
+                self.unique_hits += 1;
+                Ref::pack(i as usize, false)
+            }
+            Err(slot) => {
+                let i = self.nodes.len();
+                self.nodes.push(node);
+                self.unique.insert(&self.nodes, slot, i as u32);
+                Ref::pack(i, false)
+            }
         }
-        let r = Ref::pack(self.nodes.len(), false);
-        self.nodes.push(node);
-        self.unique.insert(node, r);
-        r
     }
 
     // ----- core operations ------------------------------------------------
@@ -586,7 +594,7 @@ impl Bdd {
 
     /// The set of variables appearing anywhere in `f`, ascending.
     pub fn support(&self, f: Ref) -> Vec<Var> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut vars = std::collections::BTreeSet::new();
         let mut stack = vec![f.regular()];
         while let Some(r) = stack.pop() {
@@ -608,7 +616,7 @@ impl Bdd {
         if f.is_terminal() {
             return 1;
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![f.regular()];
         let mut n = 1usize; // the terminal, reachable from every decision node
         while let Some(r) = stack.pop() {
@@ -665,18 +673,38 @@ impl Bdd {
         self.ops
     }
 
+    /// Allocated bytes of the arena, the unique table, the ITE cache and
+    /// the probability memo — capacities, not lengths.
+    pub(crate) fn allocated_bytes(&self) -> (usize, usize, usize, usize) {
+        (
+            self.nodes.capacity() * std::mem::size_of::<Node>(),
+            self.unique.bytes(),
+            self.ite_cache.bytes(),
+            self.prob_cache.capacity() * (std::mem::size_of::<(Ref, f64)>() + 1),
+        )
+    }
+
     // ----- arena lifecycle (GC) --------------------------------------------
 
-    /// Stop-the-world copying collection: rebuild the arena from `roots`,
-    /// dropping every unreachable node, and return the [`Relocation`]
-    /// that rewrites surviving `Ref`s plus before/after [`GcStats`].
+    /// Stop-the-world mark-compact collection: keep the nodes reachable
+    /// from `roots`, slide them down to the front of the arena in their
+    /// existing order, and return the [`Relocation`] that rewrites
+    /// surviving `Ref`s plus before/after [`GcStats`].
     ///
     /// Long-lived daemons accrete garbage: every delta recomputes covered
-    /// sets, and the dead intermediates stay in the arena forever. From
-    /// the registered roots this rebuilds a fresh arena children first;
-    /// everything unreachable is simply never copied, and the computed
-    /// cache starts empty. Owners of `Ref`s (match sets, covered sets,
-    /// traces) rewrite themselves through the relocation in O(refs).
+    /// sets, and the dead intermediates stay in the arena forever. Index
+    /// order is a topological order (children before parents), so the
+    /// collection is two linear sweeps over one `Vec<u32>` and no stack
+    /// or hash set: a descending sweep marks (every parent is visited
+    /// before its children), then an ascending sweep slides each live
+    /// node down and rewrites its edges through the forwarding entries
+    /// its children already received. Sliding preserves relative order,
+    /// so edges still point down, lo edges stay regular, and the triples
+    /// stay distinct: the survivors are re-interned into a table sized
+    /// for them without a single `mk` or probe of the old table. The
+    /// computed caches are cleared. Owners of `Ref`s (match sets, covered
+    /// sets, traces) rewrite themselves through the relocation, one array
+    /// index per ref.
     ///
     /// Every `Ref` not reachable from `roots` — and every cached result —
     /// is invalid afterwards; callers must rewrite all retained refs
@@ -685,77 +713,68 @@ impl Bdd {
     /// and its complement are the same nodes.
     pub fn collect(&mut self, roots: &[Ref]) -> (Relocation, GcStats) {
         let nodes_before = self.node_count();
-        let mut fresh = Self::with_ite_cache_log2(self.ite_cache.log2());
-        // Children-first copy through an explicit stack: Enter schedules
-        // the children, Exit re-makes the node in the fresh arena once
-        // both relocated children exist. Stored lo edges are regular and
-        // `mk` with a regular lo returns a regular ref, so (by induction
-        // bottom-up) every relocation target is regular — `relocate` is
-        // then a lookup plus the caller's tag.
-        enum Walk {
-            Enter(Ref),
-            Exit(Ref),
+        // One vector, two roles: first the marks (non-zero = live), then,
+        // entry by entry in the slide, the forwarding table (old index →
+        // new index). Only the terminal lives at 0, so once its mark is
+        // reset, 0 means "reclaimed" and forwards terminal edges as-is.
+        let mut forward = vec![0u32; nodes_before];
+        for r in roots {
+            forward[r.index()] = 1;
         }
-        let mut reloc = Relocation {
-            map: FxHashMap::default(),
-        };
-        let mut scheduled: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut stack: Vec<Walk> = roots
-            .iter()
-            .filter(|r| !r.is_terminal())
-            .map(|r| Walk::Enter(r.regular()))
-            .collect();
-        while let Some(step) = stack.pop() {
-            match step {
-                Walk::Enter(r) => {
-                    if !scheduled.insert(r.0) {
-                        continue;
-                    }
-                    stack.push(Walk::Exit(r));
-                    let n = self.node(r);
-                    if !n.hi.is_terminal() {
-                        stack.push(Walk::Enter(n.hi.regular()));
-                    }
-                    if !n.lo.is_terminal() {
-                        stack.push(Walk::Enter(n.lo.regular()));
-                    }
-                }
-                Walk::Exit(r) => {
-                    let n = self.node(r);
-                    let lo = reloc.relocate(n.lo);
-                    let hi = reloc.relocate(n.hi);
-                    let moved = fresh.mk(n.var, lo, hi);
-                    reloc.map.insert(r.0, moved);
-                }
+        for i in (1..nodes_before).rev() {
+            if forward[i] != 0 {
+                let n = self.nodes[i];
+                forward[n.lo.index()] = 1;
+                forward[n.hi.index()] = 1;
             }
         }
-        self.nodes = fresh.nodes;
-        self.unique = fresh.unique;
-        self.ite_cache = fresh.ite_cache;
-        // Every cached or pooled ref is stale; memos in the scratch/
-        // reduce pools are cleared on return, so only the probability
-        // memo holds refs across calls.
+        forward[0] = 0;
+        let mut live = 1;
+        for i in 1..nodes_before {
+            if forward[i] == 0 {
+                continue;
+            }
+            let n = self.nodes[i];
+            let moved = |r: Ref| Ref::pack(forward[r.index()] as usize, r.is_complemented());
+            self.nodes[live] = Node {
+                var: n.var,
+                lo: moved(n.lo),
+                hi: moved(n.hi),
+            };
+            forward[i] = live as u32;
+            live += 1;
+        }
+        // The arena keeps its capacity: a resident engine refills it up
+        // to the watermark before the next collection.
+        self.nodes.truncate(live);
+        self.unique = UniqueTable::for_arena(&self.nodes);
+        // Every cached ref is stale; memos in the scratch/reduce pools
+        // are cleared on return, so only these two hold refs across calls.
+        self.ite_cache.clear();
         self.prob_cache.clear();
-        let nodes_after = self.node_count();
         (
-            reloc,
+            Relocation {
+                forward,
+                live: live - 1,
+            },
             GcStats {
                 nodes_before,
-                nodes_after,
+                nodes_after: live,
             },
         )
     }
 }
 
-/// The old-ref → new-ref map produced by a collection ([`Bdd::collect`]).
-/// Keyed on *regular* refs; [`Relocation::relocate`] reapplies the
-/// complement tag, so both polarities of a function relocate through one
-/// entry.
+/// The forwarding table produced by a collection ([`Bdd::collect`]):
+/// old arena index → new arena index. [`Relocation::relocate`] carries
+/// the complement tag across, so both polarities of a function relocate
+/// through one entry.
 pub struct Relocation {
-    /// Old regular raw ref → new (always regular) ref. Regularity of the
-    /// values is an invariant of the copying pass: stored `lo` edges are
-    /// regular, and `mk` with a regular `lo` returns a regular ref.
-    map: FxHashMap<u32, Ref>,
+    /// Indexed by pre-collection arena index; 0 marks a reclaimed node
+    /// (no decision node moves to index 0, the terminal's).
+    forward: Vec<u32>,
+    /// Surviving decision nodes.
+    live: usize,
 }
 
 impl Relocation {
@@ -767,25 +786,20 @@ impl Relocation {
         if r.is_terminal() {
             return r;
         }
-        let fresh = *self
-            .map
-            .get(&r.regular().0)
-            .expect("ref not reachable from the GC root set");
-        if r.is_complemented() {
-            fresh.complement()
-        } else {
-            fresh
+        match self.forward.get(r.index()) {
+            Some(&to) if to != 0 => Ref::pack(to as usize, r.is_complemented()),
+            _ => panic!("ref not reachable from the GC root set"),
         }
     }
 
     /// Number of relocated (live) decision nodes.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     /// True when the root set reached no decision nodes at all.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 }
 
@@ -1138,6 +1152,87 @@ mod tests {
         // Same canonical function in both managers.
         assert_eq!(small.probability(acc_s), reference.probability(acc_r));
         assert_eq!(small.sat_count(acc_s, 64), reference.sat_count(acc_r, 64));
+    }
+
+    /// Forty mixed functions over twelve variables, sharing subterms.
+    fn build_mix(bdd: &mut Bdd) -> Vec<Ref> {
+        (0..40u32)
+            .map(|i| {
+                let a = bdd.var(i % 12);
+                let b = bdd.nvar((i + 5) % 12);
+                let c = bdd.var((i + 9) % 12);
+                let ab = bdd.and(a, b);
+                bdd.xor(ab, c)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rebuilt_index_table_is_complete() {
+        // The collector re-interns its survivors without `mk`; remaking
+        // every live triple afterwards must find each one at its own
+        // index, as a unique-table hit, without growing the arena.
+        let mut bdd = Bdd::new();
+        let funcs = build_mix(&mut bdd);
+        let roots: Vec<Ref> = funcs.iter().copied().step_by(3).collect();
+        let (_, stats) = bdd.collect(&roots);
+        assert!(stats.reclaimed() > 0);
+        let live = bdd.node_count();
+        let hits_before = bdd.unique_hits;
+        for i in 1..live {
+            let n = bdd.nodes[i];
+            assert_eq!(bdd.mk(n.var, n.lo, n.hi), Ref::pack(i, false));
+        }
+        assert_eq!(bdd.node_count(), live, "a live triple was made again");
+        assert_eq!(bdd.unique_hits - hits_before, live as u64 - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not reachable from the GC root set")]
+    fn relocating_a_reclaimed_ref_panics() {
+        let mut bdd = Bdd::new();
+        let a = bdd.var(0);
+        let b = bdd.var(1);
+        let ab = bdd.and(a, b);
+        let (reloc, _) = bdd.collect(&[a]);
+        reloc.relocate(ab);
+    }
+
+    #[test]
+    fn stats_bytes_follow_the_allocations() {
+        let mut bdd = Bdd::new();
+        let s = bdd.stats();
+        assert_eq!(s.arena_bytes, 12 * bdd.nodes.capacity());
+        assert_eq!(
+            (s.unique_bytes, s.ite_cache_bytes, s.prob_memo_bytes),
+            (0, 0, 0)
+        );
+        let funcs = build_mix(&mut bdd);
+        for &f in &funcs {
+            let _ = bdd.probability(f);
+        }
+        // Enough literals to grow the index table past its minimum.
+        for v in 100..400 {
+            let _ = bdd.var(v);
+        }
+        let s = bdd.stats();
+        assert_eq!(s.arena_bytes, 12 * bdd.nodes.capacity());
+        assert_eq!(s.unique_bytes, 4 * bdd.unique.slot_count());
+        assert!(
+            bdd.unique.slot_count() >= 2 * (s.nodes - 1),
+            "load above 1/2"
+        );
+        assert_eq!(s.ite_cache_bytes, 16 * s.ite_cache_capacity);
+        assert_eq!(s.prob_memo_bytes, 17 * bdd.prob_cache.capacity());
+        assert!(s.prob_memo_bytes >= 17 * s.prob_cache_entries);
+        // Collecting everything re-sizes the index table for the
+        // survivors; the arena and the ITE cache keep their allocations.
+        let _ = bdd.collect(&[]);
+        let after = bdd.stats();
+        assert!(after.unique_bytes < s.unique_bytes);
+        assert_eq!(after.unique_bytes, 4 * bdd.unique.slot_count());
+        assert_eq!(after.arena_bytes, s.arena_bytes);
+        assert_eq!(after.ite_cache_bytes, s.ite_cache_bytes);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub(crate) const TERMINAL_VAR: Var = Var::MAX;
 ///   complement of the node with both edges flipped, so each function and
 ///   its negation share one arena node, and
 /// * `(var, lo, hi)` is unique in the arena (hash-consing).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     pub var: Var,
     pub lo: Ref,

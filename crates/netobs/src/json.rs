@@ -112,11 +112,19 @@ pub fn number(x: f64) -> String {
     }
 }
 
-/// Parse a complete JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, and the daemon runs it on raw request bodies: without
+/// a bound, a 100 KB body of `[` overflows the stack, which aborts the
+/// process rather than unwinding. Every wire and report form nests a
+/// handful of levels; 64 is generous.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse a complete JSON document. Nesting deeper than [`MAX_DEPTH`] is
+/// an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -145,12 +153,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value inside `depth` enclosing arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -228,7 +241,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -237,7 +250,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -250,7 +263,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -262,7 +275,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -343,6 +356,40 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    fn arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    fn objects(depth: usize) -> String {
+        format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert_eq!(MAX_DEPTH, 64);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Arrays and objects count toward one depth.
+        let mixed = format!("{}{}", "[{\"k\":".repeat(33), "}]".repeat(33));
+        assert!(parse(&mixed).is_err());
+        let mixed = format!("{}1{}", "[{\"k\":".repeat(32), "}]".repeat(32));
+        assert!(parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100 000 unclosed levels: the parser stops at MAX_DEPTH instead
+        // of recursing until the stack runs out (an abort, not a panic).
+        let body = "[".repeat(100_000);
+        let err = parse(&body).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let closed = arrays(100_000);
+        assert!(parse(&closed).is_err());
     }
 
     #[test]
