@@ -48,8 +48,8 @@ const DARK_PREFIX: &str = "192.0.2.0/24";
 
 fn main() {
     let trace = bench::trace_arg();
-    let k = arg_flag("--k", 4) as u32;
-    let seed = arg_flag("--seed", 0xC0FFEE);
+    let k: u32 = arg_flag("--k", 4);
+    let seed: u64 = arg_flag("--seed", 0xC0FFEE);
     let use_autogen = arg_present("--autogen");
 
     println!("== config-level coverage audit (fat-tree k={k}) ==");

@@ -32,7 +32,7 @@
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-use bench::{arg_flag, arg_value};
+use bench::{arg_flag, arg_value, flag_error};
 use topogen::{fattree_with_engine, FatTreeParams};
 use yardstick::daemon::{http_get, http_post, serve};
 use yardstick::CoverageEngine;
@@ -49,14 +49,12 @@ fn main() -> ExitCode {
     match args.get(1).map(String::as_str) {
         Some("serve") => {
             netobs::enable();
-            let port = arg_flag("--port", 7070);
-            let k = arg_flag("--k", 4) as u32;
-            let gc_watermark = arg_value("--gc-watermark").map(|s| match s.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("coverd: --gc-watermark expects a node count, got {s:?}");
-                    std::process::exit(2);
-                }
+            let port: u16 = arg_flag("--port", 7070);
+            let k: u32 = arg_flag("--k", 4);
+            let gc_watermark = arg_value("--gc-watermark").map(|s| {
+                s.parse::<usize>().unwrap_or_else(|_| {
+                    flag_error(&format!("--gc-watermark expects a node count, got {s:?}"))
+                })
             });
             let (ft, routing) = fattree_with_engine(FatTreeParams::paper(k));
             let devices = ft.net.topology().device_count();
@@ -64,7 +62,7 @@ fn main() -> ExitCode {
             let mut engine = CoverageEngine::new(ft.net, 1);
             engine.attach_routing(routing);
             engine.set_gc_watermark(gc_watermark);
-            let listener = match TcpListener::bind(("127.0.0.1", port as u16)) {
+            let listener = match TcpListener::bind(("127.0.0.1", port)) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("coverd: cannot bind 127.0.0.1:{port}: {e}");

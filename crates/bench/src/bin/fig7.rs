@@ -21,7 +21,7 @@ use testsuite::{
 
 fn main() {
     let trace = bench::trace_arg();
-    let scale = arg_flag("--scale", 1) as u32;
+    let scale: u32 = arg_flag("--scale", 1);
     let params = RegionalParams {
         pods_per_dc: 2 * scale,
         tors_per_pod: 4 * scale,

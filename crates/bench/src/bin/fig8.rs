@@ -42,7 +42,7 @@ const TESTS: [&str; 4] = [
 
 fn main() {
     let trace = bench::trace_arg();
-    let max_k = arg_flag("--max-k", 16);
+    let max_k: u64 = arg_flag("--max-k", 16);
     println!("== Figure 8: overhead of coverage tracking ==");
     println!(
         "{:>4} {:>8} | {:<18} {:>12} {:>12} {:>10} {:>9}",

@@ -26,8 +26,8 @@ use testsuite::{default_route_check, tor_contract, tor_pingmesh, tor_reachabilit
 
 fn main() {
     let trace = bench::trace_arg();
-    let max_k = arg_flag("--max-k", 12);
-    let path_budget = arg_flag("--path-budget", 2_000_000);
+    let max_k: u64 = arg_flag("--max-k", 12);
+    let path_budget: u64 = arg_flag("--path-budget", 2_000_000);
     println!("== Figure 9: time to compute coverage metrics ==");
     println!(
         "{:>4} {:>8} | {:>10} {:>10} {:>10} {:>14} {:>12}",

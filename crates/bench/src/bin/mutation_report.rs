@@ -15,17 +15,13 @@
 //! the same gaps with zero hand-written tests.
 //!
 //! Usage: `cargo run -p bench --bin mutation_report --release -- \
-//!            [--k N] [--threads N] [--seed S] [--cap N] [--acl-tests] \
-//!            [--autogen] [--no-verify] [--json] [--trace out.json]`
+//!            [--k N] [--seed S] [--cap N] [--acl-tests] [--autogen] \
+//!            [--json] [--trace out.json]`
 //!
 //! `--json` writes `BENCH_mutation.json` (benchdiff-compatible: gated
 //! `metrics`, informational `info`); with `--autogen` it writes
 //! `BENCH_mutation_autogen.json` instead, so the two study variants keep
-//! independent benchdiff baselines. Unless `--no-verify` is given, the
-//! run re-evaluates every mutant at 1, 2, and 4 threads and asserts the
-//! outcome vectors — and therefore the surviving-mutant list — are
-//! bit-identical. `--threads` feeds only that evaluation
-//! (`mutate::evaluate`); the coverage engine is sequential.
+//! independent benchdiff baselines. A malformed flag value exits 2.
 
 use bench::{arg_flag, arg_present, fattree_info, figures_dir, time_it};
 use mutate::{cross_reference, evaluate, generate, MutationConfig, MutationReport, Operator};
@@ -43,13 +39,11 @@ const BOGON_PORT: u16 = 23;
 
 fn main() {
     let trace = bench::trace_arg();
-    let k = arg_flag("--k", 4) as u32;
-    let threads = arg_flag("--threads", 4) as usize;
-    let seed = arg_flag("--seed", 0xC0FFEE);
-    let cap = arg_flag("--cap", 12) as usize;
+    let k: u32 = arg_flag("--k", 4);
+    let seed: u64 = arg_flag("--seed", 0xC0FFEE);
+    let cap: usize = arg_flag("--cap", 12);
     let acl_tests = arg_present("--acl-tests");
     let use_autogen = arg_present("--autogen");
-    let verify = !arg_present("--no-verify");
 
     println!("== mutation study: coverage vs. kill rate (fat-tree k={k}) ==");
 
@@ -162,44 +156,21 @@ fn main() {
         mutants.len(),
         cap
     );
-    let (outcomes, evaluate_t) = time_it(|| evaluate(&ft.net, &info, &jobs, &mutants, threads));
+    let (outcomes, evaluate_t) = time_it(|| evaluate(&ft.net, &info, &jobs, &mutants));
     let report = cross_reference(seed, &covered, &mutants, &outcomes);
-
-    if verify {
-        for n in [1usize, 2, 4] {
-            if n == threads {
-                continue;
-            }
-            let again = evaluate(&ft.net, &info, &jobs, &mutants, n);
-            assert_eq!(outcomes.len(), again.len());
-            for (a, b) in outcomes.iter().zip(&again) {
-                assert!(
-                    a.id == b.id
-                        && a.equivalent == b.equivalent
-                        && a.killed == b.killed
-                        && a.failed_tests == b.failed_tests,
-                    "outcome for mutant {} differs between {threads} and {n} threads",
-                    a.id
-                );
-            }
-        }
-        println!("   outcomes bit-identical across 1/2/4 threads");
-    }
 
     print_report(&report);
     println!(
-        "\n   baseline {:.3}s | generate {:.3}s | evaluate {:.3}s ({} threads)",
+        "\n   baseline {:.3}s | generate {:.3}s | evaluate {:.3}s",
         baseline_t.as_secs_f64(),
         generate_t.as_secs_f64(),
         evaluate_t.as_secs_f64(),
-        threads
     );
 
     if arg_present("--json") {
         let json = to_json(
             &report,
             k,
-            threads,
             acl_tests,
             jobs.len(),
             baseline_t.as_secs_f64(),
@@ -270,11 +241,9 @@ fn print_report(report: &MutationReport) {
 
 /// Benchdiff-compatible JSON: `metrics` gate (smaller is better), `info`
 /// carries the study's actual findings.
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     report: &MutationReport,
     k: u32,
-    threads: usize,
     acl_tests: bool,
     jobs: usize,
     baseline_secs: f64,
@@ -285,7 +254,6 @@ fn to_json(
     out.push_str("  \"bench\": \"mutation_report\",\n");
     out.push_str(&format!("  \"workload\": \"fattree-k{k}\",\n"));
     out.push_str(&format!("  \"host_cpus\": {},\n", bench::host_cpus()));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!("  \"acl_tests\": {acl_tests},\n"));
     out.push_str(&format!("  \"autogen\": {},\n", autogen.is_some()));

@@ -79,9 +79,9 @@ fn residuals(bdd: &mut Bdd, raw: &[Ref]) -> (Vec<Ref>, Ref) {
 
 fn main() {
     let w = Workload {
-        devices: bench::arg_flag("--devices", 48) as usize,
-        rules_per_device: bench::arg_flag("--rules", 384) as usize,
-        tests: bench::arg_flag("--tests", 768) as usize,
+        devices: bench::arg_flag("--devices", 48),
+        rules_per_device: bench::arg_flag("--rules", 384),
+        tests: bench::arg_flag("--tests", 768),
     };
     let mut bdd = Bdd::new();
     let mut seed = 0xC0FF_EE00_D15E_A5E5u64;

@@ -238,10 +238,10 @@ fn dedup_pairs(engine: &RoutingEngine) -> Vec<(DeviceId, DeviceId)> {
 
 fn main() {
     netobs::enable();
-    let k = arg_flag("--k", 6) as u32;
-    let probes_n = arg_flag("--probes", 64) as usize;
-    let k2_samples = arg_flag("--k2-samples", 32) as usize;
-    let seed = arg_flag("--seed", 7);
+    let k: u32 = arg_flag("--k", 6);
+    let probes_n: usize = arg_flag("--probes", 64);
+    let k2_samples: usize = arg_flag("--k2-samples", 32);
+    let seed: u64 = arg_flag("--seed", 7);
 
     let (ft, mut engine) = fattree_with_engine(FatTreeParams::paper(k));
     let mut net = ft.net;

@@ -14,7 +14,9 @@
 //! packet-set operation table (Figure 5) and the design-choice ablations
 //! live in `benches/`.
 
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use netmodel::topology::DeviceId;
@@ -96,14 +98,45 @@ pub fn write_csv(name: &str, contents: &str) {
     println!("  [csv] {}", path.display());
 }
 
-/// Parse `--max-k N`-style integer flags from argv, with a default.
-pub fn arg_flag(name: &str, default: u64) -> u64 {
+/// The unsigned integer operand of a `--max-k N`-style flag in `args`,
+/// parsed straight into the type the caller uses (`u16` for a port,
+/// `u32` for a fat-tree k), or `default` when the flag is absent. A flag
+/// that is present with a missing, malformed or out-of-range operand is
+/// an error naming the flag — never a silent fallback to the default,
+/// and never a wrapping cast.
+pub fn parse_flag<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let ty = std::any::type_name::<T>();
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} expects a {ty} value"))?;
+    value
+        .parse()
+        .map_err(|e| format!("{name} expects a {ty} value, got {value:?} ({e})"))
+}
+
+/// Print a flag error and exit 2, the bins' bad-flag status.
+pub fn flag_error(message: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = bin.rsplit('/').next().unwrap_or("bench");
+    eprintln!("{bin}: {message}");
+    std::process::exit(2)
+}
+
+/// [`parse_flag`] over this process's argv; a bad value exits 2.
+pub fn arg_flag<T>(name: &str, default: T) -> T
+where
+    T: FromStr,
+    T::Err: Display,
+{
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_flag(&args, name, default).unwrap_or_else(|e| flag_error(&e))
 }
 
 /// True when a bare flag like `--json` appears in argv.
@@ -191,6 +224,58 @@ mod tests {
         assert_eq!(sweep_ks(16), vec![4, 8, 12, 16]);
         assert_eq!(sweep_ks(88).last(), Some(&88));
         assert!(sweep_ks(3).is_empty());
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn absent_flags_take_their_default() {
+        assert_eq!(parse_flag(&argv(&["bin", "--json"]), "--k", 4u32), Ok(4));
+        assert_eq!(parse_flag(&argv(&["bin"]), "--port", 7070u16), Ok(7070));
+        assert_eq!(parse_flag(&argv(&["bin", "--k", "8"]), "--k", 4u32), Ok(8));
+    }
+
+    #[test]
+    fn malformed_values_name_the_flag() {
+        for args in [
+            &["bin", "--k", "abc"][..],
+            &["bin", "--k", "-1"],
+            &["bin", "--k", "--json"],
+            &["bin", "--k"],
+        ] {
+            let err = parse_flag(&argv(args), "--k", 4u32).unwrap_err();
+            assert!(
+                err.starts_with("--k expects a u32 value"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected() {
+        let err = parse_flag(
+            &argv(&["bin", "--cap", "18446744073709551616"]),
+            "--cap",
+            12u64,
+        );
+        assert!(err.unwrap_err().starts_with("--cap expects a u64 value"));
+        // The width of the caller's type is the bound: no wrapping cast.
+        let err = parse_flag(&argv(&["bin", "--k", "4294967300"]), "--k", 4u32).unwrap_err();
+        assert!(
+            err.starts_with("--k expects a u32 value, got \"4294967300\""),
+            "{err}"
+        );
+        let err = parse_flag(&argv(&["bin", "--port", "70000"]), "--port", 7070u16).unwrap_err();
+        assert!(
+            err.starts_with("--port expects a u16 value, got \"70000\""),
+            "{err}"
+        );
+        assert_eq!(
+            parse_flag(&argv(&["bin", "--port", "65535"]), "--port", 7070u16),
+            Ok(65535)
+        );
     }
 
     #[test]

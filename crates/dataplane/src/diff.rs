@@ -102,42 +102,57 @@ pub fn semantic_diff(
         new.topology().device_count(),
         "semantic diffs require a shared topology"
     );
-    let mut out = Vec::new();
-    for (device, _) in old.topology().devices() {
-        // Behaviour signatures: action key → packet set, per snapshot.
-        let sig = |net: &Network, ms: &MatchSets, bdd: &mut Bdd| {
-            let mut m: BTreeMap<ActionKey, Ref> = BTreeMap::new();
-            for id in net.device_rule_ids(device) {
-                let k = action_key(&net.rule(id).action);
-                let e = m.entry(k).or_insert(Ref::FALSE);
-                *e = bdd.or(*e, ms.get(id));
-            }
-            m
-        };
-        let old_sig = sig(old, old_ms, bdd);
-        let new_sig = sig(new, new_ms, bdd);
-        // Agreement: packets with the same behaviour in both.
-        let mut agreement = bdd.empty();
-        for (k, &o) in &old_sig {
-            if let Some(&n) = new_sig.get(k) {
-                let both = bdd.and(o, n);
-                agreement = bdd.or(agreement, both);
-            }
+    old.topology()
+        .devices()
+        .filter_map(|(device, _)| device_diff(bdd, old, old_ms, new, new_ms, device))
+        .collect()
+}
+
+/// The semantic diff at one device, or `None` when its behaviour is
+/// unchanged. Reads only `device`'s tables and match sets, so a caller
+/// that edited one table can judge the edit without touching the rest
+/// of the network.
+pub fn device_diff(
+    bdd: &mut Bdd,
+    old: &Network,
+    old_ms: &MatchSets,
+    new: &Network,
+    new_ms: &MatchSets,
+    device: DeviceId,
+) -> Option<DeviceDiff> {
+    // Behaviour signatures: action key → packet set, per snapshot.
+    let sig = |net: &Network, ms: &MatchSets, bdd: &mut Bdd| {
+        let mut m: BTreeMap<ActionKey, Ref> = BTreeMap::new();
+        for id in net.device_rule_ids(device) {
+            let k = action_key(&net.rule(id).action);
+            let e = m.entry(k).or_insert(Ref::FALSE);
+            *e = bdd.or(*e, ms.get(id));
         }
-        let old_total = bdd.or_all(old_sig.values().copied());
-        let new_total = bdd.or_all(new_sig.values().copied());
-        let either = bdd.or(old_total, new_total);
-        let changed = bdd.diff(either, agreement);
-        if !changed.is_false() {
-            let weight = bdd.probability(changed);
-            out.push(DeviceDiff {
-                device,
-                changed,
-                weight,
-            });
+        m
+    };
+    let old_sig = sig(old, old_ms, bdd);
+    let new_sig = sig(new, new_ms, bdd);
+    // Agreement: packets with the same behaviour in both.
+    let mut agreement = bdd.empty();
+    for (k, &o) in &old_sig {
+        if let Some(&n) = new_sig.get(k) {
+            let both = bdd.and(o, n);
+            agreement = bdd.or(agreement, both);
         }
     }
-    out
+    let old_total = bdd.or_all(old_sig.values().copied());
+    let new_total = bdd.or_all(new_sig.values().copied());
+    let either = bdd.or(old_total, new_total);
+    let changed = bdd.diff(either, agreement);
+    if changed.is_false() {
+        return None;
+    }
+    let weight = bdd.probability(changed);
+    Some(DeviceDiff {
+        device,
+        changed,
+        weight,
+    })
 }
 
 /// Whether two snapshots forward identically for every packet at every

@@ -2,9 +2,9 @@
 //!
 //! [`generate`] walks the operator set in fixed order over the network's
 //! rules in global `RuleId` order, so the mutant list — ids, targets,
-//! seeds — is a pure function of `(network, seed, cap)`. [`apply`]
-//! produces the mutated snapshot by rebuilding the target device's table
-//! in **priority mode**, freezing the current first-match order with the
+//! seeds — is a pure function of `(network, seed, cap)`. A mutant's
+//! table is rebuilt in **priority mode** ([`apply`] swaps it into a
+//! clone of the network), freezing the current first-match order with the
 //! mutated rule in place: the mutation happens *after* routing, directly
 //! in the concrete dataplane model, exactly like the §2 incident where
 //! the control plane was healthy and the installed state was not. (An
@@ -108,10 +108,10 @@ fn thin(candidates: &[RuleId], cap: usize, seed: u64) -> Vec<RuleId> {
         .collect()
 }
 
-/// Build the mutated snapshot: clone the network and rebuild the target
-/// device's table as a priority table with the mutation applied in place
-/// (see the module docs for why priority mode).
-pub fn apply(net: &Network, mutant: &Mutant) -> Network {
+/// The target device's mutated table: its rules rebuilt as a priority
+/// table with the mutation applied in place (see the module docs for why
+/// priority mode). Every other device is untouched by definition.
+pub(crate) fn mutated_table(net: &Network, mutant: &Mutant) -> Table {
     let device = mutant.target.device;
     let mut rules = net.device_rules(device).to_vec();
     mutant.op.apply(
@@ -126,8 +126,14 @@ pub fn apply(net: &Network, mutant: &Mutant) -> Network {
         table.push(r);
     }
     table.finalize();
+    table
+}
+
+/// Build the mutated snapshot: a clone of the network with the target
+/// device's table replaced by `mutated_table`.
+pub fn apply(net: &Network, mutant: &Mutant) -> Network {
     let mut mutated = net.clone();
-    mutated.set_table(device, table);
+    mutated.set_table(mutant.target.device, mutated_table(net, mutant));
     mutated
 }
 

@@ -1,33 +1,31 @@
-//! Parallel mutant evaluation — the kill matrix.
+//! Mutant evaluation — the kill matrix.
 //!
 //! Each mutant is judged in two steps. First an **equivalence check**:
-//! the mutated network's per-device behaviour is compared against the
-//! original with [`dataplane::diff::equivalent`]; mutants that don't
-//! change forwarding behaviour at all (e.g. reordering two disjoint
-//! rules) are flagged equivalent and excluded from kill-rate math, as is
-//! standard in mutation testing. Second, the full test suite — the same
-//! [`SuiteJob`] list the coverage run uses — executes against the mutated
-//! snapshot; any failing test **kills** the mutant.
+//! the mutated device's behaviour is compared against the original with
+//! [`dataplane::diff::device_diff`]; mutants that don't change forwarding
+//! behaviour at all (e.g. reordering two disjoint rules) are flagged
+//! equivalent and excluded from kill-rate math, as is standard in
+//! mutation testing. Second, the suite's [`SuiteJob`]s run against the
+//! mutated snapshot; any failing test **kills** the mutant.
 //!
-//! Mutants are independent, so this is the one threaded path in the
-//! workspace: the mutant list is split into contiguous ranges, each
-//! worker owns a private [`Bdd`] and evaluates its range independently,
-//! and results are concatenated in worker order — nothing is merged.
-//! Verdicts are semantic booleans (suite pass/fail), so the outcome
-//! vector — and therefore the surviving-mutant list — is bit-identical
-//! for every thread count.
-
-use std::ops::Range;
+//! Every operator edits one table, so a mutant is a one-device edit on
+//! one working copy of the network and one [`Bdd`]: swap the table in,
+//! recompute that device's match sets, judge, swap the original back.
+//! Only the jobs that read the device's table on the unmutated network
+//! ([`read_devices`], which states the condition) re-run, and
+//! `tests/reference.rs` pins the outcomes to the whole-network,
+//! full-suite evaluation.
 
 use netbdd::Bdd;
-use netmodel::{MatchSets, Network};
-use testsuite::{run_job, NetworkInfo, SuiteJob, SuiteVerdict};
+use netmodel::{MatchSetCache, MatchSets, Network};
+use testsuite::shard::read_devices;
+use testsuite::{run_job, NetworkInfo, SuiteJob};
 use yardstick::Tracker;
 
-use crate::engine::{apply, Mutant};
+use crate::engine::{mutated_table, Mutant};
 
 /// The verdict for one mutant.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MutantOutcome {
     /// The mutant's id (same as its index in the generated list).
     pub id: u32,
@@ -41,100 +39,82 @@ pub struct MutantOutcome {
     pub failed_tests: Vec<&'static str>,
 }
 
-/// Deterministic balanced partition of `0..n` into at most `parts`
-/// contiguous *non-empty* ranges whose lengths differ by at most one
-/// (front-loaded). With more parts than items every item gets its own
-/// range and no empty trailing ranges are produced — [`evaluate`] spawns
-/// one worker per range, and a worker with no mutants would pay a manager
-/// and a match-set computation to contribute nothing.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    if n == 0 {
-        return Vec::new();
+/// Run every job once on the unmutated network; entry `d` lists, in
+/// suite order, the jobs that read device `d`'s table
+/// ([`read_devices`]). A job that fails here is listed under every
+/// device, so no outcome rests on the suite being green.
+fn jobs_by_device(
+    bdd: &mut Bdd,
+    net: &Network,
+    ms: &MatchSets,
+    info: &NetworkInfo,
+    jobs: &[SuiteJob],
+) -> Vec<Vec<usize>> {
+    let mut by_device = vec![Vec::new(); net.topology().device_count()];
+    for (j, job) in jobs.iter().enumerate() {
+        match read_devices(bdd, net, ms, info, job) {
+            Some(devices) => devices.iter().for_each(|d| by_device[d.0 as usize].push(j)),
+            None => by_device.iter_mut().for_each(|at| at.push(j)),
+        }
     }
-    let base = n / parts;
-    let extra = n % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
+    by_device
 }
 
-/// Evaluate every mutant across `threads` workers and return outcomes in
-/// mutant order. `jobs` is the suite to run per mutant; it must pass on
-/// the unmutated network for kill verdicts to mean anything (the caller
-/// checks that — see the `mutation_report` bin).
+/// Evaluate every mutant and return outcomes in mutant order. `jobs` is
+/// the suite to run per mutant; it must pass on the unmutated network
+/// for kill verdicts to mean anything (the caller checks that — see the
+/// `mutation_report` bin).
 pub fn evaluate(
     net: &Network,
     info: &NetworkInfo,
     jobs: &[SuiteJob],
     mutants: &[Mutant],
-    threads: usize,
 ) -> Vec<MutantOutcome> {
-    let ranges = chunk_ranges(mutants.len(), threads);
-    let mut results: Vec<Vec<MutantOutcome>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (w, range) in ranges.iter().cloned().enumerate() {
-            let shard = &mutants[range];
-            handles.push(scope.spawn(move || {
-                let mut bdd = Bdd::new();
-                let base_ms = MatchSets::compute(net, &mut bdd);
-                let out: Vec<MutantOutcome> = shard
-                    .iter()
-                    .map(|m| evaluate_one(&mut bdd, net, &base_ms, info, jobs, m))
-                    .collect();
-                if netobs::enabled() {
-                    netobs::flush(&format!("mutate-worker-{w}"));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("mutation worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Judge a single mutant with a caller-provided manager. The match sets
-/// of the *unmutated* network are passed in so workers compute them once
-/// per shard, not once per mutant.
-fn evaluate_one(
-    bdd: &mut Bdd,
-    net: &Network,
-    base_ms: &MatchSets,
-    info: &NetworkInfo,
-    jobs: &[SuiteJob],
-    mutant: &Mutant,
-) -> MutantOutcome {
-    let _span = netobs::span_owned(format!("mutant-{}", mutant.id));
-    let mutated = apply(net, mutant);
-    let mutated_ms = MatchSets::compute(&mutated, bdd);
-    if dataplane::diff::equivalent(bdd, net, base_ms, &mutated, &mutated_ms) {
-        return MutantOutcome {
-            id: mutant.id,
-            equivalent: true,
-            killed: false,
-            failed_tests: Vec::new(),
-        };
-    }
-    let mut verdict = SuiteVerdict::new();
+    let mut bdd = Bdd::new();
+    let mut cache = MatchSetCache::new();
+    let base_ms = MatchSets::compute_cached(net, &mut bdd, &mut cache);
+    let by_device = jobs_by_device(&mut bdd, net, &base_ms, info, jobs);
+    let mut work = net.clone();
+    let mut work_ms = base_ms.clone();
     let mut tracker = Tracker::disabled();
-    for job in jobs {
-        let report = run_job(bdd, &mutated, &mutated_ms, info, &mut tracker, job);
-        verdict.record(&report);
-    }
-    MutantOutcome {
-        id: mutant.id,
-        equivalent: false,
-        killed: !verdict.passed(),
-        failed_tests: verdict.failed_tests(),
-    }
+    mutants
+        .iter()
+        .map(|mutant| {
+            let _span = netobs::span_owned(format!("mutant-{}", mutant.id));
+            let device = mutant.target.device;
+            work.set_table(device, mutated_table(net, mutant));
+            work_ms.recompute_device(&work, &mut bdd, &mut cache, device);
+            let equivalent =
+                dataplane::diff::device_diff(&mut bdd, net, &base_ms, &work, &work_ms, device)
+                    .is_none();
+            let selected: &[usize] = if equivalent {
+                &[]
+            } else {
+                &by_device[device.0 as usize]
+            };
+            let mut failed: Vec<&'static str> = Vec::new();
+            for &j in selected {
+                // A failed test's remaining jobs cannot change the
+                // outcome, which records names, not check counts.
+                let name = jobs[j].test_name();
+                if !failed.contains(&name)
+                    && !run_job(&mut bdd, &work, &work_ms, info, &mut tracker, &jobs[j]).passed()
+                {
+                    failed.push(name);
+                }
+            }
+            work.set_table(device, net.table(device).clone());
+            work_ms.recompute_device(&work, &mut bdd, &mut cache, device);
+            // Suite order: a test ranks by its first job.
+            failed.sort_by_key(|&name| jobs.iter().position(|j| j.test_name() == name));
+            MutantOutcome {
+                id: mutant.id,
+                equivalent,
+                killed: !failed.is_empty(),
+                failed_tests: failed,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -155,35 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_partition_exactly() {
-        for n in 0..20 {
-            for parts in 1..6 {
-                let ranges = chunk_ranges(n, parts);
-                assert_eq!(ranges.len(), parts.min(n), "n={n} parts={parts}");
-                assert!(
-                    ranges.iter().all(|r| !r.is_empty()),
-                    "no empty ranges: n={n} parts={parts} {ranges:?}"
-                );
-                // Contiguous, exhaustive and balanced.
-                let mut expect_start = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect_start);
-                    expect_start = r.end;
-                }
-                assert_eq!(expect_start, n);
-                if n > 0 {
-                    let max = ranges.iter().map(|r| r.len()).max().unwrap();
-                    let min = ranges.iter().map(|r| r.len()).min().unwrap();
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn outcomes_are_bit_identical_across_thread_counts() {
+    fn outcomes_do_not_depend_on_the_run_or_the_mutant_order() {
         let (net, info, jobs) = setup();
-        let mutants = generate(
+        let mut mutants = generate(
             &net,
             &MutationConfig {
                 seed: 7,
@@ -191,17 +145,14 @@ mod tests {
             },
         );
         assert!(!mutants.is_empty());
-        let base = evaluate(&net, &info, &jobs, &mutants, 1);
-        for threads in [2, 4] {
-            let other = evaluate(&net, &info, &jobs, &mutants, threads);
-            assert_eq!(base.len(), other.len());
-            for (a, b) in base.iter().zip(&other) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.equivalent, b.equivalent, "mutant {}", a.id);
-                assert_eq!(a.killed, b.killed, "mutant {}", a.id);
-                assert_eq!(a.failed_tests, b.failed_tests, "mutant {}", a.id);
-            }
-        }
+        let first = evaluate(&net, &info, &jobs, &mutants);
+        assert_eq!(evaluate(&net, &info, &jobs, &mutants), first);
+        // Every mutant is undone before the next one: judged in reverse,
+        // each gets the verdict it got in forward order.
+        mutants.reverse();
+        let mut reversed = evaluate(&net, &info, &jobs, &mutants);
+        reversed.reverse();
+        assert_eq!(reversed, first);
     }
 
     #[test]
@@ -219,7 +170,7 @@ mod tests {
             target,
             seed: 0,
         };
-        let out = evaluate(&net, &info, &jobs, &[mutant], 1);
+        let out = evaluate(&net, &info, &jobs, &[mutant]);
         assert!(!out[0].equivalent);
         assert!(out[0].killed, "losing a subnet route must fail the suite");
         assert!(!out[0].failed_tests.is_empty());
@@ -228,6 +179,6 @@ mod tests {
     #[test]
     fn evaluate_handles_empty_mutant_list() {
         let (net, info, jobs) = setup();
-        assert!(evaluate(&net, &info, &jobs, &[], 4).is_empty());
+        assert!(evaluate(&net, &info, &jobs, &[]).is_empty());
     }
 }

@@ -16,14 +16,14 @@
 //! 1. [`engine::generate`] — enumerate [`Mutant`]s: each operator from
 //!    the fixed set ([`Operator::ALL`]) applied to every applicable rule,
 //!    deterministically thinned to a per-operator cap.
-//! 2. [`kill::evaluate`] — for each mutant (sharded across threads with
-//!    private BDD managers, one netobs span per mutant): check
-//!    behavioural equivalence against the original, then run the full
-//!    [`testsuite`] job list and record which tests failed.
+//! 2. [`kill::evaluate`] — per mutant (one netobs span each), a
+//!    one-device edit on one BDD manager: equivalence on that device,
+//!    then only the [`testsuite`] jobs that read that device's table on
+//!    the unmutated network.
 //! 3. [`report::cross_reference`] — fold mutants, outcomes, and
 //!    [`yardstick::CoveredSets`] into a [`MutationReport`] with
 //!    per-operator tallies, the covered/uncovered kill split, and the
-//!    surviving-mutant list (bit-identical across thread counts).
+//!    surviving-mutant list.
 //!
 //! ```
 //! use mutate::{cross_reference, evaluate, generate, MutationConfig};
@@ -46,7 +46,7 @@
 //!
 //! let cfg = MutationConfig { seed: 7, per_op_cap: 1 };
 //! let mutants = generate(&ft.net, &cfg);
-//! let outcomes = evaluate(&ft.net, &info, &jobs, &mutants, 2);
+//! let outcomes = evaluate(&ft.net, &info, &jobs, &mutants);
 //! let report = cross_reference(cfg.seed, &covered, &mutants, &outcomes);
 //! assert_eq!(report.generated(), mutants.len());
 //! ```

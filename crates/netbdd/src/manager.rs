@@ -28,8 +28,8 @@ pub(crate) const PROB_CACHE_CAPACITY: usize = 1 << 18;
 /// (Algorithm 1 is a `diff`/`or` loop).
 ///
 /// The manager owns its arena exclusively — no synchronisation anywhere
-/// on the hot path. Parallel sweeps (e.g. `mutate::evaluate`) run one
-/// manager per thread and never merge them.
+/// on the hot path. It has a single owner: every analysis runs on one
+/// manager on one thread.
 pub struct Bdd {
     /// Append-only between collections, and a node's children are made
     /// before it: every stored edge points to a smaller index, so index

@@ -6,7 +6,8 @@
 //! any manager/tracker: running a suite's jobs in order makes the same
 //! marks and the same checks as the monolithic test functions, and one
 //! job can run alone ([`run_job_isolated`]) to give a resident engine
-//! that test's own trace.
+//! that test's own trace, or to name the tables it reads
+//! ([`read_devices`]).
 //!
 //! Pingmesh jobs carry their own RNG seed, derived per pair from the
 //! suite seed (see [`crate::e2e`]); that is what makes the concrete test
@@ -15,6 +16,7 @@
 use netbdd::Bdd;
 use netmodel::topology::{DeviceId, Role};
 use netmodel::{MatchSets, Network, Prefix};
+use yardstick::testgen::{ExpectedEnd, TestSpec};
 use yardstick::Tracker;
 
 use crate::acl::acl_entry_check;
@@ -267,6 +269,47 @@ pub fn run_job_isolated(
     let mut tracker = Tracker::new();
     let report = run_job(bdd, net, ms, info, &mut tracker, job);
     (report, tracker.into_trace())
+}
+
+/// Run one job on `net` and return the devices whose tables it read,
+/// sorted and deduplicated, or `None` if the job failed there.
+///
+/// A job that passes on `net` reads no other table, so an edit to any
+/// other device cannot change its verdict; the mutation study selects
+/// the jobs to re-run per mutant from this alone. The devices are those
+/// of the job's own trace, because every check marks what it reads:
+/// `DefaultRoute`, `ConnectedRoute` and `AclEntry` the rule they found,
+/// `Contract` and `Reachability` the packets at each device before its
+/// lookup, `Pingmesh` and generated traceroutes every hop. One lookup
+/// leaves no mark — a walk that matches no rule pushes no hop — so the
+/// device where a passing generated traceroute ends `Unmatched` is added
+/// from its expectation. A failing check may stop before it marks what
+/// it read (a missing default route marks nothing), hence `None`: the
+/// caller must assume a failed job reads every table.
+pub fn read_devices(
+    bdd: &mut Bdd,
+    net: &Network,
+    ms: &MatchSets,
+    info: &NetworkInfo,
+    job: &SuiteJob,
+) -> Option<Vec<DeviceId>> {
+    let (report, trace) = run_job_isolated(bdd, net, ms, info, job);
+    if !report.passed() {
+        return None;
+    }
+    let mut devices = trace.packets.devices();
+    devices.extend(trace.rules.iter().map(|id| id.device));
+    if let SuiteJob::Generated {
+        spec: TestSpec::Traceroute { expect, .. },
+    } = job
+    {
+        if let ExpectedEnd::Unmatched { device } = expect.end {
+            devices.push(device);
+        }
+    }
+    devices.sort_unstable();
+    devices.dedup();
+    Some(devices)
 }
 
 #[cfg(test)]
