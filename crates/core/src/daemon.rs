@@ -13,8 +13,8 @@
 //! |--------|------|------------|--------|
 //! | GET  | `/covers`      | `rule=<dev>.<idx>`          | coverage of one rule (LRU-cached) |
 //! | GET  | `/config-coverage` | optional `construct=<wire id>` | config-level coverage summary, or one construct's drill-down |
-//! | GET  | `/metrics`     | —                           | headline metrics, engine state, netobs snapshots |
-//! | GET  | `/delta-since` | `trace=<version>`           | deltas applied after that engine version |
+//! | GET  | `/metrics`     | —                           | headline metrics (memoised per engine version), engine state, netobs snapshots |
+//! | GET  | `/delta-since` | `trace=<version>`           | deltas applied after that engine version; `410` with `oldest` once they left the bounded log |
 //! | POST | `/delta`       | JSON delta document         | applies a rule/test/topology delta |
 //! | POST | `/autogen`     | optional `{"seed","budget"}` | runs one coverage-guided generation round |
 //! | POST | `/shutdown`    | —                           | acknowledges, then the serve loop exits |
@@ -504,7 +504,21 @@ fn handle_delta_since(engine: &mut CoverageEngine, req: &Request) -> Response {
         Some(Ok(v)) => v,
         _ => return Response::error(400, "missing or non-numeric query parameter: trace"),
     };
-    let deltas: Vec<String> = engine.deltas_since(since).iter().map(record_json).collect();
+    let deltas: Vec<String> = match engine.deltas_since(since) {
+        Ok(records) => records.iter().map(record_json).collect(),
+        // Some of the asked-for deltas left the bounded log: `410 Gone`,
+        // with the oldest version still held, so the client resyncs.
+        Err(e @ EngineError::DeltaLogTruncated { oldest, .. }) => {
+            return Response {
+                status: 410,
+                body: format!(
+                    "{{\"error\":{},\"oldest\":{oldest}}}",
+                    quote(&e.to_string())
+                ),
+            }
+        }
+        Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
+    };
     Response::ok(format!(
         "{{\"since\":{},\"version\":{},\"deltas\":[{}]}}",
         since,
@@ -775,6 +789,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         413 => "Payload Too Large",
         _ => "Error",
     };
@@ -1337,6 +1352,48 @@ mod tests {
         );
         let missing = handle(&mut engine, &Request::new("GET", "/delta-since", ""));
         assert_eq!(missing.status, 400);
+    }
+
+    #[test]
+    fn delta_since_past_the_bounded_log_is_a_410_naming_the_oldest() {
+        use crate::engine::DELTA_LOG_CAPACITY;
+        let mut engine = build_engine();
+        let add = format!(
+            "{{\"kind\":\"test-add\",\"name\":\"t1\",\"trace\":{}}}",
+            mark_trace_json(0, "10.0.0.0/25")
+        );
+        let remove = r#"{"kind":"test-remove","name":"t1"}"#;
+        // The 2·capacity-th delta drops the older half of the log.
+        for i in 0..=2 * DELTA_LOG_CAPACITY {
+            let body = if i % 2 == 0 { add.as_str() } else { remove };
+            let resp = handle(&mut engine, &Request::new("POST", "/delta", body));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        let oldest = DELTA_LOG_CAPACITY + 1;
+        // Version 1 fell out of the log: a reader at 0 would miss it.
+        let gone = handle(
+            &mut engine,
+            &Request::new("GET", "/delta-since?trace=0", ""),
+        );
+        assert_eq!(gone.status, 410, "{}", gone.body);
+        let doc = json::parse(&gone.body).unwrap();
+        assert_eq!(doc.get("oldest").unwrap().as_f64(), Some(oldest as f64));
+        assert!(doc
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("resync"));
+        // A reader just before the oldest record misses nothing and gets
+        // the whole window.
+        let whole = handle(
+            &mut engine,
+            &Request::new("GET", &format!("/delta-since?trace={}", oldest - 1), ""),
+        );
+        assert_eq!(whole.status, 200, "{}", whole.body);
+        let doc = json::parse(&whole.body).unwrap();
+        let deltas = doc.get("deltas").unwrap().as_array().unwrap();
+        assert_eq!(deltas.len(), DELTA_LOG_CAPACITY + 1);
     }
 
     #[test]

@@ -50,6 +50,13 @@
 //! that is flushed whole on every applied delta (the
 //! [`netmodel::MatchSetCache`] policy: flush, never surgically patch,
 //! and keep monotone hit/miss/eviction counters across flushes).
+//!
+//! The headline aggregates are memoised the same way, keyed on the
+//! engine version: every delta bumps it, so
+//! [`CoverageEngine::headline_metrics`] re-aggregates only on the first
+//! call after a delta and answers every later one from the memo. A GC
+//! keeps the memo — relocation changes no packet set, so no
+//! probability.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -65,6 +72,12 @@ use crate::trace::{CoverageTrace, PortableTrace};
 
 /// Default capacity of the query-result LRU cache.
 const DEFAULT_QUERY_CACHE_CAPACITY: usize = 128;
+
+/// How many of the newest [`DeltaRecord`]s the engine keeps at least for
+/// `/delta-since`. The log drops its older half when it reaches twice
+/// this, so trimming is amortised O(1) per delta; asking for a dropped
+/// record is an [`EngineError::DeltaLogTruncated`].
+pub(crate) const DELTA_LOG_CAPACITY: usize = 1024;
 
 /// Why the engine refused a delta or a query. Deltas arrive over the
 /// wire, so every malformed one must be a named error, never a panic —
@@ -122,6 +135,14 @@ pub enum EngineError {
     NoRoutingEngine,
     /// The attached routing engine refused the topology delta.
     Routing(routing::RibError),
+    /// The deltas after `since` are no longer all in the bounded delta
+    /// log: the reader must resync rather than apply a tail with a gap.
+    DeltaLogTruncated {
+        /// The version the reader asked to continue from.
+        since: u64,
+        /// The oldest version the log still holds.
+        oldest: u64,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -157,6 +178,11 @@ impl std::fmt::Display for EngineError {
                 write!(f, "no routing engine attached: topology deltas unavailable")
             }
             EngineError::Routing(e) => write!(f, "{e}"),
+            EngineError::DeltaLogTruncated { since, oldest } => write!(
+                f,
+                "the deltas after version {since} are gone from the delta log \
+                 (oldest retained: {oldest}); resync"
+            ),
         }
     }
 }
@@ -355,8 +381,15 @@ pub struct CoverageEngine {
     combined: CoverageTrace,
     covered: CoveredSets,
     version: u64,
+    /// At least the newest `DELTA_LOG_CAPACITY` deltas, oldest first.
     log: Vec<DeltaRecord>,
     query_cache: QueryCache,
+    /// The headline aggregates and the version they were computed at.
+    headline_cache: Option<(u64, HeadlineMetrics)>,
+    /// `/metrics` answered from `headline_cache`, and those that
+    /// re-aggregated (`engine.headline_cache.{hits,misses}`).
+    headline_hits: u64,
+    headline_misses: u64,
     /// Devices named by the deltas applied so far
     /// (`engine.devices_invalidated_total`).
     devices_invalidated: u64,
@@ -401,6 +434,9 @@ impl CoverageEngine {
             version: 0,
             log: Vec::new(),
             query_cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
+            headline_cache: None,
+            headline_hits: 0,
+            headline_misses: 0,
             devices_invalidated: 0,
             shards_recomputed: 0,
             gc_watermark: None,
@@ -455,10 +491,17 @@ impl CoverageEngine {
         self.query_cache.stats()
     }
 
-    /// The deltas applied after engine version `since`, oldest first.
-    pub fn deltas_since(&self, since: u64) -> &[DeltaRecord] {
-        let start = self.log.partition_point(|r| r.version <= since);
-        &self.log[start..]
+    /// The deltas applied after engine version `since`, oldest first, or
+    /// [`EngineError::DeltaLogTruncated`] naming the oldest retained
+    /// version when the log no longer holds all of them.
+    pub fn deltas_since(&self, since: u64) -> Result<&[DeltaRecord], EngineError> {
+        match self.log.first() {
+            Some(oldest) if since < oldest.version - 1 => Err(EngineError::DeltaLogTruncated {
+                since,
+                oldest: oldest.version,
+            }),
+            _ => Ok(&self.log[self.log.partition_point(|r| r.version <= since)..]),
+        }
     }
 
     /// Run `f` against a read-only [`Analyzer`] view of the current
@@ -560,13 +603,24 @@ impl CoverageEngine {
         out
     }
 
-    /// The headline aggregates over the whole network.
+    /// The headline aggregates over the whole network, re-aggregated by
+    /// the batch [`Analyzer`] only when a delta has been applied since the
+    /// last call.
     pub fn headline_metrics(&mut self) -> HeadlineMetrics {
-        self.with_analyzer(|a, bdd| HeadlineMetrics {
+        if let Some((version, headline)) = self.headline_cache {
+            if version == self.version {
+                self.headline_hits += 1;
+                return headline;
+            }
+        }
+        self.headline_misses += 1;
+        let headline = self.with_analyzer(|a, bdd| HeadlineMetrics {
             rule_fractional: a.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
             rule_weighted: a.aggregate_rules(bdd, Aggregator::Weighted, |_, _| true),
             device_fractional: a.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
-        })
+        });
+        self.headline_cache = Some((self.version, headline));
+        headline
     }
 
     // ----- deltas ----------------------------------------------------------
@@ -723,6 +777,8 @@ impl CoverageEngine {
             "engine.shards_recomputed_total",
             self.shards_recomputed as f64,
         );
+        netobs::gauge("engine.headline_cache.hits", self.headline_hits as f64);
+        netobs::gauge("engine.headline_cache.misses", self.headline_misses as f64);
         let s = self.query_cache.stats();
         netobs::gauge("engine.query_cache.hits", s.hits as f64);
         netobs::gauge("engine.query_cache.misses", s.misses as f64);
@@ -746,7 +802,8 @@ impl CoverageEngine {
     /// (match sets, covered sets, the combined trace, and every resident
     /// test trace). Every held `Ref` is rewritten through the relocation
     /// map, so all subsequent queries see identical packet sets; the
-    /// match-set and query caches are flushed. Publishes the `bdd.gc.*`
+    /// match-set and query caches are flushed, and the headline memo
+    /// (floats, not `Ref`s) is kept. Publishes the `bdd.gc.*`
     /// gauges — `pause_us` is this whole call, root registration and
     /// every owner's rewrite included — and returns the collection's
     /// stats.
@@ -838,6 +895,9 @@ impl CoverageEngine {
     fn record(&mut self, kind: DeltaKind, detail: String, devices: Vec<DeviceId>) {
         self.version += 1;
         self.devices_invalidated += devices.len() as u64;
+        if self.log.len() == 2 * DELTA_LOG_CAPACITY {
+            self.log.drain(..DELTA_LOG_CAPACITY);
+        }
         self.log.push(DeltaRecord {
             version: self.version,
             kind,
@@ -1153,12 +1213,117 @@ mod tests {
             .add_test("a", &mark_trace(tor, "10.0.0.0/8"))
             .unwrap();
         engine.remove_test("a").unwrap();
-        assert_eq!(engine.deltas_since(0).len(), 2);
-        let tail = engine.deltas_since(1);
+        assert_eq!(engine.deltas_since(0).unwrap().len(), 2);
+        let tail = engine.deltas_since(1).unwrap();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].kind, DeltaKind::TestRemoved);
         assert_eq!(tail[0].detail, "a");
-        assert!(engine.deltas_since(2).is_empty());
+        assert!(engine.deltas_since(2).unwrap().is_empty());
+    }
+
+    /// The log keeps between `DELTA_LOG_CAPACITY` and twice that many of
+    /// the newest records; a reader whose version is older than the
+    /// window gets an error naming the oldest retained version instead of
+    /// a tail with a gap.
+    #[test]
+    fn delta_log_is_bounded_and_names_the_oldest_retained_version() {
+        let (n, tor, _, _) = build();
+        let mut engine = CoverageEngine::new(n, 1);
+        let trace = mark_trace(tor, "10.0.0.0/25");
+        let total = 2 * DELTA_LOG_CAPACITY as u64 + 10;
+        for v in 0..total {
+            if v % 2 == 0 {
+                engine.add_test("t", &trace).unwrap();
+            } else {
+                engine.remove_test("t").unwrap();
+            }
+            assert!(engine.log.len() <= 2 * DELTA_LOG_CAPACITY);
+        }
+        assert_eq!(engine.version(), total);
+        // The 2·capacity-th record dropped the older half.
+        let oldest = DELTA_LOG_CAPACITY as u64 + 1;
+        assert_eq!(engine.log.len(), DELTA_LOG_CAPACITY + 10);
+
+        // From the version just before the oldest record on, the tail is
+        // whole.
+        let tail = engine.deltas_since(oldest - 1).unwrap();
+        assert_eq!(tail.len(), DELTA_LOG_CAPACITY + 10);
+        assert_eq!(tail[0].version, oldest);
+        assert_eq!(tail[tail.len() - 1].version, total);
+        assert_eq!(engine.deltas_since(total - 1).unwrap().len(), 1);
+        assert!(engine.deltas_since(total).unwrap().is_empty());
+        assert!(engine.deltas_since(total + 5).unwrap().is_empty());
+
+        // Older than that, version `oldest - 1` itself is gone.
+        for since in [0, oldest - 2] {
+            let err = engine.deltas_since(since).unwrap_err();
+            assert_eq!(err, EngineError::DeltaLogTruncated { since, oldest });
+            assert!(
+                err.to_string()
+                    .contains(&format!("oldest retained: {oldest}")),
+                "{err}"
+            );
+        }
+    }
+
+    /// The headline memo is keyed on the version: a quiet `/metrics` is a
+    /// hit, the first one after any delta re-aggregates, and a GC (no
+    /// delta, no changed packet set) keeps the memo.
+    #[test]
+    fn a_quiet_metrics_call_is_a_headline_cache_hit() {
+        use crate::daemon::{handle, Request};
+        use routing::TopologyDelta;
+        let (ft, routing) = topogen::fattree_with_engine(topogen::FatTreeParams::paper(4));
+        let (tor, agg) = (ft.tors[0].0, ft.aggs[0]);
+        let mut engine = CoverageEngine::new(ft.net, 1);
+        engine.attach_routing(routing);
+        engine
+            .add_test("t", &mark_trace(tor, "10.0.0.0/8"))
+            .unwrap();
+        let metrics = Request::new("GET", "/metrics", "");
+        let read = |engine: &mut CoverageEngine| {
+            let resp = handle(engine, &metrics);
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            (engine.headline_hits, engine.headline_misses)
+        };
+
+        assert_eq!(read(&mut engine), (0, 1), "the first /metrics aggregates");
+        for _ in 0..99 {
+            read(&mut engine);
+        }
+        assert_eq!(read(&mut engine), (100, 1), "100 quiet /metrics calls");
+
+        let hosts = ft.tors[0].2;
+        engine
+            .insert_rule(
+                tor,
+                Rule::forward(
+                    "10.0.0.7/32".parse().unwrap(),
+                    vec![hosts],
+                    RouteClass::Other,
+                ),
+            )
+            .unwrap();
+        assert_eq!(read(&mut engine), (100, 2), "one rule delta");
+
+        for delta in [
+            TopologyDelta::LinkDown { a: tor, b: agg },
+            TopologyDelta::LinkUp { a: tor, b: agg },
+        ] {
+            engine.apply_topology(&delta).unwrap();
+        }
+        assert_eq!(read(&mut engine), (100, 3), "a ToR-uplink flap");
+
+        engine.gc();
+        assert_eq!(read(&mut engine), (101, 3), "a collection");
+
+        // The memo after all that is what re-aggregating gives.
+        let fresh = engine.with_analyzer(|a, bdd| HeadlineMetrics {
+            rule_fractional: a.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
+            rule_weighted: a.aggregate_rules(bdd, Aggregator::Weighted, |_, _| true),
+            device_fractional: a.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
+        });
+        assert_eq!(engine.headline_metrics(), fresh);
     }
 
     #[test]
@@ -1219,7 +1384,7 @@ mod tests {
                 "{delta:?}"
             );
             assert_eq!(
-                engine.deltas_since(engine.version() - 1)[0].devices,
+                engine.deltas_since(engine.version() - 1).unwrap()[0].devices,
                 devices
             );
             assert_matches_batch(&mut engine);

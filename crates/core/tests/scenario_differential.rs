@@ -402,7 +402,7 @@ fn topology_deltas_are_versioned_in_the_log() {
             b: DeviceId(2),
         })
         .unwrap();
-    let tail = engine.deltas_since(since);
+    let tail = engine.deltas_since(since).unwrap();
     assert_eq!(tail.len(), 2);
     assert_eq!(tail[0].kind.as_str(), "link-down");
     assert_eq!(tail[1].kind.as_str(), "link-up");
