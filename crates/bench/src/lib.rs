@@ -1,79 +1,54 @@
-//! # bench — harnesses that regenerate every figure of the paper
+//! # bench — what the figures and the benchmark harnesses share
 //!
-//! One binary per evaluation artifact:
-//!
-//! | binary | artifact | what it reproduces |
-//! |--------|----------|--------------------|
-//! | `fig6` | Figure 6 | per-role coverage of the original suite, each new test, and the final suite on the regional network |
-//! | `fig7` | Figure 7 | coverage improvement across test-suite iterations (+89% rules, +17% interfaces headline) |
-//! | `fig8` | Figure 8 | overhead of coverage tracking across four test types on fat-trees of growing size |
-//! | `fig9` | Figure 9 | time to compute device/interface/rule/path coverage vs. network size |
-//!
-//! Each binary prints the same rows/series the paper reports and writes
-//! CSV under `target/figures/`. Criterion micro-benchmarks for the
-//! packet-set operation table (Figure 5) and the design-choice ablations
-//! live in `benches/`.
+//! The paper's Figures 6–9 are subcommands of the root CLI (`yardstick
+//! fig N`), which reads its flags, builds its networks and writes its
+//! CSVs under `target/figures/` through this crate. The binaries here
+//! (`mutation_report`, `scenario_sweep`, `config_audit`, `netbdd_micro`,
+//! `benchdiff`) write `BENCH_*.json` and judge it against the committed
+//! baselines. Criterion micro-benchmarks for the packet-set operation
+//! table (Figure 5) and the design-choice ablations live in `benches/`.
 
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use netmodel::topology::DeviceId;
+use netmodel::{DeviceId, IfaceId, Network, Prefix};
 use testsuite::NetworkInfo;
 use topogen::{addressing, FatTree, Regional};
 
 /// Ground-truth info for a generated regional network.
 pub fn regional_info(r: &Regional) -> NetworkInfo {
-    NetworkInfo {
-        tor_subnets: r.tors.clone(),
-        loopbacks: if r.params.loopbacks {
-            (0..r.net.topology().device_count())
-                .map(|d| (DeviceId(d as u32), addressing::loopback(d as u32)))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        links: if r.params.connected {
-            r.links
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (p4, _, _) = addressing::p2p_v4(i as u32);
-                    let (p6, _, _) = addressing::p2p_v6(i as u32);
-                    (a, b, p4, p6)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        },
-    }
+    let p = &r.params;
+    network_info(&r.net, &r.tors, &r.links, p.loopbacks, p.connected)
 }
 
 /// Ground-truth info for a generated fat-tree.
 pub fn fattree_info(ft: &FatTree) -> NetworkInfo {
+    let p = &ft.params;
+    network_info(&ft.net, &ft.tors, &ft.links, p.loopbacks, p.connected)
+}
+
+/// The ToR subnets, plus every device's loopback and every link's /31
+/// and /126 when the generator assigned them.
+fn network_info(
+    net: &Network,
+    tors: &[(DeviceId, Prefix, IfaceId)],
+    links: &[(IfaceId, IfaceId)],
+    loopbacks: bool,
+    connected: bool,
+) -> NetworkInfo {
+    let devices = (0..net.topology().device_count() as u32).filter(|_| loopbacks);
+    let links = if connected { links } else { &[] };
     NetworkInfo {
-        tor_subnets: ft.tors.clone(),
-        loopbacks: if ft.params.loopbacks {
-            (0..ft.net.topology().device_count())
-                .map(|d| (DeviceId(d as u32), addressing::loopback(d as u32)))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        links: if ft.params.connected {
-            ft.links
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (p4, _, _) = addressing::p2p_v4(i as u32);
-                    let (p6, _, _) = addressing::p2p_v6(i as u32);
-                    (a, b, p4, p6)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        },
+        tor_subnets: tors.to_vec(),
+        loopbacks: devices
+            .map(|d| (DeviceId(d), addressing::loopback(d)))
+            .collect(),
+        links: (0..)
+            .zip(links)
+            .map(|(i, &(a, b))| (a, b, addressing::p2p_v4(i).0, addressing::p2p_v6(i).0))
+            .collect(),
     }
 }
 
@@ -98,9 +73,9 @@ pub fn write_csv(name: &str, contents: &str) {
     println!("  [csv] {}", path.display());
 }
 
-/// The unsigned integer operand of a `--max-k N`-style flag in `args`,
-/// parsed straight into the type the caller uses (`u16` for a port,
-/// `u32` for a fat-tree k), or `default` when the flag is absent. A flag
+/// The operand of a `--max-k N`-style flag in `args`, parsed straight
+/// into the type the caller uses (`u16` for a port, `u32` for a fat-tree
+/// k, `Ipv4Addr` for an address), or `default` when it is absent. A flag
 /// that is present with a missing, malformed or out-of-range operand is
 /// an error naming the flag — never a silent fallback to the default,
 /// and never a wrapping cast.
@@ -109,16 +84,38 @@ where
     T: FromStr,
     T::Err: Display,
 {
+    Ok(parse_opt_flag(args, name)?.unwrap_or(default))
+}
+
+/// [`parse_flag`] for a flag without a default: `None` when it is absent.
+pub fn parse_opt_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
     let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
+        return Ok(None);
     };
-    let ty = std::any::type_name::<T>();
+    let ty = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
     let value = args
         .get(i + 1)
         .ok_or_else(|| format!("{name} expects a {ty} value"))?;
     value
         .parse()
+        .map(Some)
         .map_err(|e| format!("{name} expects a {ty} value, got {value:?} ({e})"))
+}
+
+/// Check that `args` is a run of `--flag value` pairs whose flags are
+/// all among the space-separated `known`; the first that is not is an
+/// error naming it.
+pub fn check_flags(args: &[String], known: &str) -> Result<(), String> {
+    for pair in args.chunks(2) {
+        if !known.split(' ').any(|k| k == pair[0]) {
+            return Err(format!("unknown option {}", pair[0]));
+        }
+    }
+    Ok(())
 }
 
 /// Print a flag error and exit 2, the bins' bad-flag status.
@@ -276,6 +273,41 @@ mod tests {
             parse_flag(&argv(&["bin", "--port", "65535"]), "--port", 7070u16),
             Ok(65535)
         );
+    }
+
+    #[test]
+    fn flags_without_a_default_are_none_when_absent() {
+        assert_eq!(
+            parse_opt_flag::<usize>(&argv(&["--k", "4"]), "--gc"),
+            Ok(None)
+        );
+        assert_eq!(
+            parse_opt_flag(&argv(&["--gc", "600"]), "--gc"),
+            Ok(Some(600usize))
+        );
+        let err = parse_opt_flag::<String>(&argv(&["--trace"]), "--trace").unwrap_err();
+        assert_eq!(err, "--trace expects a String value");
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let known = "--k --suite";
+        assert_eq!(check_flags(&argv(&[]), known), Ok(()));
+        assert_eq!(
+            check_flags(&argv(&["--k", "4", "--suite", "s8"]), known),
+            Ok(())
+        );
+        for (args, bad) in [
+            (&["--threads", "2"][..], "--threads"),
+            (&["--k", "4", "report"], "report"),
+            (&["--k", "4", "--suite", "s8", "-v"], "-v"),
+            (&["--k", "4", "--suite", "s8", ""], ""),
+        ] {
+            assert_eq!(
+                check_flags(&argv(args), known),
+                Err(format!("unknown option {bad}"))
+            );
+        }
     }
 
     #[test]

@@ -347,6 +347,60 @@ fn synthesize(engine: &mut CoverageEngine, seed: u64, id: RuleId) -> Option<Test
     })
 }
 
+/// What one generation step did for its target rule.
+enum Step {
+    /// Nothing to generate: the target is exercised already (closed by a
+    /// test emitted earlier this round), or its residual is empty.
+    Skipped,
+    /// The synthesized test fails on the healthy network (e.g. the deny
+    /// entry found first is another rule's), the engine refused it, or it
+    /// closed no gap and was removed again: no test of this shape will
+    /// exercise the target.
+    Dropped,
+    /// The test closed at least one gap and stays registered; `hit` says
+    /// whether the target was among them.
+    Kept { test: GeneratedTest, hit: bool },
+}
+
+/// One generation step for rule `id`: synthesize a test from a witness of
+/// its residual, run it on the healthy network, register its trace as
+/// `<prefix>-r<device>.<index>`, and keep it only if it closed a gap.
+fn generate(engine: &mut CoverageEngine, seed: u64, id: RuleId, prefix: &str) -> Step {
+    if engine.is_exercised(id) {
+        return Step::Skipped;
+    }
+    let Some(spec) = synthesize(engine, seed, id) else {
+        return Step::Skipped;
+    };
+    let mut tracker = Tracker::new();
+    let outcome = {
+        let (net, ms, _, bdd) = engine.analysis_parts();
+        run_spec(bdd, net, ms, &mut tracker, &spec)
+    };
+    if outcome.is_err() {
+        return Step::Dropped;
+    }
+    let portable = {
+        let (_, _, _, bdd) = engine.analysis_parts();
+        tracker.trace().export(bdd)
+    };
+    let open_before = unexercised_count(engine);
+    let name = format!("{prefix}-r{}.{}", id.device.0, id.index);
+    if engine.add_test(&name, &portable).is_err() {
+        return Step::Dropped;
+    }
+    let hit = engine.is_exercised(id);
+    if hit || unexercised_count(engine) < open_before {
+        Step::Kept {
+            test: GeneratedTest { name, spec },
+            hit,
+        }
+    } else {
+        let _ = engine.remove_test(&name);
+        Step::Dropped
+    }
+}
+
 /// Run the coverage-guided generation loop until rule coverage converges
 /// (no closable gap remains), the budget is exhausted, or `max_rounds`
 /// passes have run. Every emitted test is registered on the engine via
@@ -374,47 +428,18 @@ pub fn autogen(engine: &mut CoverageEngine, cfg: &GenConfig) -> GenReport {
                 budget_exhausted = true;
                 break 'rounds;
             }
-            if engine.is_exercised(id) {
-                // Closed by a test emitted earlier this round: the
-                // residual went empty mid-loop, nothing to generate.
-                continue;
-            }
-            let Some(spec) = synthesize(engine, cfg.seed, id) else {
-                continue;
-            };
-            let mut tracker = Tracker::new();
-            let outcome = {
-                let (net, ms, _, bdd) = engine.analysis_parts();
-                run_spec(bdd, net, ms, &mut tracker, &spec)
-            };
-            if outcome.is_err() {
-                // The synthesized test cannot even pass on the healthy
-                // network (e.g. the deny entry found first is another
-                // rule's): no test of this shape will exercise `id`.
-                permanent.insert(id);
-                continue;
-            }
-            let portable = {
-                let (_, _, _, bdd) = engine.analysis_parts();
-                tracker.trace().export(bdd)
-            };
-            let open_before = unexercised_count(engine);
-            let name = format!("autogen-r{}.{}", id.device.0, id.index);
-            if engine.add_test(&name, &portable).is_err() {
-                permanent.insert(id);
-                continue;
-            }
-            if engine.is_exercised(id) {
-                tests.push(GeneratedTest { name, spec });
-            } else if unexercised_count(engine) < open_before {
-                // Missed its target but closed other gaps (the trace
-                // crossed them): keep the test, give up on the target.
-                permanent.insert(id);
-                tests.push(GeneratedTest { name, spec });
-            } else {
-                // Pure miss: retire the test, record the permanent gap.
-                let _ = engine.remove_test(&name);
-                permanent.insert(id);
+            match generate(engine, cfg.seed, id, "autogen") {
+                Step::Skipped => {}
+                Step::Kept { test, hit: true } => tests.push(test),
+                Step::Kept { test, hit: false } => {
+                    // Missed its target but closed other gaps (the trace
+                    // crossed them): keep the test, give up on the target.
+                    permanent.insert(id);
+                    tests.push(test);
+                }
+                Step::Dropped => {
+                    permanent.insert(id);
+                }
             }
         }
         netobs::gauge("testgen.rounds", rounds as f64);
@@ -499,33 +524,8 @@ pub fn autogen_config(
             if tests.len() >= cfg.budget {
                 break;
             }
-            if engine.is_exercised(id) {
-                continue;
-            }
-            let Some(spec) = synthesize(engine, cfg.seed, id) else {
-                continue;
-            };
-            let mut tracker = Tracker::new();
-            let outcome = {
-                let (net, ms, _, bdd) = engine.analysis_parts();
-                run_spec(bdd, net, ms, &mut tracker, &spec)
-            };
-            if outcome.is_err() {
-                continue;
-            }
-            let portable = {
-                let (_, _, _, bdd) = engine.analysis_parts();
-                tracker.trace().export(bdd)
-            };
-            let open_before = unexercised_count(engine);
-            let name = format!("autogen-config-r{}.{}", id.device.0, id.index);
-            if engine.add_test(&name, &portable).is_err() {
-                continue;
-            }
-            if engine.is_exercised(id) || unexercised_count(engine) < open_before {
-                tests.push(GeneratedTest { name, spec });
-            } else {
-                let _ = engine.remove_test(&name);
+            if let Step::Kept { test, .. } = generate(engine, cfg.seed, id, "autogen-config") {
+                tests.push(test);
             }
         }
         let now = engine.config_coverage()?.covered_count();

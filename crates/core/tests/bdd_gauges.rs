@@ -1,5 +1,6 @@
 //! Where the BDD's bytes go and how long a collection paused, read from
-//! outside through `GET /metrics` — the gauges `coverd-smoke` greps for.
+//! outside through `GET /metrics` — the gauges a `yardstick serve` under
+//! `--gc-watermark` publishes.
 //!
 //! netobs is process-global (enabling it resets the registry), so this
 //! file is its own test binary and holds the only test that enables it.

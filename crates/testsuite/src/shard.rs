@@ -331,7 +331,7 @@ mod tests {
         (ft, info)
     }
 
-    /// The monolithic §8 suite, as the fig8/fig9 benches run it.
+    /// The monolithic §8 suite, as `yardstick fig 8` / `fig 9` run it.
     fn run_monolithic(
         bdd: &mut Bdd,
         net: &Network,
