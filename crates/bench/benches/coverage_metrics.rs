@@ -9,23 +9,23 @@ use netmodel::MatchSets;
 use topogen::{fattree, FatTreeParams};
 use yardstick::{Aggregator, Analyzer, CoveredSets, Tracker};
 
-use testsuite::{default_route_check, tor_contract, TestContext};
+use testsuite::{named_test, NetworkInfo};
 
 fn bench_metrics(c: &mut Criterion) {
     let mut group = c.benchmark_group("coverage_metrics");
     group.sample_size(10);
 
     let ft = fattree(FatTreeParams::paper(8));
-    let info = testsuite::NetworkInfo {
+    let info = NetworkInfo {
         tor_subnets: ft.tors.clone(),
-        ..testsuite::NetworkInfo::default()
+        ..NetworkInfo::default()
     };
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(&ft.net, &mut bdd);
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    default_route_check(&mut bdd, &mut ctx, |_| true);
-    tor_contract(&mut bdd, &mut ctx);
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+    let mut tracker = Tracker::new();
+    for name in ["DefaultRouteCheck", "ToRContract"] {
+        named_test(name).run(&mut bdd, &ft.net, &ms, &info, &mut tracker, 0);
+    }
     let trace = tracker.into_trace();
 
     group.bench_function("algorithm1_covered_sets_k8", |b| {

@@ -16,14 +16,16 @@
 //! warning and exits 0 without gating anything.
 //!
 //! A metric is a regression when `new > old * (1 + tolerance)`. Exit
-//! status: 0 when nothing regressed, 1 on any regression, 2 on unusable
-//! input (missing file, malformed JSON, no comparable metrics) —
+//! status: 0 when nothing regressed, 1 on any regression, 2 on a bad
+//! command line (the two files first, then only `--tolerance`) or
+//! unusable input (missing file, malformed JSON, no comparable metrics) —
 //! including a metric present on only one side, in either direction: a
 //! renamed or dropped metric must fail loudly, never silently shrink the
 //! comparison.
 
 use std::process::ExitCode;
 
+use bench::{check_flags, parse_flag};
 use netobs::json::Json;
 
 struct Row {
@@ -34,27 +36,22 @@ struct Row {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tolerance" {
-            i += 2; // flag plus its value
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            files.push(&args[i]);
-            i += 1;
+    let (files, flags) = args.split_at(args.len().min(2));
+    let tolerance =
+        check_flags(flags, "--tolerance", []).and_then(|_| parse_flag(flags, "--tolerance", 0.25));
+    let tolerance = match tolerance {
+        Ok(t) if files.len() == 2 && !files.iter().any(|f| f.starts_with("--")) => t,
+        Ok(_) => {
+            eprintln!("usage: benchdiff <old.json> <new.json> [--tolerance 0.25]");
+            return ExitCode::from(2);
         }
-    }
-    if files.len() != 2 {
-        eprintln!("usage: benchdiff <old.json> <new.json> [--tolerance 0.25]");
-        return ExitCode::from(2);
-    }
-    let tolerance = bench::arg_value("--tolerance")
-        .map(|v| v.parse::<f64>().expect("--tolerance takes a number"))
-        .unwrap_or(0.25);
+        Err(e) => {
+            eprintln!("benchdiff: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
-    let (old, new) = match (load(files[0]), load(files[1])) {
+    let (old, new) = match (load(&files[0]), load(&files[1])) {
         (Ok(o), Ok(n)) => (o, n),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("benchdiff: {e}");

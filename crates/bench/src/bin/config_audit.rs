@@ -31,9 +31,10 @@
 //! `--json` writes `BENCH_config.json` (benchdiff-compatible: gated
 //! `metrics`, informational `info`). The committed baseline comes from
 //! an `--autogen` run — CI always passes `--autogen`, so the autogen
-//! timing leg is part of the gated shape.
+//! timing leg is part of the gated shape. An unknown option, a malformed
+//! value or an odd `--k` exits 2 before any network is built.
 
-use bench::{arg_flag, arg_present, fattree_info, figures_dir, time_it};
+use bench::{arity, fattree_info, figures_dir, parse_flag, parse_opt_flag, time_it};
 use netbdd::Bdd;
 use netmodel::provenance::{ConfigDb, Construct};
 use netmodel::MatchSets;
@@ -47,10 +48,14 @@ use yardstick::{ConfigCoverage, CoverageEngine, Tracker};
 const DARK_PREFIX: &str = "192.0.2.0/24";
 
 fn main() {
-    let trace = bench::trace_arg();
-    let k: u32 = arg_flag("--k", 4);
-    let seed: u64 = arg_flag("--seed", 0xC0FFEE);
-    let use_autogen = arg_present("--autogen");
+    let (k, seed, trace, [use_autogen, json]) =
+        bench::bin_args("--k --seed --trace", ["--autogen", "--json"], |args, on| {
+            let (k, seed) = (arity(args, 4)?, parse_flag(args, "--seed", 0xC0FFEE)?);
+            Ok((k, seed, parse_opt_flag::<String>(args, "--trace")?, on))
+        });
+    if trace.is_some() {
+        netobs::enable();
+    }
 
     println!("== config-level coverage audit (fat-tree k={k}) ==");
 
@@ -165,7 +170,7 @@ fn main() {
         audit_t.as_secs_f64()
     );
 
-    if arg_present("--json") {
+    if json {
         let json = to_json(
             k,
             seed,

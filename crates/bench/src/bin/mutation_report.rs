@@ -21,13 +21,14 @@
 //! `--json` writes `BENCH_mutation.json` (benchdiff-compatible: gated
 //! `metrics`, informational `info`); with `--autogen` it writes
 //! `BENCH_mutation_autogen.json` instead, so the two study variants keep
-//! independent benchdiff baselines. A malformed flag value exits 2.
+//! independent benchdiff baselines. An unknown option, a malformed value
+//! or an odd `--k` exits 2 before any network is built.
 
-use bench::{arg_flag, arg_present, fattree_info, figures_dir, time_it};
+use bench::{arity, fattree_info, figures_dir, parse_flag, parse_opt_flag, time_it};
 use mutate::{cross_reference, evaluate, generate, MutationConfig, MutationReport, Operator};
 use netbdd::Bdd;
 use netmodel::MatchSets;
-use testsuite::{acl_entry_jobs, fattree_suite_jobs, run_job, SuiteJob, SuiteVerdict};
+use testsuite::{fattree_suite_jobs, named_test, run_job, SuiteJob, SuiteVerdict};
 use topogen::acl::{install_acl, AclEntry};
 use topogen::{fattree, FatTreeParams};
 use yardstick::testgen::{self, GenConfig, GenReport};
@@ -38,12 +39,18 @@ use yardstick::{CoverageEngine, CoveredSets, Tracker};
 const BOGON_PORT: u16 = 23;
 
 fn main() {
-    let trace = bench::trace_arg();
-    let k: u32 = arg_flag("--k", 4);
-    let seed: u64 = arg_flag("--seed", 0xC0FFEE);
-    let cap: usize = arg_flag("--cap", 12);
-    let acl_tests = arg_present("--acl-tests");
-    let use_autogen = arg_present("--autogen");
+    let (k, seed, cap, trace, [acl_tests, use_autogen, json]) = bench::bin_args(
+        "--k --seed --cap --trace",
+        ["--acl-tests", "--autogen", "--json"],
+        |args, on| {
+            let (k, seed) = (arity(args, 4)?, parse_flag(args, "--seed", 0xC0FFEE)?);
+            let trace = parse_opt_flag::<String>(args, "--trace")?;
+            Ok((k, seed, parse_flag(args, "--cap", 12)?, trace, on))
+        },
+    );
+    if trace.is_some() {
+        netobs::enable();
+    }
 
     println!("== mutation study: coverage vs. kill rate (fat-tree k={k}) ==");
 
@@ -59,10 +66,12 @@ fn main() {
             &[AclEntry::block_tcp_port_to(bogon, BOGON_PORT)],
         );
     }
-    let info = fattree_info(&ft);
+    let mut info = fattree_info(&ft);
+    info.acls = cores.iter().map(|&core| (core, BOGON_PORT)).collect();
     let mut jobs = fattree_suite_jobs(&ft.net, &info, seed);
     if acl_tests {
-        jobs.extend(acl_entry_jobs(&cores, BOGON_PORT));
+        let acl_jobs = named_test("AclEntryCheck").jobs(&ft.net, &info, seed);
+        jobs.extend(acl_jobs.expect("every core has an ACL"));
     }
     println!(
         "   suite: {} jobs ({}), {} core bogon filters installed",
@@ -167,7 +176,7 @@ fn main() {
         evaluate_t.as_secs_f64(),
     );
 
-    if arg_present("--json") {
+    if json {
         let json = to_json(
             &report,
             k,

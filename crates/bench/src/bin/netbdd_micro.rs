@@ -13,9 +13,14 @@
 //! The workload is fully deterministic (splitmix64, fixed seed), so the
 //! structural metrics (`nodes`, op counts) are exact across runs and
 //! machines; only the `*_secs` metrics are hardware-dependent.
+//!
+//! Usage: `cargo run -p bench --bin netbdd_micro --release -- \
+//!            [--devices N] [--rules N] [--tests N]`; an unknown option or
+//! a malformed value exits 2.
 
 use std::time::Instant;
 
+use bench::parse_flag;
 use netbdd::{Bdd, Ref};
 use yardstick::rng::splitmix64;
 
@@ -78,11 +83,13 @@ fn residuals(bdd: &mut Bdd, raw: &[Ref]) -> (Vec<Ref>, Ref) {
 }
 
 fn main() {
-    let w = Workload {
-        devices: bench::arg_flag("--devices", 48),
-        rules_per_device: bench::arg_flag("--rules", 384),
-        tests: bench::arg_flag("--tests", 768),
-    };
+    let w = bench::bin_args("--devices --rules --tests", [], |args, _| {
+        Ok(Workload {
+            devices: parse_flag(args, "--devices", 48)?,
+            rules_per_device: parse_flag(args, "--rules", 384)?,
+            tests: parse_flag(args, "--tests", 768)?,
+        })
+    });
     let mut bdd = Bdd::new();
     let mut seed = 0xC0FF_EE00_D15E_A5E5u64;
 

@@ -22,12 +22,13 @@
 //! `engine_rebuild_secs`). `--json` writes `BENCH_scenarios.json`
 //! (gated by `benchdiff --tolerance 1.0` in CI against
 //! `crates/bench/baselines/`). Any bit-identity violation panics, so CI
-//! fails closed.
+//! fails closed. An unknown option, a malformed value or an odd `--k`
+//! exits 2 before any network is built.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use bench::{arg_flag, arg_present, time_it};
+use bench::{arity, parse_flag, time_it};
 use netmodel::addr::Prefix;
 use netmodel::topology::DeviceId;
 use netmodel::{header, Location, Network};
@@ -237,11 +238,16 @@ fn dedup_pairs(engine: &RoutingEngine) -> Vec<(DeviceId, DeviceId)> {
 }
 
 fn main() {
+    let (k, probes_n, k2_samples, seed, [json]) = bench::bin_args(
+        "--k --probes --k2-samples --seed",
+        ["--json"],
+        |args, on| {
+            let (k, seed) = (arity(args, 6)?, parse_flag(args, "--seed", 7)?);
+            let probes = parse_flag(args, "--probes", 64)?;
+            Ok((k, probes, parse_flag(args, "--k2-samples", 32)?, seed, on))
+        },
+    );
     netobs::enable();
-    let k: u32 = arg_flag("--k", 6);
-    let probes_n: usize = arg_flag("--probes", 64);
-    let k2_samples: usize = arg_flag("--k2-samples", 32);
-    let seed: u64 = arg_flag("--seed", 7);
 
     let (ft, mut engine) = fattree_with_engine(FatTreeParams::paper(k));
     let mut net = ft.net;
@@ -334,7 +340,7 @@ fn main() {
         );
     }
 
-    if arg_present("--json") {
+    if json {
         // `metrics` holds smaller-is-better values benchdiff gates on;
         // `info` is context, reported but never gated.
         let json = format!(

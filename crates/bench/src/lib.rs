@@ -20,7 +20,12 @@ use topogen::{addressing, FatTree, Regional};
 /// Ground-truth info for a generated regional network.
 pub fn regional_info(r: &Regional) -> NetworkInfo {
     let p = &r.params;
-    network_info(&r.net, &r.tors, &r.links, p.loopbacks, p.connected)
+    NetworkInfo {
+        wan_prefixes: r.wan_prefixes.clone(),
+        wan_routers: r.wans.clone(),
+        host_port_slices: r.host_port_slices.clone(),
+        ..network_info(&r.net, &r.tors, &r.links, p.loopbacks, p.connected)
+    }
 }
 
 /// Ground-truth info for a generated fat-tree.
@@ -49,6 +54,7 @@ fn network_info(
             .zip(links)
             .map(|(i, &(a, b))| (a, b, addressing::p2p_v4(i).0, addressing::p2p_v6(i).0))
             .collect(),
+        ..NetworkInfo::default()
     }
 }
 
@@ -106,57 +112,54 @@ where
         .map_err(|e| format!("{name} expects a {ty} value, got {value:?} ({e})"))
 }
 
-/// Check that `args` is a run of `--flag value` pairs whose flags are
-/// all among the space-separated `known`; the first that is not is an
-/// error naming it.
-pub fn check_flags(args: &[String], known: &str) -> Result<(), String> {
-    for pair in args.chunks(2) {
-        if !known.split(' ').any(|k| k == pair[0]) {
-            return Err(format!("unknown option {}", pair[0]));
+/// Check that `args` is a run of `--flag value` pairs, whose flags are
+/// among the space-separated `flags`, and of bare `switches`; the first
+/// argument that is neither is an error naming it. Which of `switches`
+/// are present.
+pub fn check_flags<const N: usize>(
+    args: &[String],
+    flags: &str,
+    switches: [&str; N],
+) -> Result<[bool; N], String> {
+    let mut on = [false; N];
+    let mut rest = args;
+    while let Some((arg, tail)) = rest.split_first() {
+        if let Some(i) = switches.iter().position(|&s| s == *arg) {
+            on[i] = true;
+            rest = tail;
+        } else if flags.split_whitespace().any(|f| f == *arg) {
+            rest = tail.get(1..).unwrap_or_default();
+        } else {
+            return Err(format!("unknown option {arg}"));
         }
     }
-    Ok(())
+    Ok(on)
 }
 
-/// Print a flag error and exit 2, the bins' bad-flag status.
-pub fn flag_error(message: &str) -> ! {
-    let bin = std::env::args().next().unwrap_or_default();
-    let bin = bin.rsplit('/').next().unwrap_or("bench");
-    eprintln!("{bin}: {message}");
-    std::process::exit(2)
+/// This binary's command line, bound by `bind` once [`check_flags`]
+/// accepts it: `bind` gets the arguments after the program name and which
+/// of `switches` are present. A command line either rejects prints the
+/// error and exits 2, before anything runs.
+pub fn bin_args<T, const N: usize>(
+    flags: &str,
+    switches: [&str; N],
+    bind: impl FnOnce(&[String], [bool; N]) -> Result<T, String>,
+) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let bound = check_flags(&args, flags, switches).and_then(|on| bind(&args, on));
+    bound.unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("{}: {e}", bin.rsplit('/').next().unwrap_or_default());
+        std::process::exit(2)
+    })
 }
 
-/// [`parse_flag`] over this process's argv; a bad value exits 2.
-pub fn arg_flag<T>(name: &str, default: T) -> T
-where
-    T: FromStr,
-    T::Err: Display,
-{
-    let args: Vec<String> = std::env::args().collect();
-    parse_flag(&args, name, default).unwrap_or_else(|e| flag_error(&e))
-}
-
-/// True when a bare flag like `--json` appears in argv.
-pub fn arg_present(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// The string operand of `--trace <path>`-style flags, if present.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Enable netobs when `--trace <path>` is on the command line. Returns
-/// the path collection should be written to on exit (via
-/// [`write_trace`]). Call before the workload runs.
-pub fn trace_arg() -> Option<String> {
-    let path = arg_value("--trace")?;
-    netobs::enable();
-    Some(path)
+/// `--k`: a fat-tree arity, which is even and at least 2.
+pub fn arity(args: &[String], default: u32) -> Result<u32, String> {
+    match parse_flag(args, "--k", default)? {
+        k if k >= 2 && k % 2 == 0 => Ok(k),
+        k => Err(format!("--k must be an even fat-tree arity >= 2, got {k}")),
+    }
 }
 
 /// Gather the netobs report, write it to `path` (JSON: chrome-traceable
@@ -214,6 +217,9 @@ mod tests {
         assert_eq!(fi.tor_subnets.len(), 8);
         assert!(fi.loopbacks.is_empty());
         assert!(fi.links.is_empty());
+        assert!(fi.wan_routers.is_empty() && fi.host_port_slices.is_empty());
+        assert_eq!(info.wan_routers, r.wans);
+        assert_eq!(info.host_port_slices.len(), r.host_port_slices.len());
     }
 
     #[test]
@@ -292,10 +298,10 @@ mod tests {
     #[test]
     fn unknown_options_are_named() {
         let known = "--k --suite";
-        assert_eq!(check_flags(&argv(&[]), known), Ok(()));
+        assert_eq!(check_flags(&argv(&[]), known, []), Ok([]));
         assert_eq!(
-            check_flags(&argv(&["--k", "4", "--suite", "s8"]), known),
-            Ok(())
+            check_flags(&argv(&["--k", "4", "--suite", "s8"]), known, []),
+            Ok([])
         );
         for (args, bad) in [
             (&["--threads", "2"][..], "--threads"),
@@ -304,9 +310,43 @@ mod tests {
             (&["--k", "4", "--suite", "s8", ""], ""),
         ] {
             assert_eq!(
-                check_flags(&argv(args), known),
+                check_flags(&argv(args), known, []),
                 Err(format!("unknown option {bad}"))
             );
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value_and_are_reported() {
+        let (flags, switches) = ("--k --trace", ["--json", "--autogen", "--acl-tests"]);
+        assert_eq!(
+            check_flags(&argv(&["--autogen", "--k", "4", "--json"]), flags, switches),
+            Ok([true, true, false])
+        );
+        // A flag's operand is never read as a switch.
+        assert_eq!(
+            check_flags(&argv(&["--trace", "--json"]), flags, switches),
+            Ok([false; 3])
+        );
+        for (args, bad) in [
+            (&["--autogne"][..], "--autogne"),
+            (&["--json", "4"], "4"),
+            (&["--k", "4", "--acl-test"], "--acl-test"),
+        ] {
+            assert_eq!(
+                check_flags(&argv(args), flags, switches),
+                Err(format!("unknown option {bad}"))
+            );
+        }
+    }
+
+    #[test]
+    fn arity_is_even_and_at_least_two() {
+        assert_eq!(arity(&argv(&[]), 4), Ok(4));
+        assert_eq!(arity(&argv(&["--k", "2"]), 4), Ok(2));
+        for k in ["0", "3", "5"] {
+            let err = arity(&argv(&["--k", k]), 4).unwrap_err();
+            assert!(err.starts_with("--k must be an even"), "{err}");
         }
     }
 

@@ -24,8 +24,8 @@
 //! [`serve`] and the [`http_get`]/[`http_post`] client helpers touch
 //! the network.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{sink, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 use netbdd::PortableBdd;
@@ -739,24 +739,43 @@ pub fn handle(engine: &mut CoverageEngine, req: &Request) -> Response {
 /// daemon allocate its way to an abort.
 const MAX_BODY_BYTES: usize = 8 << 20;
 
+/// Largest request line plus header block [`read_request`] reads. Every
+/// request the built-in client sends has a head of a few hundred bytes;
+/// without a bound, a request line that never ends grows one `String`
+/// until the allocator aborts the daemon.
+const MAX_HEAD_BYTES: u64 = 64 << 10;
+
 /// Read one HTTP/1.1 request from a stream (request line, headers,
 /// `Content-Length` body).
 ///
-/// The inner `Err` is a framing rejection to send back as is — `400`
-/// for a `Content-Length` that is not a number, `413` for one above
-/// the 8 MiB body cap — decided before any body byte is read or
-/// allocated for, and without involving the engine.
+/// The inner `Err` is a framing rejection to send back as is — `431` for
+/// a request line and headers longer than 64 KiB together, `400` for a
+/// `Content-Length` that is not a number, `413` for one above the 8 MiB
+/// body cap — decided before any body byte is read or allocated for, and
+/// without involving the engine.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
+    // A line cut short by the bound, not by the peer hanging up.
+    let truncated =
+        |line: &str, head: &std::io::Take<_>| !line.ends_with('\n') && head.limit() == 0;
+    let too_large = || Ok(Err(Response::error(431, "request head too large")));
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    head.read_line(&mut line)?;
+    if truncated(&line, &head) {
+        return too_large();
+    }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let target = parts.next().unwrap_or("/").to_string();
     let mut content_len = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let read = head.read_line(&mut header)?;
+        if truncated(&header, &head) {
+            return too_large();
+        }
+        if read == 0 {
             break;
         }
         let header = header.trim();
@@ -791,6 +810,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
         405 => "Method Not Allowed",
         410 => "Gone",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
@@ -840,6 +860,12 @@ fn serve_with_timeout(
             Ok(Ok(r)) => r,
             Ok(Err(rejection)) => {
                 let _ = write_response(&mut stream, &rejection);
+                // Closing with input unread resets the connection, which
+                // can destroy the answer before the client reads it: end
+                // the answer, then drop what the client sends (at most one
+                // more head's worth) until it hangs up or goes quiet.
+                let _ = stream.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut (&mut stream).take(MAX_HEAD_BYTES), &mut sink());
                 continue;
             }
             // Timed out or hung up mid-request: nothing reaches the engine.
@@ -1484,13 +1510,22 @@ mod tests {
     }
 
     /// One raw round trip with a hand-written header block, for framing
-    /// the built-in client would never produce. Returns the status.
+    /// the built-in client would never produce. Returns the status. Only
+    /// the status line is read: a daemon that refuses a request closes
+    /// with the rest of it unread, which resets the connection.
     fn raw_status(addr: &str, head: &str) -> u16 {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(head.as_bytes()).unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        raw.split_whitespace().nth(1).unwrap().parse().unwrap()
+        let mut status = String::new();
+        BufReader::new(stream).read_line(&mut status).unwrap();
+        status.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    /// The engine version a running daemon reports under `/metrics`.
+    fn served_version(addr: &str) -> Option<f64> {
+        let (status, body) = http_get(addr, "/metrics").unwrap();
+        assert_eq!(status, 200, "{body}");
+        json::parse(&body).unwrap().get("version").unwrap().as_f64()
     }
 
     #[test]
@@ -1501,12 +1536,7 @@ mod tests {
             let mut engine = build_engine();
             serve(&mut engine, listener).unwrap();
         });
-        let version = |addr: &str| {
-            let (status, body) = http_get(addr, "/metrics").unwrap();
-            assert_eq!(status, 200, "{body}");
-            json::parse(&body).unwrap().get("version").unwrap().as_f64()
-        };
-        let before = version(&addr);
+        let before = served_version(&addr);
         for (length, status) in [
             ("99999999999999", 413),
             (&(MAX_BODY_BYTES + 1).to_string(), 413),
@@ -1515,7 +1545,44 @@ mod tests {
         ] {
             let head = format!("POST /delta HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
             assert_eq!(raw_status(&addr, &head), status, "Content-Length: {length}");
-            assert_eq!(version(&addr), before, "after Content-Length: {length}");
+            assert_eq!(
+                served_version(&addr),
+                before,
+                "after Content-Length: {length}"
+            );
+        }
+        let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_request_head_is_refused_and_the_next_client_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut engine = build_engine();
+            serve(&mut engine, listener).unwrap();
+        });
+        let before = served_version(&addr);
+        let bound = MAX_HEAD_BYTES as usize;
+        let delta = r#"{"kind":"rule-insert","device":0,"rule":{"dst":"10.9.0.0/16"}}"#;
+        let pad = "X-Pad: 0123456789abcdef0123456789abcdef\r\n";
+        for (what, head) in [
+            // A request line that never ends within the bound.
+            ("line", format!("POST /{}", "a".repeat(bound + 1))),
+            // Short lines, but more of them than the bound holds.
+            (
+                "headers",
+                format!(
+                    "POST /delta HTTP/1.1\r\nContent-Length: {}\r\n{}\r\n{delta}",
+                    delta.len(),
+                    pad.repeat(bound / pad.len() + 1)
+                ),
+            ),
+        ] {
+            assert_eq!(raw_status(&addr, &head), 431, "over-long {what}");
+            assert_eq!(served_version(&addr), before, "after the over-long {what}");
         }
         let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
         assert_eq!(status, 200);

@@ -23,7 +23,7 @@ use netmodel::header::Packet;
 use netmodel::rule::{RouteClass, Rule};
 use netmodel::topology::{IfaceKind, Role, Topology};
 use netmodel::{Location, MatchSets, Network, RuleId};
-use testsuite::{acl_entry_jobs, fattree_suite_jobs, run_job, NetworkInfo, SuiteJob, SuiteVerdict};
+use testsuite::{fattree_suite_jobs, named_test, run_job, NetworkInfo, SuiteJob, SuiteVerdict};
 use topogen::acl::{install_acl, AclEntry};
 use topogen::fattree::{fattree, FatTree, FatTreeParams};
 use yardstick::testgen::{self, ExpectedEnd, GenConfig, TestSpec, TraceExpectation};
@@ -44,6 +44,7 @@ fn study_network(k: u32) -> (FatTree, NetworkInfo) {
     }
     let info = NetworkInfo {
         tor_subnets: ft.tors.clone(),
+        acls: ft.cores.iter().map(|&core| (core, BOGON_PORT)).collect(),
         ..NetworkInfo::default()
     };
     (ft, info)
@@ -121,7 +122,11 @@ fn k4_behavioural_suite_matches_the_reference() {
 fn k4_with_acl_entry_jobs_matches_the_reference() {
     let (ft, info) = study_network(4);
     let mut jobs = fattree_suite_jobs(&ft.net, &info, SEED);
-    jobs.extend(acl_entry_jobs(&ft.cores, BOGON_PORT));
+    jobs.extend(
+        named_test("AclEntryCheck")
+            .jobs(&ft.net, &info, SEED)
+            .unwrap(),
+    );
     assert_matches_reference(&ft, &info, &jobs);
 }
 

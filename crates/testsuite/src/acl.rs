@@ -1,12 +1,13 @@
 //! ACL tests — the port-blocking rows of the Figure 2 taxonomy.
 //!
-//! * [`acl_entry_check`] is the state-inspection flavour: "the access
-//!   control list on router R must have an entry that blocks packets to
-//!   port P" — it finds the deny entry and reports it via `markRule`.
-//! * [`acl_behavior_check`] is the local symbolic flavour: "router R
-//!   must drop all packets to port P" — it injects the full set of
-//!   matching packets and verifies none survive, reporting the injected
-//!   set via `markPacket`.
+//! * AclEntryCheck (`check_acl_entry`) is the state-inspection
+//!   flavour: "the access control list on router R must have an entry
+//!   that blocks packets to port P" — it finds the deny entry and reports
+//!   it via `markRule`.
+//! * AclBehaviorCheck (`check_acl_behavior`) is the local symbolic
+//!   flavour: "router R must drop all packets to port P" — it injects the
+//!   full set of matching packets and verifies none survive, reporting
+//!   the injected set via `markPacket`.
 
 use netbdd::Bdd;
 use netmodel::header;
@@ -17,88 +18,83 @@ use dataplane::{Forwarder, Outcome};
 
 use crate::context::{TestContext, TestReport};
 
-/// State inspection: each listed device has a deny entry covering
-/// destination port `port` (any protocol or a protocol-qualified rule).
-pub fn acl_entry_check(
-    _bdd: &mut Bdd,
+/// State inspection: `device` has a deny entry covering destination port
+/// `port` (any protocol or a protocol-qualified rule).
+pub(crate) fn check_acl_entry(
     ctx: &mut TestContext<'_>,
-    devices: &[DeviceId],
+    report: &mut TestReport,
+    device: DeviceId,
     port: u16,
-) -> TestReport {
-    let mut report = TestReport::new("AclEntryCheck");
-    for &device in devices {
-        let entry = ctx.net.device_rule_ids(device).find(|&id| {
-            let r = ctx.net.rule(id);
-            r.action.is_drop()
-                && r.matches
-                    .dport
-                    .map(|(lo, hi)| lo <= port && port <= hi)
-                    .unwrap_or(false)
-        });
-        match entry {
-            Some(id) => {
-                ctx.tracker.mark_rule(id);
-                report.check(true, || unreachable!());
-            }
-            None => report.check(false, || {
-                format!(
-                    "{}: no ACL entry blocking port {port}",
-                    ctx.net.topology().device(device).name
-                )
-            }),
+) {
+    let entry = ctx.net.device_rule_ids(device).find(|&id| {
+        let r = ctx.net.rule(id);
+        r.action.is_drop()
+            && r.matches
+                .dport
+                .map(|(lo, hi)| lo <= port && port <= hi)
+                .unwrap_or(false)
+    });
+    match entry {
+        Some(id) => {
+            ctx.tracker.mark_rule(id);
+            report.check(true, || unreachable!());
         }
-    }
-    report
-}
-
-/// Local symbolic: each listed device drops *all* packets to `port`
-/// (TCP), regardless of destination.
-pub fn acl_behavior_check(
-    bdd: &mut Bdd,
-    ctx: &mut TestContext<'_>,
-    devices: &[DeviceId],
-    port: u16,
-) -> TestReport {
-    let mut report = TestReport::new("AclBehaviorCheck");
-    let fwd = Forwarder::new(ctx.net, ctx.ms);
-    for &device in devices {
-        let blocked = {
-            let tcp = header::proto_is(bdd, 6);
-            let p = header::dport_in(bdd, port, port);
-            bdd.and(tcp, p)
-        };
-        ctx.tracker
-            .mark_packet(bdd, Location::device(device), blocked);
-        let step = fwd.step(bdd, device, None, blocked);
-        // Every matched subset must be dropped; nothing may be forwarded.
-        let mut leaked = bdd.empty();
-        for t in &step.transitions {
-            for o in &t.outcomes {
-                if !matches!(o, Outcome::Dropped { .. }) {
-                    leaked = bdd.or(leaked, o.packets());
-                }
-            }
-        }
-        report.check(leaked.is_false(), || {
-            let sample = header::sample_packet(bdd, leaked)
-                .map(|p| format!("{p:?}"))
-                .unwrap_or_default();
+        None => report.check(false, || {
             format!(
-                "{}: port-{port} traffic leaks past the ACL, e.g. {sample}",
+                "{}: no ACL entry blocking port {port}",
                 ctx.net.topology().device(device).name
             )
-        });
+        }),
     }
-    report
+}
+
+/// Local symbolic: `device` drops *all* packets to `port` (TCP),
+/// regardless of destination.
+pub(crate) fn check_acl_behavior(
+    bdd: &mut Bdd,
+    ctx: &mut TestContext<'_>,
+    report: &mut TestReport,
+    device: DeviceId,
+    port: u16,
+) {
+    let blocked = {
+        let tcp = header::proto_is(bdd, 6);
+        let p = header::dport_in(bdd, port, port);
+        bdd.and(tcp, p)
+    };
+    ctx.tracker
+        .mark_packet(bdd, Location::device(device), blocked);
+    let step = Forwarder::new(ctx.net, ctx.ms).step(bdd, device, None, blocked);
+    // Every matched subset must be dropped; nothing may be forwarded.
+    let mut leaked = bdd.empty();
+    for t in &step.transitions {
+        for o in &t.outcomes {
+            if !matches!(o, Outcome::Dropped { .. }) {
+                leaked = bdd.or(leaked, o.packets());
+            }
+        }
+    }
+    report.check(leaked.is_false(), || {
+        let sample = header::sample_packet(bdd, leaked)
+            .map(|p| format!("{p:?}"))
+            .unwrap_or_default();
+        format!(
+            "{}: port-{port} traffic leaks past the ACL, e.g. {sample}",
+            ctx.net.topology().device(device).name
+        )
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::NetworkInfo;
+    use crate::testing::run_named;
+    use crate::NetworkInfo;
+    use netbdd::Bdd;
+    use netmodel::topology::DeviceId;
     use netmodel::MatchSets;
     use topogen::acl::{install_acl, AclEntry};
     use topogen::{fattree, FatTreeParams};
+    use yardstick::Tracker;
 
     fn guarded_fattree() -> (topogen::FatTree, Vec<DeviceId>) {
         let mut ft = fattree(FatTreeParams::paper(4));
@@ -109,27 +105,40 @@ mod tests {
         (ft, guards)
     }
 
+    /// Ground truth claiming an ACL for port 23 on each of `devices`.
+    fn acls(devices: &[DeviceId]) -> NetworkInfo {
+        NetworkInfo {
+            acls: devices.iter().map(|&d| (d, 23)).collect(),
+            ..NetworkInfo::default()
+        }
+    }
+
     #[test]
     fn entry_check_finds_installed_acls() {
         let (ft, guards) = guarded_fattree();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = acl_entry_check(&mut bdd, &mut ctx, &guards, 23);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &acls(&guards),
+            "AclEntryCheck",
+            &mut tracker,
+        );
         assert!(report.passed());
-        assert_eq!(ctx.tracker.trace().rules.len(), guards.len());
+        assert_eq!(tracker.trace().rules.len(), guards.len());
     }
 
     #[test]
     fn entry_check_fails_where_no_acl_exists() {
         let (ft, _) = guarded_fattree();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
         let (tor, _, _) = ft.tors[0];
-        let report = acl_entry_check(&mut bdd, &mut ctx, &[tor], 23);
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &acls(&[tor]),
+            "AclEntryCheck",
+            &mut Tracker::new(),
+        );
         assert!(!report.passed());
         assert!(report.failures[0].contains("no ACL entry"));
     }
@@ -137,26 +146,31 @@ mod tests {
     #[test]
     fn behavior_check_verifies_the_drop_semantically() {
         let (ft, guards) = guarded_fattree();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = acl_behavior_check(&mut bdd, &mut ctx, &guards, 23);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &acls(&guards),
+            "AclBehaviorCheck",
+            &mut tracker,
+        );
         assert!(report.passed(), "{:?}", report.failures.first());
         // Packet marks exist at every guarded device.
-        assert_eq!(ctx.tracker.trace().packets.devices().len(), guards.len());
+        assert_eq!(tracker.trace().packets.devices().len(), guards.len());
     }
 
     #[test]
     fn behavior_check_catches_a_leak() {
         // ToRs have no ACL: port-23 traffic to a remote prefix leaks.
         let (ft, _) = guarded_fattree();
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
         let (tor, _, _) = ft.tors[0];
-        let report = acl_behavior_check(&mut bdd, &mut ctx, &[tor], 23);
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &acls(&[tor]),
+            "AclBehaviorCheck",
+            &mut Tracker::new(),
+        );
         assert!(!report.passed());
         assert!(report.failures[0].contains("leaks past the ACL"));
     }
@@ -166,11 +180,15 @@ mod tests {
         use yardstick::{Aggregator, Analyzer};
         let (ft, guards) = guarded_fattree();
         let mut bdd = Bdd::new();
+        let mut tracker = Tracker::new();
+        run_named(
+            &mut bdd,
+            &ft.net,
+            &acls(&guards),
+            "AclEntryCheck",
+            &mut tracker,
+        );
         let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        acl_entry_check(&mut bdd, &mut ctx, &guards, 23);
-        let tracker = std::mem::take(&mut ctx.tracker);
         let trace = tracker.into_trace();
         let a = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
         // Exactly the ACL rules (class Other, drop) are covered.

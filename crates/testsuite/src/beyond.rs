@@ -3,13 +3,14 @@
 //! * The engineers "have yet to define a test for wide-area routes. The
 //!   challenge is that there is not yet any specification of the routes
 //!   to expect from the wide-area network." In this reproduction the
-//!   generator *is* the specification, so [`wan_route_check`] closes
-//!   that gap: every upper-tier router carries every expected WAN prefix
-//!   and forwards it along shortest paths towards the WAN routers.
+//!   generator *is* the specification, so WanRouteCheck
+//!   (`check_wan_prefix`) closes that gap: every upper-tier router
+//!   carries every expected WAN prefix and forwards it along shortest
+//!   paths towards the WAN routers.
 //! * "We discovered that host-facing interfaces are not being tested,
 //!   and as a result, will be developing another new test for these
-//!   interfaces soon." [`host_port_check`] is that test: each ToR host
-//!   port has the forwarding rule for its subnet slice.
+//!   interfaces soon." HostPortCheck (`check_host_port`) is that test:
+//!   each ToR host port has the forwarding rule for its subnet slice.
 
 use std::collections::VecDeque;
 
@@ -19,16 +20,6 @@ use netmodel::topology::{DeviceId, Role, Topology};
 use netmodel::{IfaceId, Location, Prefix};
 
 use crate::context::{TestContext, TestReport};
-
-/// Ground truth for [`wan_route_check`]: the prefixes the WAN advertises
-/// and the WAN routers they enter through.
-#[derive(Clone, Debug, Default)]
-pub struct WanSpec {
-    /// The wide-area prefixes the WAN advertises.
-    pub prefixes: Vec<Prefix>,
-    /// The WAN routers those prefixes enter through.
-    pub wan_routers: Vec<DeviceId>,
-}
 
 /// Multi-source BFS distances over the subgraph of devices for which
 /// `member` holds.
@@ -57,164 +48,147 @@ fn subgraph_distances(
     dist
 }
 
-/// WanRouteCheck (beyond §7.3): a local symbolic contract check for
-/// wide-area routes. Every router whose role passes `expected` must
-/// carry each WAN prefix and forward it to the full set of
-/// shortest-path neighbors towards the WAN routers (staying inside the
-/// expected tier set, mirroring the route-leak policy).
-pub fn wan_route_check(
-    bdd: &mut Bdd,
-    ctx: &mut TestContext<'_>,
-    spec: &WanSpec,
-    expected: impl Fn(Role) -> bool,
-) -> TestReport {
-    let mut report = TestReport::new("WanRouteCheck");
-    let topo = ctx.net.topology();
-    let member = |d: DeviceId| expected(topo.device(d).role) || spec.wan_routers.contains(&d);
-    let dist = subgraph_distances(topo, &spec.wan_routers, member);
-    let checked: Vec<DeviceId> = topo
-        .devices()
-        .filter(|&(v, dev)| {
-            expected(dev.role) && !spec.wan_routers.contains(&v) && dist[v.0 as usize] != u32::MAX
-        })
-        .map(|(v, _)| v)
-        .collect();
-    for &prefix in &spec.prefixes {
-        // At the WAN routers themselves the prefix must deliver out an
-        // external interface (they are where the route enters).
-        for &wan in &spec.wan_routers {
-            let name = &topo.device(wan).name;
-            let found = ctx
-                .net
-                .device_rule_ids(wan)
-                .find(|&id| ctx.net.rule(id).matches.dst == Some(prefix));
-            match found {
-                Some(id) => {
-                    ctx.tracker.mark_rule(id);
-                    let rule = ctx.net.rule(id);
-                    let ok = rule
-                        .action
-                        .out_ifaces()
-                        .iter()
-                        .any(|&i| topo.iface(i).kind == netmodel::IfaceKind::External);
-                    report.check(ok, || {
-                        format!("{name}: WAN prefix {prefix} does not exit externally")
-                    });
-                }
-                None => report.check(false, || format!("{name}: missing WAN route {prefix}")),
-            }
-        }
-        for &device in &checked {
-            let name = &topo.device(device).name;
-            let d = dist[device.0 as usize];
-            // The local symbolic analysis of this prefix at this device.
-            let packets = header::dst_in(bdd, &prefix);
-            ctx.tracker
-                .mark_packet(bdd, Location::device(device), packets);
-
-            let rule = ctx
-                .net
-                .device_rule_ids(device)
-                .map(|id| ctx.net.rule(id))
-                .find(|r| r.matches.dst == Some(prefix));
-            let Some(rule) = rule else {
-                report.check(false, || format!("{name}: missing WAN route {prefix}"));
-                continue;
-            };
-            let mut expected_outs: Vec<IfaceId> = topo
-                .neighbors(device)
-                .into_iter()
-                .filter(|&(_, n)| dist[n.0 as usize] == d.wrapping_sub(1))
-                .map(|(i, _)| i)
-                .collect();
-            expected_outs.sort();
-            let mut got: Vec<IfaceId> = rule.action.out_ifaces().to_vec();
-            got.sort();
-            report.check(got == expected_outs, || {
-                format!(
-                    "{name}: WAN prefix {prefix} forwarded via {:?}, expected the \
-                     shortest-path set {:?} towards the WAN",
-                    got, expected_outs
-                )
-            });
-        }
-    }
-    report
+/// The tiers a WAN route may cross: the route-leak policy keeps it above
+/// the aggregation layer.
+fn carries_wan_routes(role: Role) -> bool {
+    matches!(role, Role::Spine | Role::RegionalHub | Role::Wan)
 }
 
-/// HostPortCheck (beyond §7.3): every ToR host-facing port carries the
-/// forwarding rule for its subnet slice, pointing out that port. A
-/// state-inspection test, reported via `markRule`.
-///
-/// `slices` is the ground truth: `(ToR, port, slice prefix)`.
-pub fn host_port_check(
-    _bdd: &mut Bdd,
+/// WanRouteCheck (beyond §7.3) for one WAN prefix, a local symbolic
+/// contract check: each WAN router delivers the prefix out an external
+/// interface, and every other upper-tier router carries it and forwards
+/// it to the full set of shortest-path neighbors towards the WAN routers
+/// (staying inside the upper tiers).
+pub(crate) fn check_wan_prefix(
+    bdd: &mut Bdd,
     ctx: &mut TestContext<'_>,
-    slices: &[(DeviceId, IfaceId, Prefix)],
-) -> TestReport {
-    let mut report = TestReport::new("HostPortCheck");
-    for &(device, port, slice) in slices {
-        let name = &ctx.net.topology().device(device).name;
+    report: &mut TestReport,
+    prefix: Prefix,
+) {
+    let topo = ctx.net.topology();
+    let wans = &ctx.info.wan_routers;
+    let member = |d: DeviceId| carries_wan_routes(topo.device(d).role) || wans.contains(&d);
+    let dist = subgraph_distances(topo, wans, member);
+    // At the WAN routers themselves the prefix must deliver out an
+    // external interface (they are where the route enters).
+    for &wan in wans {
+        let name = &topo.device(wan).name;
         let found = ctx
             .net
-            .device_rule_ids(device)
-            .find(|&id| ctx.net.rule(id).matches.dst == Some(slice));
+            .device_rule_ids(wan)
+            .find(|&id| ctx.net.rule(id).matches.dst == Some(prefix));
         match found {
             Some(id) => {
                 ctx.tracker.mark_rule(id);
                 let rule = ctx.net.rule(id);
-                report.check(rule.action.out_ifaces() == [port], || {
-                    format!(
-                        "{name}: slice {slice} does not deliver out port {:?}",
-                        ctx.net.topology().iface(port).name
-                    )
+                let ok = rule
+                    .action
+                    .out_ifaces()
+                    .iter()
+                    .any(|&i| topo.iface(i).kind == netmodel::IfaceKind::External);
+                report.check(ok, || {
+                    format!("{name}: WAN prefix {prefix} does not exit externally")
                 });
             }
-            None => report.check(false, || format!("{name}: missing slice route {slice}")),
+            None => report.check(false, || format!("{name}: missing WAN route {prefix}")),
         }
     }
-    report
+    for (device, dev) in topo.devices() {
+        let d = dist[device.0 as usize];
+        if !carries_wan_routes(dev.role) || wans.contains(&device) || d == u32::MAX {
+            continue;
+        }
+        let name = &dev.name;
+        // The local symbolic analysis of this prefix at this device.
+        let packets = header::dst_in(bdd, &prefix);
+        ctx.tracker
+            .mark_packet(bdd, Location::device(device), packets);
+
+        let rule = ctx
+            .net
+            .device_rule_ids(device)
+            .map(|id| ctx.net.rule(id))
+            .find(|r| r.matches.dst == Some(prefix));
+        let Some(rule) = rule else {
+            report.check(false, || format!("{name}: missing WAN route {prefix}"));
+            continue;
+        };
+        let mut expected_outs: Vec<IfaceId> = topo
+            .neighbors(device)
+            .into_iter()
+            .filter(|&(_, n)| dist[n.0 as usize] == d.wrapping_sub(1))
+            .map(|(i, _)| i)
+            .collect();
+        expected_outs.sort();
+        let mut got: Vec<IfaceId> = rule.action.out_ifaces().to_vec();
+        got.sort();
+        report.check(got == expected_outs, || {
+            format!(
+                "{name}: WAN prefix {prefix} forwarded via {:?}, expected the \
+                 shortest-path set {:?} towards the WAN",
+                got, expected_outs
+            )
+        });
+    }
+}
+
+/// HostPortCheck (beyond §7.3) for one entry of `info.host_port_slices`:
+/// the ToR carries the forwarding rule for the port's subnet slice,
+/// pointing out that port. A state-inspection test, reported via
+/// `markRule`.
+pub(crate) fn check_host_port(
+    ctx: &mut TestContext<'_>,
+    report: &mut TestReport,
+    slice_index: usize,
+) {
+    let (device, port, slice) = ctx.info.host_port_slices[slice_index];
+    let name = &ctx.net.topology().device(device).name;
+    let found = ctx
+        .net
+        .device_rule_ids(device)
+        .find(|&id| ctx.net.rule(id).matches.dst == Some(slice));
+    match found {
+        Some(id) => {
+            ctx.tracker.mark_rule(id);
+            let rule = ctx.net.rule(id);
+            report.check(rule.action.out_ifaces() == [port], || {
+                format!(
+                    "{name}: slice {slice} does not deliver out port {:?}",
+                    ctx.net.topology().iface(port).name
+                )
+            });
+        }
+        None => report.check(false, || format!("{name}: missing slice route {slice}")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::NetworkInfo;
+    use crate::testing::{regional_info, run_named};
+    use netbdd::Bdd;
+    use netmodel::topology::Role;
     use netmodel::MatchSets;
     use topogen::{regional, RegionalParams};
     use yardstick::{Aggregator, Analyzer, Tracker};
 
-    fn setup() -> (topogen::Regional, Bdd, MatchSets) {
-        let r = regional(RegionalParams::default());
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
-        (r, bdd, ms)
-    }
-
-    fn wan_spec(r: &topogen::Regional) -> WanSpec {
-        WanSpec {
-            prefixes: r.wan_prefixes.clone(),
-            wan_routers: r.wans.clone(),
-        }
-    }
-
-    fn upper(role: Role) -> bool {
-        matches!(role, Role::Spine | Role::RegionalHub | Role::Wan)
-    }
-
     #[test]
     fn wan_route_check_passes_on_healthy_regional() {
-        let (r, mut bdd, ms) = setup();
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = wan_route_check(&mut bdd, &mut ctx, &wan_spec(&r), upper);
+        let r = regional(RegionalParams::default());
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &regional_info(&r),
+            "WanRouteCheck",
+            &mut tracker,
+        );
         assert!(
             report.passed(),
             "{:?}",
             &report.failures[..report.failures.len().min(3)]
         );
         // Marks exactly at spines and hubs.
-        let marked = ctx.tracker.trace().packets.devices();
+        let marked = tracker.trace().packets.devices();
         assert!(marked
             .iter()
             .all(|d| r.spines.contains(d) || r.hubs.contains(d)));
@@ -223,38 +197,49 @@ mod tests {
 
     #[test]
     fn wan_route_check_detects_a_missing_route() {
-        let (mut r, _, _) = setup();
+        let mut r = regional(RegionalParams::default());
         topogen::faults::remove_route(&mut r.net, r.spines[0], r.wan_prefixes[0]);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = wan_route_check(&mut bdd, &mut ctx, &wan_spec(&r), upper);
+        let info = regional_info(&r);
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "WanRouteCheck",
+            &mut Tracker::new(),
+        );
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("missing WAN route"));
     }
 
     #[test]
     fn host_port_check_passes_and_covers_ports() {
-        let (r, mut bdd, ms) = setup();
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = host_port_check(&mut bdd, &mut ctx, &r.host_port_slices);
+        let r = regional(RegionalParams::default());
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &regional_info(&r),
+            "HostPortCheck",
+            &mut tracker,
+        );
         assert!(report.passed(), "{:?}", report.failures.first());
         assert_eq!(report.checks as usize, r.host_port_slices.len());
-        assert_eq!(ctx.tracker.trace().rules.len(), r.host_port_slices.len());
+        assert_eq!(tracker.trace().rules.len(), r.host_port_slices.len());
     }
 
     #[test]
     fn host_port_check_detects_missing_slice() {
-        let (mut r, _, _) = setup();
+        let mut r = regional(RegionalParams::default());
         let &(d, _, slice) = &r.host_port_slices[0];
         topogen::faults::remove_route(&mut r.net, d, slice);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = host_port_check(&mut bdd, &mut ctx, &r.host_port_slices);
+        let info = regional_info(&r);
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "HostPortCheck",
+            &mut Tracker::new(),
+        );
         assert_eq!(report.failures.len(), 1);
     }
 
@@ -262,19 +247,15 @@ mod tests {
     /// the WAN-route gap and the host-interface gap both close.
     #[test]
     fn beyond_paper_suite_closes_the_remaining_gaps() {
-        let (r, mut bdd, ms) = setup();
-        let info = bench_info(&r);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        // Paper-final suite...
-        assert!(crate::default_route_check(&mut bdd, &mut ctx, |_| true).passed());
-        assert!(crate::agg_can_reach_tor_loopback(&mut bdd, &mut ctx).passed());
-        assert!(crate::internal_route_check(&mut bdd, &mut ctx).passed());
-        assert!(crate::connected_route_check(&mut bdd, &mut ctx).passed());
-        // ...plus the two new ones.
-        assert!(wan_route_check(&mut bdd, &mut ctx, &wan_spec(&r), upper).passed());
-        assert!(host_port_check(&mut bdd, &mut ctx, &r.host_port_slices).passed());
-
-        let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+        let r = regional(RegionalParams::default());
+        let info = regional_info(&r);
+        let mut bdd = Bdd::new();
+        let mut tracker = Tracker::new();
+        // Paper-final suite, plus the two new ones.
+        for test in crate::suite("beyond").unwrap() {
+            assert!(run_named(&mut bdd, &r.net, &info, test.name, &mut tracker).passed());
+        }
+        let ms = MatchSets::compute(&r.net, &mut bdd);
         let trace = tracker.into_trace();
         let a = Analyzer::new(&r.net, &ms, &trace, &mut bdd);
         let wan_cov = a
@@ -294,25 +275,5 @@ mod tests {
             .aggregate_rules(&mut bdd, Aggregator::Fractional, |_, _| true)
             .unwrap();
         assert!(total > 0.85, "got {total}");
-    }
-
-    /// Duplicate of bench::regional_info to avoid a circular dev-dep.
-    fn bench_info(r: &topogen::Regional) -> NetworkInfo {
-        NetworkInfo {
-            tor_subnets: r.tors.clone(),
-            loopbacks: (0..r.net.topology().device_count())
-                .map(|d| (DeviceId(d as u32), topogen::addressing::loopback(d as u32)))
-                .collect(),
-            links: r
-                .links
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (p4, _, _) = topogen::addressing::p2p_v4(i as u32);
-                    let (p6, _, _) = topogen::addressing::p2p_v6(i as u32);
-                    (a, b, p4, p6)
-                })
-                .collect(),
-        }
     }
 }

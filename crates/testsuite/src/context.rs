@@ -6,7 +6,9 @@ use yardstick::Tracker;
 
 /// Ground-truth facts about a generated network that tests validate
 /// against. Generators know these by construction; a production
-/// deployment would derive them from intent/config sources.
+/// deployment would derive them from intent/config sources. The tests
+/// beyond the case study's final suite do not apply where their facts
+/// are empty (see [`crate::NamedTest::jobs`]).
 #[derive(Clone, Debug, Default)]
 pub struct NetworkInfo {
     /// ToRs with their hosted prefix and host-facing interface.
@@ -15,6 +17,16 @@ pub struct NetworkInfo {
     pub loopbacks: Vec<(DeviceId, Prefix)>,
     /// Point-to-point links with their assigned v4 and v6 prefixes.
     pub links: Vec<(IfaceId, IfaceId, Prefix, Prefix)>,
+    /// The wide-area prefixes the WAN advertises (WanRouteCheck).
+    pub wan_prefixes: Vec<Prefix>,
+    /// The WAN routers those prefixes enter through.
+    pub wan_routers: Vec<DeviceId>,
+    /// ToR host ports with the subnet slice each delivers:
+    /// `(ToR, port, slice prefix)` (HostPortCheck).
+    pub host_port_slices: Vec<(DeviceId, IfaceId, Prefix)>,
+    /// Devices whose ACL must drop TCP traffic to a port: `(device,
+    /// port)` (AclEntryCheck, AclBehaviorCheck).
+    pub acls: Vec<(DeviceId, u16)>,
 }
 
 impl NetworkInfo {
@@ -28,47 +40,20 @@ impl NetworkInfo {
     }
 }
 
-/// Everything a test needs: the network, its match sets, ground truth,
-/// and the coverage tracker to report into.
-pub struct TestContext<'n> {
-    /// The network under test.
-    pub net: &'n Network,
-    /// Precomputed disjoint match sets for `net`.
-    pub ms: &'n MatchSets,
-    /// Ground truth (hosted prefixes, links, loopbacks).
-    pub info: &'n NetworkInfo,
-    /// The coverage tracker tests report into.
-    pub tracker: Tracker,
+/// Everything a check needs: the network, its match sets, ground truth,
+/// and the coverage tracker to report into. [`crate::run_job`] builds
+/// one per job.
+pub(crate) struct TestContext<'n> {
+    pub(crate) net: &'n Network,
+    pub(crate) ms: &'n MatchSets,
+    pub(crate) info: &'n NetworkInfo,
+    pub(crate) tracker: Tracker,
 }
 
-impl<'n> TestContext<'n> {
-    /// A context with coverage tracking enabled.
-    pub fn new(net: &'n Network, ms: &'n MatchSets, info: &'n NetworkInfo) -> TestContext<'n> {
-        TestContext {
-            net,
-            ms,
-            info,
-            tracker: Tracker::new(),
-        }
-    }
-
-    /// A context whose tracker ignores all marks (baseline timing runs).
-    pub fn without_tracking(
-        net: &'n Network,
-        ms: &'n MatchSets,
-        info: &'n NetworkInfo,
-    ) -> TestContext<'n> {
-        TestContext {
-            net,
-            ms,
-            info,
-            tracker: Tracker::disabled(),
-        }
-    }
-
+impl TestContext<'_> {
     /// Ranking of roles from the bottom of the hierarchy up, used to
     /// decide what "northbound" means for a device.
-    pub fn role_rank(role: Role) -> u8 {
+    pub(crate) fn role_rank(role: Role) -> u8 {
         match role {
             Role::Tor => 0,
             Role::Aggregation => 1,
@@ -121,10 +106,10 @@ impl TestReport {
 /// *verdict* is the product (mutation kill matrices) rather than the
 /// coverage trace.
 ///
-/// Sharded runs produce one [`TestReport`] per job; feeding them all
-/// through [`SuiteVerdict::record`] folds the jobs of each named test
-/// back into one row, in first-recorded order (job order, which is
-/// deterministic), so the aggregate is chunking-invariant.
+/// [`crate::run_job`] produces one [`TestReport`] per job; feeding them
+/// all through [`SuiteVerdict::record`] folds the jobs of each job kind
+/// ([`crate::SuiteJob::test_name`]) into one row, in first-recorded
+/// order, so the rows do not depend on which subset of jobs ran first.
 #[derive(Clone, Debug, Default)]
 pub struct SuiteVerdict {
     /// Per test name: total checks and the collected failure messages.
@@ -202,7 +187,7 @@ mod tests {
         let info = NetworkInfo {
             tor_subnets: vec![(DeviceId(0), "10.0.0.0/24".parse().unwrap(), IfaceId(0))],
             loopbacks: vec![(DeviceId(1), "172.16.0.1/32".parse().unwrap())],
-            links: vec![],
+            ..NetworkInfo::default()
         };
         let all = info.internal_prefixes();
         assert_eq!(all.len(), 2);

@@ -14,19 +14,10 @@ use dataplane::{reach, traceroute, Forwarder, TraceOutcome};
 
 use crate::context::{TestContext, TestReport};
 
-/// ToRReachability (§8): end-to-end symbolic. All packets originating at
-/// a ToR with a destination address in another ToR's hosted prefix must
-/// reach that ToR. One symbolic propagation per source ToR carries every
-/// remote prefix at once.
-pub fn tor_reachability(bdd: &mut Bdd, ctx: &mut TestContext<'_>) -> TestReport {
-    let mut report = TestReport::new("ToRReachability");
-    for src_index in 0..ctx.info.tor_subnets.len() {
-        check_reachability_from(bdd, ctx, &mut report, src_index);
-    }
-    report
-}
-
-/// ToRReachability from a single source ToR — the shardable unit.
+/// ToRReachability (§8), end-to-end symbolic, from one source ToR: all
+/// packets originating there with a destination address in another
+/// ToR's hosted prefix must reach that ToR. One symbolic propagation
+/// carries every remote prefix at once.
 pub(crate) fn check_reachability_from(
     bdd: &mut Bdd,
     ctx: &mut TestContext<'_>,
@@ -83,30 +74,6 @@ pub(crate) fn check_reachability_from(
     }
 }
 
-/// ToRPingmesh (§8): end-to-end concrete. For every ordered ToR pair,
-/// sample one address from the destination's hosted prefix and
-/// traceroute a packet to it (the Pingmesh idea). Coverage: one
-/// `markPacket` per hop with the concrete packet (as transformed so far)
-/// at that hop's location.
-/// Each ordered pair samples from its own RNG seeded by
-/// `pair_seed(seed, src_index, dst_index)`, so the sampled addresses
-/// are a function of the pair alone — running pairs in any order, or
-/// sharded across threads, reproduces the exact same packets.
-pub fn tor_pingmesh(bdd: &mut Bdd, ctx: &mut TestContext<'_>, seed: u64) -> TestReport {
-    let mut report = TestReport::new("ToRPingmesh");
-    let n = ctx.info.tor_subnets.len();
-    for src_index in 0..n {
-        for dst_index in 0..n {
-            if src_index == dst_index {
-                continue;
-            }
-            let pair = pair_seed(seed, src_index, dst_index);
-            check_ping_pair(bdd, ctx, &mut report, src_index, dst_index, pair);
-        }
-    }
-    report
-}
-
 /// Derive the RNG seed of one ordered ToR pair from the suite seed —
 /// [`yardstick::rng::seed_mix`] over (seed, src‖dst), so every pair's
 /// sample stream is independent of execution order.
@@ -114,8 +81,13 @@ pub(crate) fn pair_seed(seed: u64, src_index: usize, dst_index: usize) -> u64 {
     yardstick::rng::seed_mix(seed, (src_index as u64) << 32 | dst_index as u64)
 }
 
-/// ToRPingmesh for one ordered ToR pair — the shardable unit. `seed` is
-/// the pair's own RNG seed (see [`pair_seed`]).
+/// ToRPingmesh (§8), end-to-end concrete, for one ordered ToR pair:
+/// sample one address from the destination's hosted prefix and
+/// traceroute a packet to it (the Pingmesh idea). Coverage: one
+/// `markPacket` per hop with the concrete packet (as transformed so far)
+/// at that hop's location. `seed` is the pair's own RNG seed (see
+/// [`pair_seed`]), so the sampled address is a function of the pair
+/// alone, whichever other pairs run and in whatever order.
 pub(crate) fn check_ping_pair(
     bdd: &mut Bdd,
     ctx: &mut TestContext<'_>,
@@ -153,27 +125,32 @@ pub(crate) fn check_ping_pair(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::NetworkInfo;
-    use netmodel::MatchSets;
+    use crate::testing::run_named;
+    use crate::NetworkInfo;
+    use netbdd::Bdd;
     use topogen::{fattree, FatTreeParams};
+    use yardstick::Tracker;
 
-    fn setup(k: u32) -> (topogen::FatTree, Bdd, MatchSets) {
-        let ft = fattree(FatTreeParams::paper(k));
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        (ft, bdd, ms)
-    }
-
-    #[test]
-    fn reachability_passes_on_healthy_fattree() {
-        let (ft, mut bdd, ms) = setup(4);
+    fn setup() -> (topogen::FatTree, NetworkInfo) {
+        let ft = fattree(FatTreeParams::paper(4));
         let info = NetworkInfo {
             tor_subnets: ft.tors.clone(),
             ..NetworkInfo::default()
         };
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = tor_reachability(&mut bdd, &mut ctx);
+        (ft, info)
+    }
+
+    #[test]
+    fn reachability_passes_on_healthy_fattree() {
+        let (ft, info) = setup();
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &info,
+            "ToRReachability",
+            &mut tracker,
+        );
         assert!(
             report.passed(),
             "{:?}",
@@ -182,25 +159,25 @@ mod tests {
         assert_eq!(report.checks, 8 * 7 + 8); // pair checks + per-source drop checks
                                               // Per-hop marks land on every router (everything is on some path).
         assert_eq!(
-            ctx.tracker.trace().packets.devices().len(),
+            tracker.trace().packets.devices().len(),
             ft.net.topology().device_count()
         );
     }
 
     #[test]
     fn reachability_detects_null_routed_prefix() {
-        let (mut ft, _, _) = setup(4);
+        let (mut ft, info) = setup();
         let (_, victim_prefix, _) = ft.tors[5];
         // Null-route the victim's prefix at one core: some flows die.
         topogen::faults::null_route(&mut ft.net, ft.cores[0], victim_prefix);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo {
-            tor_subnets: ft.tors.clone(),
-            ..NetworkInfo::default()
-        };
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = tor_reachability(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &info,
+            "ToRReachability",
+            &mut tracker,
+        );
         assert!(!report.passed());
         assert!(report
             .failures
@@ -210,55 +187,44 @@ mod tests {
 
     #[test]
     fn pingmesh_passes_and_marks_hops() {
-        let (ft, mut bdd, ms) = setup(4);
-        let info = NetworkInfo {
-            tor_subnets: ft.tors.clone(),
-            ..NetworkInfo::default()
-        };
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = tor_pingmesh(&mut bdd, &mut ctx, 42);
+        let (ft, info) = setup();
+        let mut tracker = Tracker::new();
+        let report = run_named(&mut Bdd::new(), &ft.net, &info, "ToRPingmesh", &mut tracker);
         assert!(
             report.passed(),
             "{:?}",
             &report.failures[..report.failures.len().min(3)]
         );
         assert_eq!(report.checks, 8 * 7);
-        let (packet_calls, _) = ctx.tracker.call_counts();
+        let (packet_calls, _) = tracker.call_counts();
         // Each of the 56 traces has 3 or 5 hops.
         assert!(packet_calls >= 56 * 3);
     }
 
     #[test]
     fn pingmesh_is_deterministic_per_seed() {
-        let (ft, mut bdd, ms) = setup(4);
-        let info = NetworkInfo {
-            tor_subnets: ft.tors.clone(),
-            ..NetworkInfo::default()
-        };
-        let mut c1 = TestContext::new(&ft.net, &ms, &info);
-        let r1 = tor_pingmesh(&mut bdd, &mut c1, 7);
-        let mut c2 = TestContext::new(&ft.net, &ms, &info);
-        let r2 = tor_pingmesh(&mut bdd, &mut c2, 7);
+        let (ft, info) = setup();
+        let mut bdd = Bdd::new();
+        let (mut t1, mut t2) = (Tracker::new(), Tracker::new());
+        let r1 = run_named(&mut bdd, &ft.net, &info, "ToRPingmesh", &mut t1);
+        let r2 = run_named(&mut bdd, &ft.net, &info, "ToRPingmesh", &mut t2);
         assert_eq!(r1.checks, r2.checks);
-        assert_eq!(c1.tracker.call_counts(), c2.tracker.call_counts());
+        assert_eq!(t1.call_counts(), t2.call_counts());
     }
 
     #[test]
     fn pingmesh_samples_only_a_sliver_of_coverage() {
         // The defining difference between concrete and symbolic tests:
         // Pingmesh covers single packets, Reachability covers prefixes.
-        let (ft, mut bdd, ms) = setup(4);
-        let info = NetworkInfo {
-            tor_subnets: ft.tors.clone(),
-            ..NetworkInfo::default()
-        };
-        let mut ping = TestContext::new(&ft.net, &ms, &info);
-        tor_pingmesh(&mut bdd, &mut ping, 1);
-        let mut sym = TestContext::new(&ft.net, &ms, &info);
-        tor_reachability(&mut bdd, &mut sym);
+        let (ft, info) = setup();
+        let mut bdd = Bdd::new();
+        let mut ping = Tracker::new();
+        run_named(&mut bdd, &ft.net, &info, "ToRPingmesh", &mut ping);
+        let mut sym = Tracker::new();
+        run_named(&mut bdd, &ft.net, &info, "ToRReachability", &mut sym);
         let (tor0, _, _) = ft.tors[0];
-        let ping_at = ping.tracker.trace().packets.at_device(&mut bdd, tor0);
-        let sym_at = sym.tracker.trace().packets.at_device(&mut bdd, tor0);
+        let ping_at = ping.trace().packets.at_device(&mut bdd, tor0);
+        let sym_at = sym.trace().packets.at_device(&mut bdd, tor0);
         assert!(bdd.subset(ping_at, sym_at));
         assert!(!bdd.equal(ping_at, sym_at));
         let ratio = bdd.probability(ping_at) / bdd.probability(sym_at);

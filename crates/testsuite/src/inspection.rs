@@ -3,38 +3,14 @@
 //! paper measures their baseline runtime in fractions of a second even
 //! on thousands of routers.
 
-use netbdd::Bdd;
-use netmodel::topology::{DeviceId, IfaceKind, Role};
+use netmodel::topology::{DeviceId, IfaceKind};
 use netmodel::RuleId;
 
 use crate::context::{TestContext, TestReport};
 
-/// DefaultRouteCheck (§7.2, §8): every router expected to have a default
-/// route has one, and its next hops are exactly the northbound
-/// neighbors (or an external uplink for top-tier routers).
-///
-/// `expected(role)` filters which devices are checked; the Azure case
-/// study excludes some regional hubs that legitimately lack defaults.
-pub fn default_route_check(
-    _bdd: &mut Bdd,
-    ctx: &mut TestContext<'_>,
-    expected: impl Fn(Role) -> bool,
-) -> TestReport {
-    let mut report = TestReport::new("DefaultRouteCheck");
-    let devices: Vec<DeviceId> = ctx
-        .net
-        .topology()
-        .devices()
-        .filter(|(_, dev)| expected(dev.role))
-        .map(|(device, _)| device)
-        .collect();
-    for device in devices {
-        check_default_route(ctx, &mut report, device);
-    }
-    report
-}
-
-/// DefaultRouteCheck for a single device — the shardable unit.
+/// DefaultRouteCheck (§7.2, §8) at one device: the router has a default
+/// route, and its next hops are exactly the northbound neighbors (or an
+/// external uplink for top-tier routers).
 pub(crate) fn check_default_route(
     ctx: &mut TestContext<'_>,
     report: &mut TestReport,
@@ -80,17 +56,8 @@ pub(crate) fn check_default_route(
     });
 }
 
-/// ConnectedRouteCheck (§7.3): both ends of every physical link carry
-/// the connected route for the link's assigned /31 and /126 prefixes.
-pub fn connected_route_check(_bdd: &mut Bdd, ctx: &mut TestContext<'_>) -> TestReport {
-    let mut report = TestReport::new("ConnectedRouteCheck");
-    for link_index in 0..ctx.info.links.len() {
-        check_connected_link(ctx, &mut report, link_index);
-    }
-    report
-}
-
-/// ConnectedRouteCheck for a single link — the shardable unit.
+/// ConnectedRouteCheck (§7.3) for one link: both ends carry the
+/// connected route for the link's assigned /31 and /126 prefixes.
 pub(crate) fn check_connected_link(
     ctx: &mut TestContext<'_>,
     report: &mut TestReport,
@@ -132,48 +99,28 @@ pub(crate) fn check_connected_link(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::NetworkInfo;
-    use netmodel::MatchSets;
-    use topogen::addressing;
+    use crate::testing::{regional_info, run_named};
+    use crate::NetworkInfo;
+    use netbdd::Bdd;
     use topogen::{fattree, regional, FatTreeParams, RegionalParams};
-
-    fn regional_info(r: &topogen::Regional) -> NetworkInfo {
-        NetworkInfo {
-            tor_subnets: r.tors.clone(),
-            loopbacks: (0..r.net.topology().device_count())
-                .map(|d| {
-                    (
-                        netmodel::topology::DeviceId(d as u32),
-                        addressing::loopback(d as u32),
-                    )
-                })
-                .collect(),
-            links: r
-                .links
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (p4, _, _) = addressing::p2p_v4(i as u32);
-                    let (p6, _, _) = addressing::p2p_v6(i as u32);
-                    (a, b, p4, p6)
-                })
-                .collect(),
-        }
-    }
+    use yardstick::Tracker;
 
     #[test]
     fn default_route_check_passes_on_healthy_fattree() {
         let ft = fattree(FatTreeParams::paper(4));
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
+        let mut tracker = Tracker::new();
         let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = default_route_check(&mut bdd, &mut ctx, |_| true);
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &info,
+            "DefaultRouteCheck",
+            &mut tracker,
+        );
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(report.checks, 20); // every router checked
                                        // One rule marked per device.
-        assert_eq!(ctx.tracker.trace().rules.len(), 20);
+        assert_eq!(tracker.trace().rules.len(), 20);
     }
 
     #[test]
@@ -181,36 +128,33 @@ mod tests {
         let mut ft = fattree(FatTreeParams::paper(4));
         let (tor, _, _) = ft.tors[0];
         topogen::faults::null_route(&mut ft.net, tor, netmodel::Prefix::v4_default());
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
+        let mut tracker = Tracker::new();
         let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = default_route_check(&mut bdd, &mut ctx, |_| true);
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &info,
+            "DefaultRouteCheck",
+            &mut tracker,
+        );
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("wrong next hops"));
         // Coverage still recorded: the rule was inspected.
-        assert_eq!(ctx.tracker.trace().rules.len(), 20);
-    }
-
-    #[test]
-    fn default_route_check_respects_the_role_filter() {
-        let ft = fattree(FatTreeParams::paper(4));
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let info = NetworkInfo::default();
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = default_route_check(&mut bdd, &mut ctx, |r| r == Role::Tor);
-        assert_eq!(report.checks, 8);
+        assert_eq!(tracker.trace().rules.len(), 20);
     }
 
     #[test]
     fn connected_route_check_passes_on_regional() {
         let r = regional(RegionalParams::default());
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
+        let mut tracker = Tracker::new();
         let info = regional_info(&r);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = connected_route_check(&mut bdd, &mut ctx);
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "ConnectedRouteCheck",
+            &mut tracker,
+        );
         assert!(
             report.passed(),
             "{:?}",
@@ -218,7 +162,7 @@ mod tests {
         );
         // 2 families × 2 ends per link.
         assert_eq!(report.checks as usize, r.links.len() * 4);
-        assert_eq!(ctx.tracker.trace().rules.len(), r.links.len() * 4);
+        assert_eq!(tracker.trace().rules.len(), r.links.len() * 4);
     }
 
     #[test]
@@ -229,10 +173,14 @@ mod tests {
         let (ai, _, p4, _) = info.links[0];
         let dev = r.net.topology().iface(ai).device;
         topogen::faults::remove_route(&mut r.net, dev, p4);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = connected_route_check(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "ConnectedRouteCheck",
+            &mut tracker,
+        );
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("missing connected route"));
     }

@@ -10,35 +10,79 @@
 //! | test                    | kind                  | section |
 //! |-------------------------|-----------------------|---------|
 //! | DefaultRouteCheck       | state inspection      | §7.2/§8 |
-//! | ConnectedRouteCheck     | state inspection      | §7.3    |
 //! | AggCanReachTorLoopback  | local symbolic        | §7.2    |
 //! | InternalRouteCheck      | local symbolic        | §7.3    |
+//! | ConnectedRouteCheck     | state inspection      | §7.3    |
+//! | WanRouteCheck           | local symbolic        | §7.3+   |
+//! | HostPortCheck           | state inspection      | §7.3+   |
 //! | ToRContract (RCDC)      | local symbolic        | §8      |
 //! | ToRReachability         | end-to-end symbolic   | §8      |
 //! | ToRPingmesh             | end-to-end concrete   | §8      |
 //! | AclEntryCheck           | state inspection      | Fig 2   |
 //! | AclBehaviorCheck        | local symbolic        | Fig 2   |
 //!
-//! Every test runs against a [`TestContext`] whose tracker can be
-//! enabled or disabled — which is exactly how the Figure-8 experiment
-//! measures the overhead of coverage tracking.
+//! Each is a row of [`NAMED_TESTS`] that decomposes into [`SuiteJob`]s,
+//! and [`run_job`] is the only way a job runs. A job reports into any
+//! tracker, enabled or disabled — which is exactly how the Figure-8
+//! experiment measures the overhead of coverage tracking.
 
 #![deny(missing_docs)]
 
-pub mod acl;
-pub mod beyond;
+mod acl;
+mod beyond;
 pub mod context;
-pub mod e2e;
-pub mod inspection;
-pub mod local;
+mod e2e;
+mod inspection;
+mod local;
 pub mod shard;
 
-pub use acl::{acl_behavior_check, acl_entry_check};
-pub use beyond::{host_port_check, wan_route_check, WanSpec};
-pub use context::{NetworkInfo, SuiteVerdict, TestContext, TestReport};
-pub use e2e::{tor_pingmesh, tor_reachability};
-pub use inspection::{connected_route_check, default_route_check};
-pub use local::{agg_can_reach_tor_loopback, internal_route_check, tor_contract};
+pub use context::{NetworkInfo, SuiteVerdict, TestReport};
 pub use shard::{
-    acl_entry_jobs, fattree_suite_jobs, regional_suite_jobs, run_job, RoleFilter, SuiteJob,
+    fattree_suite_jobs, named_test, regional_suite_jobs, run_job, suite, NamedTest, RoleFilter,
+    SuiteJob, NAMED_TESTS,
 };
+
+#[cfg(test)]
+mod testing {
+    //! What the unit tests share.
+
+    use netbdd::Bdd;
+    use netmodel::{DeviceId, MatchSets, Network};
+    use topogen::addressing;
+    use yardstick::Tracker;
+
+    use crate::{named_test, NetworkInfo, TestReport};
+
+    /// The regional network's ground truth, as `bench::regional_info`
+    /// builds it (this crate cannot depend on `bench`).
+    pub(crate) fn regional_info(r: &topogen::Regional) -> NetworkInfo {
+        NetworkInfo {
+            tor_subnets: r.tors.clone(),
+            loopbacks: (0..r.net.topology().device_count() as u32)
+                .map(|d| (DeviceId(d), addressing::loopback(d)))
+                .collect(),
+            links: (0..)
+                .zip(&r.links)
+                .map(|(i, &(a, b))| (a, b, addressing::p2p_v4(i).0, addressing::p2p_v6(i).0))
+                .collect(),
+            wan_prefixes: r.wan_prefixes.clone(),
+            wan_routers: r.wans.clone(),
+            host_port_slices: r.host_port_slices.clone(),
+            acls: Vec::new(),
+        }
+    }
+
+    /// Run the named test `name` on `net` into `tracker`.
+    pub(crate) fn run_named(
+        bdd: &mut Bdd,
+        net: &Network,
+        info: &NetworkInfo,
+        name: &str,
+        tracker: &mut Tracker,
+    ) -> TestReport {
+        let ms = MatchSets::compute(net, bdd);
+        named_test(name)
+            .run(bdd, net, &ms, info, tracker, 0xC0FFEE)
+            .unwrap_or_else(|| panic!("{name} does not apply"))
+    }
+}

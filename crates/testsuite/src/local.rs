@@ -1,7 +1,7 @@
 //! Local symbolic tests: they validate one device's forwarding behaviour
 //! at a time and report coverage via `markPacket` at that device (§5.1).
 //!
-//! All three tests here instantiate the RCDC idea the paper cites:
+//! All three contract tests instantiate the RCDC idea the paper cites:
 //! decompose an end-to-end invariant into per-device forwarding
 //! contracts. For a prefix originated at device `v`, the contract at a
 //! device `d` hops away is "forward the prefix to all neighbors at
@@ -12,10 +12,11 @@ use std::collections::VecDeque;
 
 use netbdd::Bdd;
 use netmodel::header;
-use netmodel::topology::{DeviceId, Role, Topology};
+use netmodel::topology::{DeviceId, Topology};
 use netmodel::{IfaceId, Location, Prefix};
 
 use crate::context::{TestContext, TestReport};
+use crate::shard::RoleFilter;
 
 /// BFS hop distances from `from` over the raw topology.
 fn hop_distances(topo: &Topology, from: DeviceId) -> Vec<u32> {
@@ -82,79 +83,28 @@ fn check_contract(
     });
 }
 
-/// InternalRouteCheck (§7.3): every prefix originating inside the region
-/// (host subnets and loopbacks) is forwarded, at every router, through
-/// and only through the full set of topological shortest paths.
-pub fn internal_route_check(bdd: &mut Bdd, ctx: &mut TestContext<'_>) -> TestReport {
-    let mut report = TestReport::new("InternalRouteCheck");
-    let prefixes = ctx.info.internal_prefixes();
-    contract_sweep(bdd, ctx, &mut report, &prefixes, |_role| true);
-    report
-}
-
-/// ToRContract (§8): the RCDC-style local contract check restricted to
-/// ToR hosted prefixes — the decomposed form of ToRReachability.
-pub fn tor_contract(bdd: &mut Bdd, ctx: &mut TestContext<'_>) -> TestReport {
-    let mut report = TestReport::new("ToRContract");
-    let prefixes: Vec<(DeviceId, Prefix)> = ctx
-        .info
-        .tor_subnets
-        .iter()
-        .map(|&(d, p, _)| (d, p))
-        .collect();
-    contract_sweep(bdd, ctx, &mut report, &prefixes, |_role| true);
-    report
-}
-
-/// AggCanReachTorLoopback (§7.2): aggregation routers correctly forward
-/// packets destined to ToR loopbacks — the original (narrow) test from
-/// the case study's starting test suite. Only aggregation routers are
-/// checked, only against ToR loopbacks.
-pub fn agg_can_reach_tor_loopback(bdd: &mut Bdd, ctx: &mut TestContext<'_>) -> TestReport {
-    let mut report = TestReport::new("AggCanReachTorLoopback");
-    let tor_devices: Vec<DeviceId> = ctx.info.tor_subnets.iter().map(|&(d, _, _)| d).collect();
-    let prefixes: Vec<(DeviceId, Prefix)> = ctx
-        .info
-        .loopbacks
-        .iter()
-        .filter(|(d, _)| tor_devices.contains(d))
-        .copied()
-        .collect();
-    contract_sweep(bdd, ctx, &mut report, &prefixes, |role| {
-        role == Role::Aggregation
-    });
-    report
-}
-
-/// Run contract checks for every (originator, prefix) pair at every
-/// reachable device whose role passes the filter.
-fn contract_sweep(
-    bdd: &mut Bdd,
-    ctx: &mut TestContext<'_>,
-    report: &mut TestReport,
-    prefixes: &[(DeviceId, Prefix)],
-    check_role: impl Fn(Role) -> bool,
-) {
-    for &(origin, prefix) in prefixes {
-        check_contract_prefix(bdd, ctx, report, origin, prefix, &check_role);
-    }
-}
-
-/// Contract checks for one `(originator, prefix)` pair at every reachable
-/// device whose role passes the filter — the shardable unit.
+/// One `(originator, prefix)` contract at every reachable device whose
+/// role `roles` accepts — the unit of AggCanReachTorLoopback (§7.2:
+/// aggregation routers, ToR loopbacks), InternalRouteCheck (§7.3: every
+/// router, every host subnet and loopback: forwarded through and only
+/// through the full set of topological shortest paths) and ToRContract
+/// (§8: every router, ToR hosted prefixes — the decomposed form of
+/// ToRReachability).
 pub(crate) fn check_contract_prefix(
     bdd: &mut Bdd,
     ctx: &mut TestContext<'_>,
     report: &mut TestReport,
     origin: DeviceId,
     prefix: Prefix,
-    check_role: impl Fn(Role) -> bool,
+    roles: RoleFilter,
 ) {
     let topo = ctx.net.topology();
     let dist = hop_distances(topo, origin);
     let devices: Vec<DeviceId> = topo
         .devices()
-        .filter(|&(v, dev)| v != origin && dist[v.0 as usize] != u32::MAX && check_role(dev.role))
+        .filter(|&(v, dev)| {
+            v != origin && dist[v.0 as usize] != u32::MAX && roles.accepts(dev.role)
+        })
         .map(|(v, _)| v)
         .collect();
     for v in devices {
@@ -164,29 +114,25 @@ pub(crate) fn check_contract_prefix(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::NetworkInfo;
+    use crate::testing::{regional_info, run_named};
+    use crate::{named_test, NetworkInfo};
+    use netbdd::Bdd;
     use netmodel::MatchSets;
-    use topogen::{addressing, fattree, regional, FatTreeParams, RegionalParams};
-
-    fn regional_info(r: &topogen::Regional) -> NetworkInfo {
-        NetworkInfo {
-            tor_subnets: r.tors.clone(),
-            loopbacks: (0..r.net.topology().device_count())
-                .map(|d| (DeviceId(d as u32), addressing::loopback(d as u32)))
-                .collect(),
-            links: vec![],
-        }
-    }
+    use topogen::{fattree, regional, FatTreeParams, RegionalParams};
+    use yardstick::Tracker;
 
     #[test]
     fn internal_route_check_passes_on_regional() {
         let r = regional(RegionalParams::default());
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
         let info = regional_info(&r);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = internal_route_check(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "InternalRouteCheck",
+            &mut tracker,
+        );
         assert!(
             report.passed(),
             "{:?}",
@@ -195,7 +141,7 @@ mod tests {
         assert!(report.checks > 0);
         // Every device got packet marks (internal prefixes reach all).
         assert_eq!(
-            ctx.tracker.trace().packets.devices().len(),
+            tracker.trace().packets.devices().len(),
             r.net.topology().device_count()
         );
     }
@@ -209,11 +155,15 @@ mod tests {
         let (_, p, _) = r.tors[0];
         let spine = r.spines[0];
         topogen::faults::null_route(&mut r.net, spine, p);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
         let info = regional_info(&r);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = internal_route_check(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "InternalRouteCheck",
+            &mut tracker,
+        );
         assert!(!report.passed());
         assert!(report
             .failures
@@ -224,14 +174,12 @@ mod tests {
     #[test]
     fn tor_contract_passes_on_fattree() {
         let ft = fattree(FatTreeParams::paper(4));
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
         let info = NetworkInfo {
             tor_subnets: ft.tors.clone(),
             ..NetworkInfo::default()
         };
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = tor_contract(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(&mut Bdd::new(), &ft.net, &info, "ToRContract", &mut tracker);
         assert!(
             report.passed(),
             "{:?}",
@@ -244,18 +192,22 @@ mod tests {
     #[test]
     fn agg_loopback_check_only_touches_aggs() {
         let r = regional(RegionalParams::default());
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&r.net, &mut bdd);
         let info = regional_info(&r);
-        let mut ctx = TestContext::new(&r.net, &ms, &info);
-        let report = agg_can_reach_tor_loopback(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::new();
+        let report = run_named(
+            &mut Bdd::new(),
+            &r.net,
+            &info,
+            "AggCanReachTorLoopback",
+            &mut tracker,
+        );
         assert!(
             report.passed(),
             "{:?}",
             &report.failures[..report.failures.len().min(5)]
         );
         // Marks exist exactly at aggregation routers.
-        let marked = ctx.tracker.trace().packets.devices();
+        let marked = tracker.trace().packets.devices();
         assert_eq!(marked.len(), r.aggs.len());
         assert!(marked.iter().all(|d| r.aggs.contains(d)));
     }
@@ -266,14 +218,17 @@ mod tests {
         let (_, p, _) = ft.tors[3];
         let agg = ft.aggs[0];
         topogen::faults::remove_route(&mut ft.net, agg, p);
-        let mut bdd = Bdd::new();
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
         let info = NetworkInfo {
             tor_subnets: ft.tors.clone(),
             ..NetworkInfo::default()
         };
-        let mut ctx = TestContext::new(&ft.net, &ms, &info);
-        let report = tor_contract(&mut bdd, &mut ctx);
+        let report = run_named(
+            &mut Bdd::new(),
+            &ft.net,
+            &info,
+            "ToRContract",
+            &mut Tracker::new(),
+        );
         assert!(report.failures.iter().any(|f| f.contains("no route")));
     }
 
@@ -286,9 +241,11 @@ mod tests {
             tor_subnets: ft.tors.clone(),
             ..NetworkInfo::default()
         };
-        let mut ctx = TestContext::without_tracking(&ft.net, &ms, &info);
-        let report = tor_contract(&mut bdd, &mut ctx);
+        let mut tracker = Tracker::disabled();
+        let report = named_test("ToRContract")
+            .run(&mut bdd, &ft.net, &ms, &info, &mut tracker, 0)
+            .unwrap();
         assert!(report.passed());
-        assert!(ctx.tracker.trace().is_empty());
+        assert!(tracker.trace().is_empty());
     }
 }

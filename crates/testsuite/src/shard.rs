@@ -1,17 +1,20 @@
-//! Suite sharding: the named tests decomposed into independent jobs.
+//! The named tests as job lists — the one way a test runs.
 //!
-//! Every test in this crate is a loop over independent units — devices,
-//! links, `(origin, prefix)` contracts, source ToRs, ToR pairs. A
-//! [`SuiteJob`] names one such unit, and [`run_job`] executes it against
-//! any manager/tracker: running a suite's jobs in order makes the same
-//! marks and the same checks as the monolithic test functions, and one
-//! job can run alone ([`run_job_isolated`]) to give a resident engine
-//! that test's own trace, or to name the tables it reads
-//! ([`read_devices`]).
+//! Every named test is a loop over independent units — devices, links,
+//! `(origin, prefix)` contracts, WAN prefixes, host ports, source ToRs,
+//! ToR pairs, guarded devices. A [`SuiteJob`] names one such unit, and
+//! [`run_job`] executes it against any manager and tracker. A test is a
+//! row of [`NAMED_TESTS`] that builds its job list from a network and its
+//! ground truth; [`NamedTest::run`] runs the list on one tracker and folds
+//! the job reports into one. The job is the unit because three consumers
+//! need one job at a time: the mutation study re-runs only the jobs that
+//! read a mutated table ([`read_devices`]), the resident engine keeps
+//! each test's own trace ([`run_job_isolated`]), and the benchmark times
+//! fixed job lists.
 //!
 //! Pingmesh jobs carry their own RNG seed, derived per pair from the
-//! suite seed (see [`crate::e2e`]); that is what makes the concrete test
-//! chunking-invariant.
+//! suite seed, so a pair samples the same packet whichever other jobs
+//! run.
 
 use netbdd::Bdd;
 use netmodel::topology::{DeviceId, Role};
@@ -19,7 +22,8 @@ use netmodel::{MatchSets, Network, Prefix};
 use yardstick::testgen::{ExpectedEnd, TestSpec};
 use yardstick::Tracker;
 
-use crate::acl::acl_entry_check;
+use crate::acl::{check_acl_behavior, check_acl_entry};
+use crate::beyond::{check_host_port, check_wan_prefix};
 use crate::context::{NetworkInfo, TestContext, TestReport};
 use crate::e2e::{check_ping_pair, check_reachability_from, pair_seed};
 use crate::inspection::{check_connected_link, check_default_route};
@@ -44,7 +48,7 @@ impl RoleFilter {
     }
 }
 
-/// One independently executable unit of a test suite.
+/// One independently executable unit of a named test.
 #[derive(Clone, Debug)]
 pub enum SuiteJob {
     /// DefaultRouteCheck at one device.
@@ -87,6 +91,24 @@ pub enum SuiteJob {
         /// The port the deny entry must cover.
         port: u16,
     },
+    /// WanRouteCheck for one WAN prefix, towards `info.wan_routers`.
+    WanRoute {
+        /// The wide-area prefix under contract.
+        prefix: Prefix,
+    },
+    /// HostPortCheck for one host port (index into
+    /// `info.host_port_slices`).
+    HostPort {
+        /// Index into `info.host_port_slices`.
+        slice_index: usize,
+    },
+    /// AclBehaviorCheck at one device: every TCP packet to `port` drops.
+    AclBehavior {
+        /// The device whose forwarding is checked.
+        device: DeviceId,
+        /// The port whose traffic must drop.
+        port: u16,
+    },
     /// One test emitted by the coverage-guided generation loop
     /// (`yardstick::testgen`): a self-contained spec replayed via
     /// `run_spec`, so autogen suites run as jobs exactly like
@@ -99,7 +121,9 @@ pub enum SuiteJob {
 }
 
 impl SuiteJob {
-    /// The name of the test this job belongs to.
+    /// The name of the job's kind, which [`run_job`] names its report and
+    /// span after. It is the named test's name, except that the three
+    /// contract tests share `Contract`.
     pub fn test_name(&self) -> &'static str {
         match self {
             SuiteJob::DefaultRoute { .. } => "DefaultRouteCheck",
@@ -108,85 +132,187 @@ impl SuiteJob {
             SuiteJob::Reachability { .. } => "ToRReachability",
             SuiteJob::Pingmesh { .. } => "ToRPingmesh",
             SuiteJob::AclEntry { .. } => "AclEntryCheck",
+            SuiteJob::WanRoute { .. } => "WanRouteCheck",
+            SuiteJob::HostPort { .. } => "HostPortCheck",
+            SuiteJob::AclBehavior { .. } => "AclBehaviorCheck",
             SuiteJob::Generated { spec } => spec.test_name(),
         }
     }
 }
 
-/// One [`SuiteJob::AclEntry`] job per guarded device — the
-/// state-inspection test that covers ACL deny entries (`markRule`),
-/// which no behavioural §8 test exercises.
-pub fn acl_entry_jobs(devices: &[DeviceId], port: u16) -> Vec<SuiteJob> {
-    devices
+/// A named test: its name and how it decomposes into jobs.
+#[derive(Clone, Copy)]
+pub struct NamedTest {
+    /// The test's name in the paper's taxonomy (Figure 2, §7–§8).
+    pub name: &'static str,
+    build: fn(&Network, &NetworkInfo, u64) -> Option<Vec<SuiteJob>>,
+}
+
+impl NamedTest {
+    /// The test's jobs on `net`, in order; `seed` drives Pingmesh's
+    /// sampling. `None` where the test does not apply: WanRouteCheck
+    /// without WAN routers, HostPortCheck without host ports, the ACL
+    /// tests without ACLs.
+    pub fn jobs(&self, net: &Network, info: &NetworkInfo, seed: u64) -> Option<Vec<SuiteJob>> {
+        (self.build)(net, info, seed)
+    }
+
+    /// Run every job of the test on `tracker` and fold their reports into
+    /// one named after the test; `None` where the test does not apply.
+    /// `ms` must have been computed in `bdd`.
+    pub fn run(
+        &self,
+        bdd: &mut Bdd,
+        net: &Network,
+        ms: &MatchSets,
+        info: &NetworkInfo,
+        tracker: &mut Tracker,
+        seed: u64,
+    ) -> Option<TestReport> {
+        let mut report = TestReport::new(self.name);
+        for job in self.jobs(net, info, seed)? {
+            let done = run_job(bdd, net, ms, info, tracker, &job);
+            report.checks += done.checks;
+            report.failures.extend(done.failures);
+        }
+        Some(report)
+    }
+}
+
+/// One job per item of `items`.
+fn each<T>(items: impl IntoIterator<Item = T>, job: impl Fn(T) -> SuiteJob) -> Jobs {
+    Some(items.into_iter().map(job).collect())
+}
+
+type Jobs = Option<Vec<SuiteJob>>;
+
+/// A row of [`NAMED_TESTS`].
+const fn test(name: &'static str, build: fn(&Network, &NetworkInfo, u64) -> Jobs) -> NamedTest {
+    NamedTest { name, build }
+}
+
+/// Contracts for `prefixes` at the devices `roles` accepts.
+fn contracts(prefixes: impl IntoIterator<Item = (DeviceId, Prefix)>, roles: RoleFilter) -> Jobs {
+    let contract = |(origin, prefix)| SuiteJob::Contract {
+        origin,
+        prefix,
+        roles,
+    };
+    each(prefixes, contract)
+}
+
+/// Every named test. The case study's six come first, in the order its
+/// suite grew (§7.3), so its suites and Figure 7's iterations are
+/// prefixes; the §8 benchmark's three follow, then Figure 2's two ACL
+/// tests.
+pub static NAMED_TESTS: [NamedTest; 11] = [
+    test("DefaultRouteCheck", |net, _, _| {
+        each(net.topology().devices(), |(device, _)| {
+            SuiteJob::DefaultRoute { device }
+        })
+    }),
+    test("AggCanReachTorLoopback", |_, info, _| {
+        let tors: Vec<DeviceId> = info.tor_subnets.iter().map(|&(d, _, _)| d).collect();
+        let loopbacks = info.loopbacks.iter().filter(|(d, _)| tors.contains(d));
+        contracts(loopbacks.copied(), RoleFilter::Only(Role::Aggregation))
+    }),
+    test("InternalRouteCheck", |_, info, _| {
+        contracts(info.internal_prefixes(), RoleFilter::All)
+    }),
+    test("ConnectedRouteCheck", |_, info, _| {
+        each(0..info.links.len(), |link_index| SuiteJob::ConnectedRoute {
+            link_index,
+        })
+    }),
+    test("WanRouteCheck", |_, info, _| {
+        let jobs = each(&info.wan_prefixes, |&prefix| SuiteJob::WanRoute { prefix });
+        jobs.filter(|_| !info.wan_routers.is_empty())
+    }),
+    test("HostPortCheck", |_, info, _| {
+        let slices = 0..info.host_port_slices.len();
+        each(slices, |slice_index| SuiteJob::HostPort { slice_index }).filter(|j| !j.is_empty())
+    }),
+    test("ToRContract", |_, info, _| {
+        let subnets = info.tor_subnets.iter().map(|&(d, p, _)| (d, p));
+        contracts(subnets, RoleFilter::All)
+    }),
+    test("ToRReachability", |_, info, _| {
+        each(0..info.tor_subnets.len(), |src_index| {
+            SuiteJob::Reachability { src_index }
+        })
+    }),
+    test("ToRPingmesh", |_, info, seed| {
+        let n = info.tor_subnets.len();
+        let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+        each(pairs, |(src_index, dst_index)| SuiteJob::Pingmesh {
+            src_index,
+            dst_index,
+            seed: pair_seed(seed, src_index, dst_index),
+        })
+    }),
+    test("AclEntryCheck", |_, info, _| {
+        let jobs = each(&info.acls, |&(device, port)| SuiteJob::AclEntry {
+            device,
+            port,
+        });
+        jobs.filter(|j| !j.is_empty())
+    }),
+    test("AclBehaviorCheck", |_, info, _| {
+        let jobs = each(&info.acls, |&(device, port)| SuiteJob::AclBehavior {
+            device,
+            port,
+        });
+        jobs.filter(|j| !j.is_empty())
+    }),
+];
+
+/// The §8 suite (Figures 8–9): one test of each taxonomy type.
+static S8: [NamedTest; 4] = [
+    NAMED_TESTS[0],
+    NAMED_TESTS[6],
+    NAMED_TESTS[7],
+    NAMED_TESTS[8],
+];
+
+/// The suite `yardstick --suite` names: `original` and `final` are the
+/// case study's suites before and after §7.3, `beyond` adds the two tests
+/// §7.3 leaves open, and `s8` is the §8 suite.
+pub fn suite(name: &str) -> Option<&'static [NamedTest]> {
+    match name {
+        "original" => Some(&NAMED_TESTS[..2]),
+        "final" => Some(&NAMED_TESTS[..4]),
+        "beyond" => Some(&NAMED_TESTS[..6]),
+        "s8" => Some(&S8),
+        _ => None,
+    }
+}
+
+/// The row of [`NAMED_TESTS`] called `name`; panics if there is none.
+pub fn named_test(name: &str) -> &'static NamedTest {
+    NAMED_TESTS
         .iter()
-        .map(|&device| SuiteJob::AclEntry { device, port })
+        .find(|t| t.name == name)
+        .unwrap_or_else(|| panic!("no named test {name}"))
+}
+
+/// The jobs of every test in `tests` that applies to `net`, test by test.
+fn suite_jobs(tests: &[NamedTest], net: &Network, info: &NetworkInfo, seed: u64) -> Vec<SuiteJob> {
+    tests
+        .iter()
+        .flat_map(|t| t.jobs(net, info, seed).unwrap_or_default())
         .collect()
 }
 
 /// The §8 fat-tree suite (DefaultRouteCheck + ToRContract +
-/// ToRReachability + ToRPingmesh) as a flat job list. Running these jobs
-/// in any partition produces the same coverage trace as calling the four
-/// test functions in sequence.
+/// ToRReachability + ToRPingmesh) as a flat job list.
 pub fn fattree_suite_jobs(net: &Network, info: &NetworkInfo, seed: u64) -> Vec<SuiteJob> {
-    let mut jobs = Vec::new();
-    for (device, _) in net.topology().devices() {
-        jobs.push(SuiteJob::DefaultRoute { device });
-    }
-    for &(origin, prefix, _) in &info.tor_subnets {
-        jobs.push(SuiteJob::Contract {
-            origin,
-            prefix,
-            roles: RoleFilter::All,
-        });
-    }
-    for src_index in 0..info.tor_subnets.len() {
-        jobs.push(SuiteJob::Reachability { src_index });
-    }
-    let n = info.tor_subnets.len();
-    for src_index in 0..n {
-        for dst_index in 0..n {
-            if src_index != dst_index {
-                jobs.push(SuiteJob::Pingmesh {
-                    src_index,
-                    dst_index,
-                    seed: pair_seed(seed, src_index, dst_index),
-                });
-            }
-        }
-    }
-    jobs
+    suite_jobs(&S8, net, info, seed)
 }
 
 /// The §7 regional suite (DefaultRouteCheck + AggCanReachTorLoopback +
 /// InternalRouteCheck + ConnectedRouteCheck) as a flat job list.
 pub fn regional_suite_jobs(net: &Network, info: &NetworkInfo) -> Vec<SuiteJob> {
-    let mut jobs = Vec::new();
-    for (device, _) in net.topology().devices() {
-        jobs.push(SuiteJob::DefaultRoute { device });
-    }
-    let tor_devices: Vec<DeviceId> = info.tor_subnets.iter().map(|&(d, _, _)| d).collect();
-    for &(origin, prefix) in info
-        .loopbacks
-        .iter()
-        .filter(|(d, _)| tor_devices.contains(d))
-    {
-        jobs.push(SuiteJob::Contract {
-            origin,
-            prefix,
-            roles: RoleFilter::Only(Role::Aggregation),
-        });
-    }
-    for (origin, prefix) in info.internal_prefixes() {
-        jobs.push(SuiteJob::Contract {
-            origin,
-            prefix,
-            roles: RoleFilter::All,
-        });
-    }
-    for link_index in 0..info.links.len() {
-        jobs.push(SuiteJob::ConnectedRoute { link_index });
-    }
-    jobs
+    suite_jobs(&NAMED_TESTS[..4], net, info, 0)
 }
 
 /// Execute one job against the given manager and tracker. `ms` must have
@@ -199,9 +325,9 @@ pub fn run_job(
     tracker: &mut Tracker,
     job: &SuiteJob,
 ) -> TestReport {
-    // One span per job, named after the suite test it belongs to: the
-    // span tree aggregates all jobs of a test into one node (count =
-    // jobs, total = the test's wall-clock share on this thread).
+    // One span per job, named after its kind: the span tree aggregates
+    // all jobs of a kind into one node (count = jobs, total = their
+    // wall-clock share).
     let _span = netobs::span(job.test_name());
     let mut ctx = TestContext {
         net,
@@ -210,39 +336,28 @@ pub fn run_job(
         tracker: std::mem::take(tracker),
     };
     let mut report = TestReport::new(job.test_name());
-    match job {
-        SuiteJob::DefaultRoute { device } => {
-            check_default_route(&mut ctx, &mut report, *device);
-        }
-        SuiteJob::ConnectedRoute { link_index } => {
-            check_connected_link(&mut ctx, &mut report, *link_index);
-        }
+    let (cx, rep) = (&mut ctx, &mut report);
+    match *job {
+        SuiteJob::DefaultRoute { device } => check_default_route(cx, rep, device),
+        SuiteJob::ConnectedRoute { link_index } => check_connected_link(cx, rep, link_index),
         SuiteJob::Contract {
             origin,
             prefix,
             roles,
-        } => {
-            check_contract_prefix(bdd, &mut ctx, &mut report, *origin, *prefix, |role| {
-                roles.accepts(role)
-            });
-        }
-        SuiteJob::Reachability { src_index } => {
-            check_reachability_from(bdd, &mut ctx, &mut report, *src_index);
-        }
+        } => check_contract_prefix(bdd, cx, rep, origin, prefix, roles),
+        SuiteJob::Reachability { src_index } => check_reachability_from(bdd, cx, rep, src_index),
         SuiteJob::Pingmesh {
             src_index,
             dst_index,
             seed,
-        } => {
-            check_ping_pair(bdd, &mut ctx, &mut report, *src_index, *dst_index, *seed);
-        }
-        SuiteJob::AclEntry { device, port } => {
-            report = acl_entry_check(bdd, &mut ctx, &[*device], *port);
-        }
-        SuiteJob::Generated { spec } => {
-            let outcome =
-                yardstick::testgen::run_spec(bdd, ctx.net, ctx.ms, &mut ctx.tracker, spec);
-            report.check(outcome.is_ok(), || outcome.unwrap_err());
+        } => check_ping_pair(bdd, cx, rep, src_index, dst_index, seed),
+        SuiteJob::AclEntry { device, port } => check_acl_entry(cx, rep, device, port),
+        SuiteJob::WanRoute { prefix } => check_wan_prefix(bdd, cx, rep, prefix),
+        SuiteJob::HostPort { slice_index } => check_host_port(cx, rep, slice_index),
+        SuiteJob::AclBehavior { device, port } => check_acl_behavior(bdd, cx, rep, device, port),
+        SuiteJob::Generated { ref spec } => {
+            let outcome = yardstick::testgen::run_spec(bdd, net, ms, &mut cx.tracker, spec);
+            rep.check(outcome.is_ok(), || outcome.unwrap_err());
         }
     }
     *tracker = ctx.tracker;
@@ -278,9 +393,11 @@ pub fn run_job_isolated(
 /// other device cannot change its verdict; the mutation study selects
 /// the jobs to re-run per mutant from this alone. The devices are those
 /// of the job's own trace, because every check marks what it reads:
-/// `DefaultRoute`, `ConnectedRoute` and `AclEntry` the rule they found,
-/// `Contract` and `Reachability` the packets at each device before its
-/// lookup, `Pingmesh` and generated traceroutes every hop. One lookup
+/// `DefaultRoute`, `ConnectedRoute`, `HostPort` and `AclEntry` the rule
+/// they found, `WanRoute` the rule at each WAN router and the packets at
+/// each other router before its lookup, `Contract`, `Reachability` and
+/// `AclBehavior` the packets at each device before its lookup,
+/// `Pingmesh` and generated traceroutes every hop. One lookup
 /// leaves no mark — a walk that matches no rule pushes no hop — so the
 /// device where a passing generated traceroute ends `Unmatched` is added
 /// from its expectation. A failing check may stop before it marks what
@@ -315,9 +432,7 @@ pub fn read_devices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::e2e::{tor_pingmesh, tor_reachability};
-    use crate::inspection::default_route_check;
-    use crate::local::tor_contract;
+    use crate::testing::regional_info;
     use topogen::{fattree, FatTreeParams};
 
     const SEED: u64 = 0xC0FFEE;
@@ -329,46 +444,6 @@ mod tests {
             ..NetworkInfo::default()
         };
         (ft, info)
-    }
-
-    /// The monolithic §8 suite, as `yardstick fig 8` / `fig 9` run it.
-    fn run_monolithic(
-        bdd: &mut Bdd,
-        net: &Network,
-        info: &NetworkInfo,
-    ) -> yardstick::CoverageTrace {
-        let ms = MatchSets::compute(net, bdd);
-        let mut ctx = TestContext::new(net, &ms, info);
-        let r1 = default_route_check(bdd, &mut ctx, |_| true);
-        let r2 = tor_contract(bdd, &mut ctx);
-        let r3 = tor_reachability(bdd, &mut ctx);
-        let r4 = tor_pingmesh(bdd, &mut ctx, SEED);
-        for r in [&r1, &r2, &r3, &r4] {
-            assert!(r.passed(), "{}: {:?}", r.name, &r.failures[..1]);
-        }
-        ctx.tracker.into_trace()
-    }
-
-    #[test]
-    fn job_decomposition_matches_monolithic_suite() {
-        let (ft, info) = setup();
-        let mut bdd = Bdd::new();
-        let mono = run_monolithic(&mut bdd, &ft.net, &info);
-
-        let ms = MatchSets::compute(&ft.net, &mut bdd);
-        let jobs = fattree_suite_jobs(&ft.net, &info, SEED);
-        let mut tracker = Tracker::new();
-        for job in &jobs {
-            let rep = run_job(&mut bdd, &ft.net, &ms, &info, &mut tracker, job);
-            assert!(rep.passed(), "{}: {:?}", rep.name, &rep.failures[..1]);
-        }
-        let sharded = tracker.into_trace();
-
-        assert_eq!(sharded.rules, mono.rules);
-        assert_eq!(sharded.packets.len(), mono.packets.len());
-        for (loc, set) in mono.packets.iter() {
-            assert_eq!(sharded.packets.at(loc), set, "at {loc:?}");
-        }
     }
 
     #[test]
@@ -495,24 +570,9 @@ mod tests {
 
     #[test]
     fn regional_jobs_cover_the_section7_suite() {
-        use topogen::{addressing, regional, RegionalParams};
+        use topogen::{regional, RegionalParams};
         let r = regional(RegionalParams::default());
-        let info = NetworkInfo {
-            tor_subnets: r.tors.clone(),
-            loopbacks: (0..r.net.topology().device_count())
-                .map(|d| (DeviceId(d as u32), addressing::loopback(d as u32)))
-                .collect(),
-            links: r
-                .links
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (p4, _, _) = addressing::p2p_v4(i as u32);
-                    let (p6, _, _) = addressing::p2p_v6(i as u32);
-                    (a, b, p4, p6)
-                })
-                .collect(),
-        };
+        let info = regional_info(&r);
         let jobs = regional_suite_jobs(&r.net, &info);
         let ndev = r.net.topology().device_count();
         assert!(jobs.len() > ndev + info.links.len());
@@ -528,5 +588,51 @@ mod tests {
         // Inspection marks rules, contracts mark packets at every device.
         assert!(!trace.rules.is_empty());
         assert_eq!(trace.packets.devices().len(), ndev);
+    }
+
+    #[test]
+    fn suites_are_rows_of_the_named_test_table() {
+        let names = |s: &str| suite(s).unwrap().iter().map(|t| t.name).collect::<Vec<_>>();
+        assert_eq!(
+            names("original"),
+            ["DefaultRouteCheck", "AggCanReachTorLoopback"]
+        );
+        assert_eq!(
+            names("final")[2..],
+            ["InternalRouteCheck", "ConnectedRouteCheck"]
+        );
+        assert_eq!(names("beyond")[4..], ["WanRouteCheck", "HostPortCheck"]);
+        assert_eq!(
+            names("s8"),
+            [
+                "DefaultRouteCheck",
+                "ToRContract",
+                "ToRReachability",
+                "ToRPingmesh"
+            ]
+        );
+        assert!(suite("everything").is_none());
+        for test in &NAMED_TESTS {
+            assert_eq!(named_test(test.name).name, test.name);
+        }
+    }
+
+    #[test]
+    fn beyond_tests_do_not_apply_without_their_facts() {
+        let (ft, info) = setup();
+        for name in [
+            "WanRouteCheck",
+            "HostPortCheck",
+            "AclEntryCheck",
+            "AclBehaviorCheck",
+        ] {
+            assert!(
+                named_test(name).jobs(&ft.net, &info, SEED).is_none(),
+                "{name}"
+            );
+        }
+        // A test that applies may still have no units here.
+        let connected = named_test("ConnectedRouteCheck").jobs(&ft.net, &info, SEED);
+        assert_eq!(connected.map(|jobs| jobs.len()), Some(0));
     }
 }

@@ -8,14 +8,27 @@
 
 use netbdd::Bdd;
 use netmodel::rule::RouteClass;
-use netmodel::MatchSets;
+use netmodel::{MatchSets, Network};
 use topogen::{regional, RegionalParams};
-use yardstick::{Aggregator, Analyzer, CoverageReport, Tracker};
+use yardstick::{Aggregator, Analyzer, CoverageReport, CoverageTrace, Tracker};
 
-use testsuite::{
-    agg_can_reach_tor_loopback, connected_route_check, default_route_check, internal_route_check,
-    TestContext,
-};
+use testsuite::{suite, NetworkInfo};
+
+/// Run the named suite's jobs on one tracker; every test must pass.
+fn run_suite(
+    bdd: &mut Bdd,
+    net: &Network,
+    ms: &MatchSets,
+    info: &NetworkInfo,
+    name: &str,
+) -> CoverageTrace {
+    let mut tracker = Tracker::new();
+    for test in suite(name).expect("a known suite") {
+        let report = test.run(bdd, net, ms, info, &mut tracker, 0);
+        assert!(report.is_some_and(|r| r.passed()), "{} failed", test.name);
+    }
+    tracker.into_trace()
+}
 
 fn main() {
     let r = regional(RegionalParams::default());
@@ -31,11 +44,7 @@ fn main() {
 
     // ---- §7.2: the original suite and its gaps ---------------------------
     println!("== step 1: original test suite (DefaultRouteCheck + AggCanReachTorLoopback) ==");
-    let mut ctx = TestContext::new(&r.net, &ms, &info);
-    assert!(default_route_check(&mut bdd, &mut ctx, |_| true).passed());
-    assert!(agg_can_reach_tor_loopback(&mut bdd, &mut ctx).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
-    let trace = tracker.into_trace();
+    let trace = run_suite(&mut bdd, &r.net, &ms, &info, "original");
     let analyzer = Analyzer::new(&r.net, &ms, &trace, &mut bdd);
     println!("{}", CoverageReport::by_role(&mut bdd, &analyzer));
 
@@ -64,13 +73,7 @@ fn main() {
 
     // ---- §7.3: the two new tests ------------------------------------------
     println!("== step 2: final suite (+InternalRouteCheck, +ConnectedRouteCheck) ==");
-    let mut ctx = TestContext::new(&r.net, &ms, &info);
-    assert!(default_route_check(&mut bdd, &mut ctx, |_| true).passed());
-    assert!(agg_can_reach_tor_loopback(&mut bdd, &mut ctx).passed());
-    assert!(internal_route_check(&mut bdd, &mut ctx).passed());
-    assert!(connected_route_check(&mut bdd, &mut ctx).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
-    let final_trace = tracker.into_trace();
+    let final_trace = run_suite(&mut bdd, &r.net, &ms, &info, "final");
     let final_analyzer = Analyzer::new(&r.net, &ms, &final_trace, &mut bdd);
     println!("{}", CoverageReport::by_role(&mut bdd, &final_analyzer));
 

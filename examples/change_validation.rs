@@ -19,7 +19,7 @@ use topogen::{regional, RegionalParams};
 use yardstick::{Analyzer, Tracker};
 
 use dataplane::semantic_diff;
-use testsuite::{connected_route_check, default_route_check, internal_route_check, TestContext};
+use testsuite::{named_test, TestReport};
 
 fn main() {
     // The running network and the proposed post-change state: a planned
@@ -63,10 +63,17 @@ fn main() {
 
     // 2. Run the (paper-final) test suite against the proposed state.
     let info = bench::regional_info(&r);
-    let mut ctx = TestContext::new(&proposed, &new_ms, &info);
-    let r1 = default_route_check(&mut bdd, &mut ctx, |_| true);
-    let r2 = internal_route_check(&mut bdd, &mut ctx);
-    let r3 = connected_route_check(&mut bdd, &mut ctx);
+    let mut tracker = Tracker::new();
+    let [r1, r2, r3] = [
+        "DefaultRouteCheck",
+        "InternalRouteCheck",
+        "ConnectedRouteCheck",
+    ]
+    .map(|name| {
+        let test = named_test(name);
+        let report = test.run(&mut bdd, &proposed, &new_ms, &info, &mut tracker, 0);
+        report.expect("applies to the regional network")
+    });
     println!(
         "\ntest suite on proposed state: DefaultRouteCheck {}, InternalRouteCheck {}, \
          ConnectedRouteCheck {}",
@@ -81,7 +88,6 @@ fn main() {
     // 3. Coverage of the *changed* space specifically: even when a change
     //    passes all tests, this is the number that says whether passing
     //    meant anything.
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
     let trace = tracker.into_trace();
     let analyzer = Analyzer::new(&proposed, &new_ms, &trace, &mut bdd);
     for d in &diffs {
@@ -103,7 +109,7 @@ fn main() {
     print!("{gaps}");
 }
 
-fn verdict(r: &testsuite::TestReport) -> &'static str {
+fn verdict(r: &TestReport) -> &'static str {
     if r.passed() {
         "PASS"
     } else {

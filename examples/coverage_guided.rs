@@ -19,7 +19,7 @@ use yardstick::{Aggregator, Analyzer, Tracker};
 
 use dataplane::paths::{edge_starts, ExploreOpts};
 use dataplane::Forwarder;
-use testsuite::{tor_reachability, NetworkInfo, TestContext};
+use testsuite::{named_test, run_job, NetworkInfo};
 
 fn main() {
     let ft = fattree(FatTreeParams::paper(4));
@@ -30,10 +30,15 @@ fn main() {
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(&ft.net, &mut bdd);
 
-    // Run the symbolic reachability suite to produce a trace.
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    assert!(tor_reachability(&mut bdd, &mut ctx).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+    // Run the symbolic reachability test — one job per source ToR — to
+    // produce a trace.
+    let mut tracker = Tracker::new();
+    let jobs = named_test("ToRReachability")
+        .jobs(&ft.net, &info, 0)
+        .unwrap();
+    for job in &jobs {
+        assert!(run_job(&mut bdd, &ft.net, &ms, &info, &mut tracker, job).passed());
+    }
     let trace = tracker.into_trace();
     let analyzer = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
 

@@ -9,16 +9,18 @@
 //!  1. build a network (here: a generated k=4 fat-tree with BGP-style
 //!     forwarding state),
 //!  2. run tests that report what they exercise through the two-call
-//!     tracking API (`mark_packet` / `mark_rule`),
+//!     tracking API (`mark_packet` / `mark_rule`) — each named test is a
+//!     list of jobs (one per router, one per ToR pair, ...) that
+//!     `run_job` executes into a tracker,
 //!  3. afterwards, compute whatever coverage metrics you like from the
 //!     recorded trace.
 
 use netbdd::Bdd;
 use netmodel::MatchSets;
 use topogen::{fattree, FatTreeParams};
-use yardstick::{Analyzer, CoverageReport};
+use yardstick::{Analyzer, CoverageReport, Tracker};
 
-use testsuite::{default_route_check, tor_pingmesh, NetworkInfo, TestContext};
+use testsuite::{named_test, run_job, NetworkInfo};
 
 fn main() {
     // 1. A k=4 fat-tree: 20 routers, one hosted /24 per ToR.
@@ -39,22 +41,26 @@ fn main() {
         tor_subnets: ft.tors.clone(),
         ..NetworkInfo::default()
     };
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    let r1 = default_route_check(&mut bdd, &mut ctx, |_| true);
-    let r2 = tor_pingmesh(&mut bdd, &mut ctx, 7);
-    println!(
-        "DefaultRouteCheck: {} checks, passed = {}",
-        r1.checks,
-        r1.passed()
-    );
-    println!(
-        "ToRPingmesh:       {} checks, passed = {}",
-        r2.checks,
-        r2.passed()
-    );
+    let mut tracker = Tracker::new();
+    for name in ["DefaultRouteCheck", "ToRPingmesh"] {
+        // Pingmesh samples one address per ToR pair from seed 7.
+        let jobs = named_test(name)
+            .jobs(&ft.net, &info, 7)
+            .expect("applies to a fat-tree");
+        let (mut checks, mut passed) = (0, true);
+        for job in &jobs {
+            let report = run_job(&mut bdd, &ft.net, &ms, &info, &mut tracker, job);
+            checks += report.checks;
+            passed &= report.passed();
+        }
+        println!(
+            "{name:<18} {} jobs, {checks} checks, passed = {passed}",
+            jobs.len()
+        );
+    }
 
     // 3. Phase 2: compute coverage from the trace.
-    let trace = ctx.tracker.into_trace();
+    let trace = tracker.into_trace();
     let analyzer = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
     let report = CoverageReport::by_role(&mut bdd, &analyzer);
     println!("\n{report}");

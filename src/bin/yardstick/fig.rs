@@ -8,14 +8,14 @@ use netbdd::Bdd;
 use netmodel::{MatchSets, Role};
 use topogen::RegionalParams;
 use yardstick::pathcov::path_coverage;
-use yardstick::{Aggregator, Analyzer, CoverageReport};
+use yardstick::{Aggregator, Analyzer, CoverageReport, Tracker};
 
 use bench::{secs, sweep_ks, time_it, write_csv};
 use dataplane::paths::{edge_starts, ExploreOpts};
 use dataplane::Forwarder;
-use testsuite::TestContext;
+use testsuite::NAMED_TESTS;
 
-use crate::{run_suite, World, S8, TESTS};
+use crate::{fattree_world, regional_world, run_suite, suite, SEED};
 
 /// The flags `yardstick fig` takes.
 pub struct FigOpts {
@@ -104,24 +104,24 @@ const FAILED: &str = "a test failed on a healthy network (see above)";
 /// regional hubs that legitimately lack a default; ours all have one, so
 /// every role is checked.
 fn fig6(opts: &FigOpts, bdd: &mut Bdd, _: &mut String) -> Result<String, String> {
-    let (w, built) = time_it(|| World::regional(regional(opts.scale)));
-    let (devices, rules) = (w.net.topology().device_count(), w.net.rule_count());
-    let (links, built) = (w.info.links.len(), secs(built));
+    let ((net, info), built) = time_it(|| regional_world(regional(opts.scale)));
+    let (devices, rules) = (net.topology().device_count(), net.rule_count());
+    let (links, built) = (info.links.len(), secs(built));
     println!("network: {devices} devices, {rules} rules ({links} links)  [built in {built}s]");
-    let (ms, ms_time) = time_it(|| MatchSets::compute(&w.net, bdd));
+    let (ms, ms_time) = time_it(|| MatchSets::compute(&net, bdd));
     println!("match sets computed in {}s", secs(ms_time));
 
     let panels = [
-        ("6a", "Original test suite", &TESTS[..2]),
-        ("6b", "InternalRouteCheck test", &TESTS[2..3]),
-        ("6c", "ConnectedRouteCheck test", &TESTS[3..4]),
-        ("6d", "Final test suite", &TESTS[..4]),
+        ("6a", "Original test suite", &NAMED_TESTS[..2]),
+        ("6b", "InternalRouteCheck test", &NAMED_TESTS[2..3]),
+        ("6c", "ConnectedRouteCheck test", &NAMED_TESTS[3..4]),
+        ("6d", "Final test suite", &NAMED_TESTS[..4]),
     ];
     for (panel, title, tests) in panels {
-        let (trace, true) = run_suite(bdd, &w, &ms, tests) else {
+        let (trace, true) = run_suite(bdd, (&net, &info), &ms, tests) else {
             return Err(FAILED.into());
         };
-        let analyzer = Analyzer::new(&w.net, &ms, &trace, bdd);
+        let analyzer = Analyzer::new(&net, &ms, &trace, bdd);
         let report = CoverageReport::by_role(bdd, &analyzer);
         println!("\n-- Figure {panel}: {title} --");
         print!("{report}");
@@ -147,10 +147,10 @@ fn fig6(opts: &FigOpts, bdd: &mut Bdd, _: &mut String) -> Result<String, String>
 /// whose headline is "89% more forwarding rules and 17% more network
 /// interfaces covered", then the two tests §7.3 leaves as future work.
 fn fig7(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, String> {
-    let w = World::regional(regional(opts.scale));
-    let (devices, rules) = (w.net.topology().device_count(), w.net.rule_count());
+    let (net, info) = regional_world(regional(opts.scale));
+    let (devices, rules) = (net.topology().device_count(), net.rule_count());
     println!("network: {devices} devices, {rules} rules");
-    let ms = MatchSets::compute(&w.net, bdd);
+    let ms = MatchSets::compute(&net, bdd);
     println!(
         "\n{:<28} {:>8} {:>8} {:>8} {:>8}",
         "iteration", "dev(f)", "ifc(f)", "rul(f)", "rul(w)"
@@ -164,10 +164,10 @@ fn fig7(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, Strin
     ];
     let mut series = Vec::new();
     for (tests, label) in (2..).zip(iterations) {
-        let (trace, true) = run_suite(bdd, &w, &ms, &TESTS[..tests]) else {
+        let (trace, true) = run_suite(bdd, (&net, &info), &ms, &NAMED_TESTS[..tests]) else {
             return Err(FAILED.into());
         };
-        let a = Analyzer::new(&w.net, &ms, &trace, bdd);
+        let a = Analyzer::new(&net, &ms, &trace, bdd);
         // device, interface and rule fractional, rule weighted
         let cells = [
             a.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
@@ -212,35 +212,39 @@ fn fig8(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, Strin
         "k", "routers", "test", "off (s)", "on (s)", "ovh (s)", "ovh (%)"
     );
     for k in sweep_ks(opts.max_k.unwrap_or(16)) {
-        let w = World::fattree(k);
-        let routers = w.net.topology().device_count();
+        let (net, info) = fattree_world(k);
+        let routers = net.topology().device_count();
         // One manager per network size: the match sets are part of the
         // analysis setup, not of any single test's cost.
         *bdd = Bdd::new();
-        let ms = MatchSets::compute(&w.net, bdd);
-        for (test, run) in &S8 {
+        let ms = MatchSets::compute(&net, bdd);
+        for test in suite("s8")? {
+            let run = |bdd: &mut Bdd, tracker: &mut Tracker| {
+                test.run(bdd, &net, &ms, &info, tracker, SEED)
+            };
             // One untimed tracked run brings the node arena to steady
             // state. Then the modes alternate twice, each on cleared
             // operation caches, and the minimum is kept, so neither mode
             // inherits the other's memo hits or arena growth.
-            run(bdd, &mut TestContext::new(&w.net, &ms, &w.info), &w);
+            run(bdd, &mut Tracker::new());
             let (mut time, mut checks) = ([Duration::MAX; 2], [0; 2]);
             for _rep in 0..2 {
                 for tracking in [false, true] {
                     bdd.clear_caches();
-                    let mut ctx = match tracking {
-                        true => TestContext::new(&w.net, &ms, &w.info),
-                        false => TestContext::without_tracking(&w.net, &ms, &w.info),
+                    let mut tracker = match tracking {
+                        true => Tracker::new(),
+                        false => Tracker::disabled(),
                     };
-                    let (rep, t) = time_it(|| run(bdd, &mut ctx, &w));
+                    let (rep, t) = time_it(|| run(bdd, &mut tracker));
                     let rep = rep
                         .filter(|r| r.passed())
-                        .ok_or_else(|| format!("{test} failed at k={k}"))?;
+                        .ok_or_else(|| format!("{} failed at k={k}", test.name))?;
                     let i = usize::from(tracking);
                     time[i] = time[i].min(t);
                     checks[i] = rep.checks;
                 }
             }
+            let test = test.name;
             if checks[0] != checks[1] {
                 return Err(format!("{test} ran {checks:?} checks off/on at k={k}"));
             }
@@ -285,11 +289,11 @@ fn fig9(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, Strin
         "k", "routers", "device(s)", "iface(s)", "rule(s)", "path(s)", "paths"
     );
     for k in sweep_ks(opts.max_k.unwrap_or(12)) {
-        let w = World::fattree(k);
-        let routers = w.net.topology().device_count();
+        let (net, info) = fattree_world(k);
+        let routers = net.topology().device_count();
         *bdd = Bdd::new();
-        let ms = MatchSets::compute(&w.net, bdd);
-        let (trace, _) = run_suite(bdd, &w, &ms, &S8);
+        let ms = MatchSets::compute(&net, bdd);
+        let (trace, _) = run_suite(bdd, (&net, &info), &ms, suite("s8")?);
 
         // Each metric by itself, as the paper times them; building the
         // covered sets (`Analyzer::new`) is part of each.
@@ -298,11 +302,11 @@ fn fig9(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, Strin
             |a, bdd| a.aggregate_out_ifaces(bdd, Aggregator::Fractional, |_, _| true),
             |a, bdd| a.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
         ];
-        let [dev_t, ifc_t, rule_t] = metrics
-            .map(|metric| time_it(|| metric(&Analyzer::new(&w.net, &ms, &trace, bdd), bdd)).1);
+        let [dev_t, ifc_t, rule_t] =
+            metrics.map(|metric| time_it(|| metric(&Analyzer::new(&net, &ms, &trace, bdd), bdd)).1);
 
-        let analyzer = Analyzer::new(&w.net, &ms, &trace, bdd);
-        let starts = edge_starts(bdd, &Forwarder::new(&w.net, &ms));
+        let analyzer = Analyzer::new(&net, &ms, &trace, bdd);
+        let starts = edge_starts(bdd, &Forwarder::new(&net, &ms));
         let explore = ExploreOpts {
             max_paths: opts.path_budget,
             ..ExploreOpts::default()

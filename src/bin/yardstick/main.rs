@@ -10,21 +10,17 @@ mod fig;
 use std::net::{Ipv4Addr, TcpListener};
 use std::process::ExitCode;
 
-use bench::{check_flags, parse_flag, parse_opt_flag};
+use bench::{arity, check_flags, parse_flag, parse_opt_flag};
 use netbdd::Bdd;
 use netmodel::header::Packet;
-use netmodel::{DeviceId, IfaceId, Location, MatchSets, Network, Prefix, Role};
+use netmodel::{Location, MatchSets, Network};
 use topogen::{fattree, fattree_with_engine, regional, FatTreeParams, RegionalParams};
 use yardstick::daemon::{http_request, serve};
-use yardstick::{Analyzer, CoverageEngine, CoverageReport, CoverageTrace};
+use yardstick::{Analyzer, CoverageEngine, CoverageReport, CoverageTrace, Tracker};
 
 use dataplane::paths::{edge_starts, ExploreOpts};
 use dataplane::{semantic_diff, traceroute, Forwarder};
-use testsuite::{
-    agg_can_reach_tor_loopback, connected_route_check, default_route_check, host_port_check,
-    internal_route_check, tor_contract, tor_pingmesh, tor_reachability, wan_route_check,
-    NetworkInfo, TestContext, TestReport, WanSpec,
-};
+use testsuite::{NamedTest, NetworkInfo};
 
 const HELP: &str = "\
 yardstick — network test coverage metrics (SIGCOMM 2021 reproduction)
@@ -62,118 +58,59 @@ OPTIONS:
     -h, --help                      print this help
 ";
 
-/// A test the suites, figure panels and iterations name. `None` when the
-/// network lacks what the test checks (no WAN routers, no host ports).
-type Test = (&'static str, TestFn);
-type TestFn = fn(&mut Bdd, &mut TestContext<'_>, &World) -> Option<TestReport>;
+/// The suite seed ToRPingmesh derives its per-pair samples from.
+const SEED: u64 = 0xC0FFEE;
 
-/// Every named test. The case study's six come first, in the order its
-/// suite grew (§7.3), so its suites and Figure 7's iterations are
-/// prefixes; the §8 benchmark's three follow.
-static TESTS: [Test; 9] = [
-    ("DefaultRouteCheck", |b, c, _| {
-        Some(default_route_check(b, c, |_| true))
-    }),
-    ("AggCanReachTorLoopback", |b, c, _| {
-        Some(agg_can_reach_tor_loopback(b, c))
-    }),
-    ("InternalRouteCheck", |b, c, _| {
-        Some(internal_route_check(b, c))
-    }),
-    ("ConnectedRouteCheck", |b, c, _| {
-        Some(connected_route_check(b, c))
-    }),
-    ("WanRouteCheck", |b, c, w| {
-        let roles = |r| matches!(r, Role::Spine | Role::RegionalHub | Role::Wan);
-        Some(wan_route_check(b, c, w.wan.as_ref()?, roles))
-    }),
-    ("HostPortCheck", |b, c, w| {
-        (!w.host_slices.is_empty()).then(|| host_port_check(b, c, &w.host_slices))
-    }),
-    ("ToRContract", |b, c, _| Some(tor_contract(b, c))),
-    ("ToRReachability", |b, c, _| Some(tor_reachability(b, c))),
-    ("ToRPingmesh", |b, c, _| Some(tor_pingmesh(b, c, 0xC0FFEE))),
-];
-
-/// The §8 suite (Figures 8–9): one test of each taxonomy type.
-static S8: [Test; 4] = [TESTS[0], TESTS[6], TESTS[7], TESTS[8]];
-
-/// The tests a `--suite` name runs.
-fn suite(name: &str) -> Result<&'static [Test], String> {
-    match name {
-        "original" => Ok(&TESTS[..2]),
-        "final" => Ok(&TESTS[..4]),
-        "beyond" => Ok(&TESTS[..6]),
-        "s8" => Ok(&S8),
-        other => Err(format!("unknown suite {other}")),
-    }
+/// The tests a `--suite` name runs (see `testsuite::suite`).
+fn suite(name: &str) -> Result<&'static [NamedTest], String> {
+    testsuite::suite(name).ok_or_else(|| format!("unknown suite {name}"))
 }
 
 /// What a `--topology` name builds, given the fat-tree arity `--k`.
 fn world(topology: &str) -> Result<fn(u32) -> World, String> {
     match topology {
-        "fattree" => Ok(World::fattree),
-        "regional" => Ok(|_| World::regional(RegionalParams::default())),
+        "fattree" => Ok(fattree_world),
+        "regional" => Ok(|_| regional_world(RegionalParams::default())),
         other => Err(format!(
             "unknown topology {other} (try fattree or regional)"
         )),
     }
 }
 
-/// A generated network plus everything the named tests need.
-struct World {
-    net: Network,
-    info: NetworkInfo,
-    wan: Option<WanSpec>,
-    host_slices: Vec<(DeviceId, IfaceId, Prefix)>,
+/// A generated network and its ground truth.
+type World = (Network, NetworkInfo);
+
+fn fattree_world(k: u32) -> World {
+    let ft = fattree(FatTreeParams::paper(k));
+    let info = bench::fattree_info(&ft);
+    (ft.net, info)
 }
 
-impl World {
-    fn fattree(k: u32) -> World {
-        let ft = fattree(FatTreeParams::paper(k));
-        World {
-            info: bench::fattree_info(&ft),
-            net: ft.net,
-            wan: None,
-            host_slices: Vec::new(),
-        }
-    }
-
-    fn regional(params: RegionalParams) -> World {
-        let r = regional(params);
-        World {
-            info: bench::regional_info(&r),
-            net: r.net,
-            wan: Some(WanSpec {
-                prefixes: r.wan_prefixes,
-                wan_routers: r.wans,
-            }),
-            host_slices: r.host_port_slices,
-        }
-    }
+fn regional_world(params: RegionalParams) -> World {
+    let r = regional(params);
+    let info = bench::regional_info(&r);
+    (r.net, info)
 }
 
 /// Run `tests` on one tracker, logging each verdict to stderr; the trace
-/// they left, and whether every test that ran passed.
-fn run_suite(bdd: &mut Bdd, w: &World, ms: &MatchSets, tests: &[Test]) -> (CoverageTrace, bool) {
-    let mut ctx = TestContext::new(&w.net, ms, &w.info);
+/// they left, and whether every test that ran passed. A test that does
+/// not apply to the network is skipped silently.
+fn run_suite(
+    bdd: &mut Bdd,
+    (net, info): (&Network, &NetworkInfo),
+    ms: &MatchSets,
+    tests: &[NamedTest],
+) -> (CoverageTrace, bool) {
+    let mut tracker = Tracker::new();
     let mut passed = true;
-    for (name, test) in tests {
-        if let Some(rep) = test(bdd, &mut ctx, w) {
+    for test in tests {
+        if let Some(rep) = test.run(bdd, net, ms, info, &mut tracker, SEED) {
             let status = if rep.passed() { "pass" } else { "FAIL" };
-            eprintln!("  [{status}] {name} ({} checks)", rep.checks);
+            eprintln!("  [{status}] {} ({} checks)", test.name, rep.checks);
             passed &= rep.passed();
         }
     }
-    (std::mem::take(&mut ctx.tracker).into_trace(), passed)
-}
-
-/// `--k`: a fat-tree arity, which is even and at least 2.
-fn arity(args: &[String], default: u32) -> Result<u32, String> {
-    match parse_flag(args, "--k", default)? {
-        k if k >= 2 && k % 2 == 0 => Ok(k),
-        k => Err(format!("--k must be an even fat-tree arity >= 2, got {k}")),
-    }
+    (tracker.into_trace(), passed)
 }
 
 fn main() -> ExitCode {
@@ -208,7 +145,11 @@ type Run<'a> = Box<dyn FnOnce() -> Result<(), String> + 'a>;
 fn parse<'a>(command: &'a str, args: &'a [String]) -> Result<Run<'a>, String> {
     match command {
         "report" | "gaps" | "paths" | "trace" | "diff" => {
-            check_flags(args, "--topology --k --suite --limit --path-budget --dst")?;
+            check_flags(
+                args,
+                "--topology --k --suite --limit --path-budget --dst",
+                [],
+            )?;
             let topology: String = parse_flag(args, "--topology", "regional".into())?;
             let view = View {
                 world: world(&topology)?,
@@ -230,7 +171,7 @@ fn parse<'a>(command: &'a str, args: &'a [String]) -> Result<Run<'a>, String> {
                 _ => return Err("fig expects a figure number: 6, 7, 8 or 9".into()),
             };
             let args = &args[1..];
-            check_flags(args, "--scale --max-k --path-budget --trace")?;
+            check_flags(args, "--scale --max-k --path-budget --trace", [])?;
             let opts = fig::FigOpts {
                 scale: parse_flag(args, "--scale", 1)?,
                 max_k: parse_opt_flag(args, "--max-k")?,
@@ -245,7 +186,7 @@ fn parse<'a>(command: &'a str, args: &'a [String]) -> Result<Run<'a>, String> {
             Ok(Box::new(move || fig::draw(n, &opts)))
         }
         "serve" => {
-            check_flags(args, "--port --k --gc-watermark")?;
+            check_flags(args, "--port --k --gc-watermark", [])?;
             let port = parse_flag(args, "--port", 7070)?;
             let k = arity(args, 4)?;
             let gc_watermark = parse_opt_flag(args, "--gc-watermark")?;
@@ -267,27 +208,27 @@ struct View {
     topology: String,
     world: fn(u32) -> World,
     k: u32,
-    suite: &'static [Test],
+    suite: &'static [NamedTest],
     limit: usize,
     path_budget: u64,
     dst: Option<Ipv4Addr>,
 }
 
 fn analyse(command: &str, view: &View) -> Result<(), String> {
-    let w = (view.world)(view.k);
+    let (net, info) = &(view.world)(view.k);
     eprintln!(
         "network: {} ({} devices, {} rules)",
         view.topology,
-        w.net.topology().device_count(),
-        w.net.rule_count()
+        net.topology().device_count(),
+        net.rule_count()
     );
     let mut bdd = Bdd::new();
-    let ms = MatchSets::compute(&w.net, &mut bdd);
+    let ms = MatchSets::compute(net, &mut bdd);
 
     match command {
         "report" | "gaps" | "paths" => {
-            let (trace, _) = run_suite(&mut bdd, &w, &ms, view.suite);
-            let analyzer = Analyzer::new(&w.net, &ms, &trace, &mut bdd);
+            let (trace, _) = run_suite(&mut bdd, (net, info), &ms, view.suite);
+            let analyzer = Analyzer::new(net, &ms, &trace, &mut bdd);
             if command == "report" {
                 println!("{}", CoverageReport::by_role(&mut bdd, &analyzer));
                 println!("{}", yardstick::ClassReport::by_class(&mut bdd, &analyzer));
@@ -297,7 +238,7 @@ fn analyse(command: &str, view: &View) -> Result<(), String> {
                     analyzer.gap_report(&mut bdd, view.limit, 3, |_, _| true)
                 );
             } else {
-                let fwd = Forwarder::new(&w.net, &ms);
+                let fwd = Forwarder::new(net, &ms);
                 let starts = edge_starts(&mut bdd, &fwd);
                 let opts = ExploreOpts {
                     max_paths: view.path_budget,
@@ -318,15 +259,15 @@ fn analyse(command: &str, view: &View) -> Result<(), String> {
         }
         "trace" => {
             let pkt = Packet::v4_to(u32::from(view.dst.expect("checked by parse")));
-            let start = Location::device(w.info.tor_subnets[0].0);
-            let res = traceroute(&mut bdd, &w.net, &ms, start, pkt, 64);
+            let start = Location::device(info.tor_subnets[0].0);
+            let res = traceroute(&mut bdd, net, &ms, start, pkt, 64);
             for (i, hop) in res.hops.iter().enumerate() {
                 println!(
                     "{:>3}  {}  rule {:?} ({:?})",
                     i + 1,
-                    w.net.topology().device(hop.location.device).name,
+                    net.topology().device(hop.location.device).name,
                     hop.rule,
-                    w.net.rule(hop.rule).class
+                    net.rule(hop.rule).class
                 );
             }
             println!("outcome: {:?}", res.outcome);
@@ -334,25 +275,24 @@ fn analyse(command: &str, view: &View) -> Result<(), String> {
         _ => {
             // Demo change: null-route the first ToR's prefix at the last
             // non-ToR device that carries it.
-            let (tor, prefix, _) = w.info.tor_subnets.first().ok_or("no ToRs")?;
-            let victim_dev = w
-                .net
+            let (tor, prefix, _) = info.tor_subnets.first().ok_or("no ToRs")?;
+            let victim_dev = net
                 .rules()
                 .filter(|(id, r)| r.matches.dst == Some(*prefix) && id.device != *tor)
                 .map(|(id, _)| id.device)
                 .last()
                 .ok_or("prefix not propagated")?;
-            let mut changed = w.net.clone();
+            let mut changed = net.clone();
             topogen::faults::null_route(&mut changed, victim_dev, *prefix);
             let new_ms = MatchSets::compute(&changed, &mut bdd);
             println!(
                 "demo change: null-route {} on {}",
                 prefix,
-                w.net.topology().device(victim_dev).name
+                net.topology().device(victim_dev).name
             );
-            for d in &semantic_diff(&mut bdd, &w.net, &ms, &changed, &new_ms) {
+            for d in &semantic_diff(&mut bdd, net, &ms, &changed, &new_ms) {
                 let (regions, complete) = netmodel::describe_set(&bdd, d.changed, 5);
-                println!("{}:", w.net.topology().device(d.device).name);
+                println!("{}:", net.topology().device(d.device).name);
                 for r in regions {
                     println!("  affected: {r}");
                 }

@@ -10,7 +10,7 @@ use topogen::{fattree, regional, FatTreeParams, RegionalParams};
 use yardstick::{Aggregator, Analyzer, CoverageTrace, Tracker};
 
 use dataplane::{semantic_diff, traceroute, Forwarder};
-use testsuite::{default_route_check, tor_reachability, NetworkInfo, TestContext};
+use testsuite::{named_test, NetworkInfo};
 
 /// The full §7.2 loop, closed automatically: run a suite, take the gap
 /// report's witness packets, traceroute them as new "tests", and watch
@@ -27,9 +27,9 @@ fn gap_witnesses_are_actionable_tests() {
     let ms = MatchSets::compute(&ft.net, &mut bdd);
 
     // Seed suite: reachability only (leaves default routes untested).
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    assert!(tor_reachability(&mut bdd, &mut ctx).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+    let mut tracker = Tracker::new();
+    let report = named_test("ToRReachability").run(&mut bdd, &ft.net, &ms, &info, &mut tracker, 0);
+    assert!(report.unwrap().passed());
     let mut trace = tracker.into_trace();
 
     let before = {
@@ -104,11 +104,14 @@ fn diff_guided_change_validation() {
 
         // Run the paper-final suite against the changed state (ignore
         // pass/fail; we only need the coverage trace here).
-        let mut ctx = TestContext::new(&changed_net, &new_ms, &info);
-        default_route_check(&mut bdd, &mut ctx, |_| true);
-        testsuite::internal_route_check(&mut bdd, &mut ctx);
-        testsuite::connected_route_check(&mut bdd, &mut ctx);
-        let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+        let mut tracker = Tracker::new();
+        for name in [
+            "DefaultRouteCheck",
+            "InternalRouteCheck",
+            "ConnectedRouteCheck",
+        ] {
+            named_test(name).run(&mut bdd, &changed_net, &new_ms, &info, &mut tracker, 0);
+        }
         let trace = tracker.into_trace();
 
         let covered_at = trace.packets.at_device(&mut bdd, d.device);
@@ -172,9 +175,10 @@ fn atu_round_trip_through_tracking() {
     };
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(&ft.net, &mut bdd);
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    assert!(default_route_check(&mut bdd, &mut ctx, |_| true).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+    let mut tracker = Tracker::new();
+    let report =
+        named_test("DefaultRouteCheck").run(&mut bdd, &ft.net, &ms, &info, &mut tracker, 0);
+    assert!(report.unwrap().passed());
     let trace = tracker.into_trace();
     let a = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
     for (id, rule) in ft.net.rules() {

@@ -10,10 +10,7 @@ use netmodel::MatchSets;
 use topogen::{regional, RegionalParams};
 use yardstick::{Aggregator, Analyzer, Tracker};
 
-use testsuite::{
-    agg_can_reach_tor_loopback, connected_route_check, default_route_check, internal_route_check,
-    NetworkInfo, TestContext,
-};
+use testsuite::{named_test, suite, NetworkInfo};
 
 fn small_params() -> RegionalParams {
     RegionalParams {
@@ -35,21 +32,19 @@ fn info_for(r: &topogen::Regional) -> NetworkInfo {
     bench::regional_info(r)
 }
 
-fn run_suite<'a>(
+fn run_suite(
     bdd: &mut Bdd,
-    net: &'a netmodel::Network,
-    ms: &'a MatchSets,
-    info: &'a NetworkInfo,
+    net: &netmodel::Network,
+    ms: &MatchSets,
+    info: &NetworkInfo,
     with_new_tests: bool,
 ) -> yardstick::CoverageTrace {
-    let mut ctx = TestContext::new(net, ms, info);
-    assert!(default_route_check(bdd, &mut ctx, |_| true).passed());
-    assert!(agg_can_reach_tor_loopback(bdd, &mut ctx).passed());
-    if with_new_tests {
-        assert!(internal_route_check(bdd, &mut ctx).passed());
-        assert!(connected_route_check(bdd, &mut ctx).passed());
+    let mut tracker = Tracker::new();
+    let name = if with_new_tests { "final" } else { "original" };
+    for test in suite(name).unwrap() {
+        let report = test.run(bdd, net, ms, info, &mut tracker, 0).unwrap();
+        assert!(report.passed(), "{}", test.name);
     }
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
     tracker.into_trace()
 }
 
@@ -173,11 +168,12 @@ fn coverage_survives_fault_injection_workflows() {
 
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(&r.net, &mut bdd);
-    let mut ctx = TestContext::new(&r.net, &ms, &info);
-    let report = internal_route_check(&mut bdd, &mut ctx);
+    let mut tracker = Tracker::new();
+    let report = named_test("InternalRouteCheck")
+        .run(&mut bdd, &r.net, &ms, &info, &mut tracker, 0)
+        .unwrap();
     assert!(!report.passed(), "the fault must be detected");
     // Coverage was still recorded for everything the test analysed.
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
     let trace = tracker.into_trace();
     let a = Analyzer::new(&r.net, &ms, &trace, &mut bdd);
     let cov = a.aggregate_rules(&mut bdd, Aggregator::Fractional, |_, rl| {

@@ -9,7 +9,7 @@ use netmodel::MatchSets;
 use topogen::{fattree, regional, FatTreeParams, RegionalParams};
 use yardstick::{Aggregator, Analyzer, Tracker};
 
-use testsuite::{default_route_check, tor_contract, NetworkInfo, TestContext};
+use testsuite::{named_test, NetworkInfo};
 
 /// k=16 fat-tree (320 routers, ~41k rules): full local-suite run plus
 /// rule aggregation, end to end.
@@ -24,10 +24,11 @@ fn fattree_k16_full_local_suite() {
     };
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(&ft.net, &mut bdd);
-    let mut ctx = TestContext::new(&ft.net, &ms, &info);
-    assert!(default_route_check(&mut bdd, &mut ctx, |_| true).passed());
-    assert!(tor_contract(&mut bdd, &mut ctx).passed());
-    let tracker: Tracker = std::mem::take(&mut ctx.tracker);
+    let mut tracker = Tracker::new();
+    for name in ["DefaultRouteCheck", "ToRContract"] {
+        let report = named_test(name).run(&mut bdd, &ft.net, &ms, &info, &mut tracker, 0);
+        assert!(report.unwrap().passed(), "{name}");
+    }
     let trace = tracker.into_trace();
     let a = Analyzer::new(&ft.net, &ms, &trace, &mut bdd);
     let cov = a
