@@ -488,14 +488,18 @@ fn handle_metrics(engine: &mut CoverageEngine) -> Response {
     Response::ok(body)
 }
 
+fn devices_json(devices: &[DeviceId]) -> String {
+    let devices: Vec<String> = devices.iter().map(|d| d.0.to_string()).collect();
+    devices.join(",")
+}
+
 fn record_json(r: &DeltaRecord) -> String {
-    let devices: Vec<String> = r.devices.iter().map(|d| d.0.to_string()).collect();
     format!(
         "{{\"version\":{},\"kind\":{},\"detail\":{},\"devices\":[{}]}}",
         r.version,
         quote(r.kind.as_str()),
         quote(&r.detail),
-        devices.join(",")
+        devices_json(&r.devices)
     )
 }
 
@@ -527,16 +531,6 @@ fn handle_delta_since(engine: &mut CoverageEngine, req: &Request) -> Response {
     ))
 }
 
-fn delta_applied(engine: &CoverageEngine, detail: &str, devices: &[DeviceId]) -> Response {
-    let devices: Vec<String> = devices.iter().map(|d| d.0.to_string()).collect();
-    Response::ok(format!(
-        "{{\"ok\":true,\"version\":{},\"detail\":{},\"devices\":[{}]}}",
-        engine.version(),
-        quote(detail),
-        devices.join(",")
-    ))
-}
-
 fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
     let doc = match json::parse(&req.body) {
         Ok(doc) => doc,
@@ -559,9 +553,7 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
                     Err(e) => return Response::error(400, &e),
                 },
             };
-            engine
-                .insert_rule(device, rule)
-                .map(|id| (format!("r{}.{}", id.device.0, id.index), vec![device]))
+            engine.insert_rule(device, rule).map(drop)
         }
         "rule-withdraw" => {
             let id = match (
@@ -574,13 +566,11 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
                 },
                 (Err(e), _) | (_, Err(e)) => return Response::error(400, &e),
             };
-            engine
-                .withdraw_rule(id)
-                .map(|_| (format!("r{}.{}", id.device.0, id.index), vec![id.device]))
+            engine.withdraw_rule(id).map(drop)
         }
         "test-add" => {
             let name = match doc.get("name").and_then(Json::as_str) {
-                Some(n) => n.to_string(),
+                Some(n) => n,
                 None => return Response::error(400, "missing test name"),
             };
             let trace = match doc
@@ -591,17 +581,12 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
                 Ok(t) => t,
                 Err(e) => return Response::error(400, &e),
             };
-            engine
-                .add_test(&name, &trace)
-                .map(|devices| (name, devices))
+            engine.add_test(name, &trace).map(drop)
         }
-        "test-remove" => {
-            let name = match doc.get("name").and_then(Json::as_str) {
-                Some(n) => n.to_string(),
-                None => return Response::error(400, "missing test name"),
-            };
-            engine.remove_test(&name).map(|devices| (name, devices))
-        }
+        "test-remove" => match doc.get("name").and_then(Json::as_str) {
+            Some(name) => engine.remove_test(name).map(drop),
+            None => return Response::error(400, "missing test name"),
+        },
         "link-down" | "link-up" => {
             let (a, b) = match (num_u32(doc.get("a"), "a"), num_u32(doc.get("b"), "b")) {
                 (Ok(a), Ok(b)) => (DeviceId(a), DeviceId(b)),
@@ -612,9 +597,7 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
             } else {
                 routing::TopologyDelta::LinkUp { a, b }
             };
-            engine
-                .apply_topology(&delta)
-                .map(|devices| (format!("link:{}-{}", a.0, b.0), devices))
+            engine.apply_topology(&delta).map(drop)
         }
         "device-down" | "device-up" => {
             let device = match num_u32(doc.get("device"), "device") {
@@ -626,16 +609,21 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
             } else {
                 routing::TopologyDelta::DeviceUp { device }
             };
-            engine
-                .apply_topology(&delta)
-                .map(|devices| (format!("device:{}", device.0), devices))
+            engine.apply_topology(&delta).map(drop)
         }
         other => return Response::error(400, &format!("unknown delta kind {other:?}")),
     };
-    match outcome {
-        Ok((detail, devices)) => delta_applied(engine, &detail, &devices),
-        Err(e) => Response::error(engine_error_status(&e), &e.to_string()),
+    if let Err(e) = outcome {
+        return Response::error(engine_error_status(&e), &e.to_string());
     }
+    // The answer is the record the engine logged for the delta.
+    let r = engine.last_delta().expect("an applied delta is logged");
+    Response::ok(format!(
+        "{{\"ok\":true,\"version\":{},\"detail\":{},\"devices\":[{}]}}",
+        r.version,
+        quote(&r.detail),
+        devices_json(&r.devices)
+    ))
 }
 
 /// One round of coverage-guided generation ([`autogen`]), bounded so an

@@ -61,6 +61,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use netbdd::{Bdd, GcStats, PortableBddError};
+use netmodel::header;
 use netmodel::topology::DeviceId;
 use netmodel::{IfaceId, Location, MatchSetCache, MatchSets, Network, Rule, RuleId};
 
@@ -130,6 +131,14 @@ pub enum EngineError {
         /// What was wrong with the snapshot.
         error: PortableBddError,
     },
+    /// A test's portable trace splits on a variable outside the packet
+    /// header (`netmodel::header::NVARS` and up).
+    OffHeaderVariable {
+        /// The location whose packet-set snapshot uses the variable.
+        location: Location,
+        /// The offending variable.
+        var: u32,
+    },
     /// A topology delta arrived but no routing engine is attached
     /// ([`CoverageEngine::attach_routing`] was never called).
     NoRoutingEngine,
@@ -174,6 +183,11 @@ impl std::fmt::Display for EngineError {
             EngineError::MalformedTrace { location, error } => {
                 write!(f, "malformed trace at {location:?}: {error}")
             }
+            EngineError::OffHeaderVariable { location, var } => write!(
+                f,
+                "trace at {location:?} uses variable {var}, outside the {}-variable header",
+                header::NVARS
+            ),
             EngineError::NoRoutingEngine => {
                 write!(f, "no routing engine attached: topology deltas unavailable")
             }
@@ -504,6 +518,12 @@ impl CoverageEngine {
         }
     }
 
+    /// The newest logged delta: the daemon renders a `/delta` answer
+    /// from it.
+    pub(crate) fn last_delta(&self) -> Option<&DeltaRecord> {
+        self.log.last()
+    }
+
     /// Run `f` against a read-only [`Analyzer`] view of the current
     /// state. The analyzer wraps the engine's incrementally maintained
     /// covered sets, so no Algorithm 1 pass runs here.
@@ -666,8 +686,9 @@ impl CoverageEngine {
         Ok(rule)
     }
 
-    /// Register a test's trace under `name`. The portable trace is
-    /// validated on import ([`PortableTrace::try_import`]); covered sets
+    /// Register a test's trace under `name`. The portable trace's devices
+    /// and header variables are checked before it is imported
+    /// ([`PortableTrace::try_import`] validates its snapshots); covered sets
     /// are recomputed only at the devices the trace marks. Returns those
     /// devices.
     pub fn add_test(
@@ -678,13 +699,24 @@ impl CoverageEngine {
         if self.tests.contains_key(name) {
             return Err(EngineError::DuplicateTest { name: name.into() });
         }
+        // Everything is checked before the first node is built, so a
+        // refused test leaves the arena as it found it.
+        for (location, snapshot) in trace.packets() {
+            self.check_device(location.device)?;
+            if let Some(&(var, ..)) = snapshot.nodes().iter().find(|n| n.0 >= header::NVARS) {
+                return Err(EngineError::OffHeaderVariable {
+                    location: *location,
+                    var,
+                });
+            }
+        }
+        for id in trace.rules() {
+            self.check_device(id.device)?;
+        }
         let trace = trace
             .try_import(&mut self.bdd)
             .map_err(|(location, error)| EngineError::MalformedTrace { location, error })?;
         let devices = trace_devices(&trace);
-        for &device in &devices {
-            self.check_device(device)?;
-        }
         self.combined.merge(&mut self.bdd, &trace);
         for &device in &devices {
             self.recompute_covered(device);

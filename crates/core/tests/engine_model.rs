@@ -1,0 +1,600 @@
+//! One seeded model test for the resident engine.
+//!
+//! A k=4 fat-tree with loopbacks and connected routes — so an
+//! aggregation router's failure puts all three kinds of device in one
+//! FIB diff: the downed one, neighbours that lose a connected /31, and
+//! devices whose entries are only replaced — boots a [`CoverageEngine`]
+//! with routing and a low GC watermark. A seeded run sends it rule, test
+//! and topology deltas, reads and requests it must refuse, all through
+//! [`handle`], with collections in between; the model keeps only what its
+//! requests said. After every step a refusal must have changed nothing
+//! (version, tables, tests, arena nodes), an applied delta must be the
+//! one record `/delta-since` reports, and the resident shards and action
+//! classes must be the `Ref`s a batch compute in the engine's own manager
+//! gives. At checkpoints the engine must equal a from-scratch batch in a
+//! fresh manager (covered sets, per-rule, headline and role metrics), a
+//! control plane rebuilt from scratch (the FIB) and a fresh engine
+//! (reachability). Each seed must reach every delta kind, every refusal
+//! and a collection, so a model that stops exercising a path fails.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use dataplane::{reach, Forwarder};
+use netbdd::{Bdd, PortableBdd, Ref};
+use netmodel::header;
+use netmodel::topology::{DeviceId, Role};
+use netmodel::{Location, MatchSetCache, MatchSets, Network, Prefix, Rule, RuleId};
+use netobs::json::{self, Json};
+use topogen::{fattree_with_engine, FatTreeParams};
+use yardstick::daemon::{handle, trace_to_json, Request, Response};
+use yardstick::rng::splitmix64;
+use yardstick::{
+    Aggregator, Analyzer, CoverageEngine, CoverageTrace, CoveredSets, HeadlineMetrics,
+    PortableTrace,
+};
+
+/// Prefixes the inserted rules and the test marks draw from, overlapping
+/// each other and the installed routes on purpose. None is a prefix the
+/// routing engine installs, so an inserted rule is never one it manages.
+#[rustfmt::skip]
+const PREFIXES: &[&str] = &[
+    "10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/25", "10.0.1.128/25", "10.0.2.7/32",
+    "10.1.0.0/16", "172.16.0.0/30",
+];
+
+/// The delta kinds every seed must have applied.
+#[rustfmt::skip]
+const KINDS: &[&str] = &[
+    "rule-inserted", "rule-withdrawn", "test-added", "test-removed",
+    "link-down", "link-up", "device-down", "device-up",
+];
+
+/// The requests every seed must have seen refused, sent in turn, and
+/// the status each is refused with.
+#[rustfmt::skip]
+const REFUSALS: &[(&str, u16)] = &[
+    ("unknown device", 404), ("unknown rule", 404), ("unknown test", 404),
+    ("unknown link", 404), ("double down", 400), ("mixed ingress", 400),
+    ("duplicate test", 400), ("malformed JSON", 400), ("unknown kind", 400),
+    ("malformed snapshot", 400), ("off-header variable", 400), ("deep nesting", 400),
+];
+
+/// What a refused request may not move: the version, every table, the
+/// registered tests and the arena's node count.
+type State = (u64, Vec<Vec<Rule>>, Vec<String>, usize);
+
+struct Model {
+    engine: CoverageEngine,
+    rng: u64,
+    tors: Vec<DeviceId>,
+    aggs: Vec<DeviceId>,
+    /// Registered tests and their traces: the batch side's inputs.
+    tests: Vec<(String, PortableTrace)>,
+    /// Rules the model inserted and has not withdrawn.
+    inserted: Vec<(DeviceId, Prefix)>,
+    /// Links that are down, and aggregation routers as `(agg, agg)`.
+    down: BTreeSet<(DeviceId, DeviceId)>,
+    accepted: BTreeSet<String>,
+    refused: BTreeSet<&'static str>,
+    /// Refusals sent so far; the next is `REFUSALS[refusals % len]`.
+    refusals: usize,
+    /// Where the run is, for failure messages.
+    at: String,
+    /// The audit's prefix memo, and the collection count it is valid
+    /// for: a collection kills the `Ref`s it holds.
+    audit_cache: MatchSetCache,
+    audit_gcs: u64,
+}
+
+impl Model {
+    fn boot(seed: u64) -> Model {
+        let params = FatTreeParams {
+            k: 4,
+            loopbacks: true,
+            connected: true,
+        };
+        let (ft, routing) = fattree_with_engine(params);
+        let mut engine = CoverageEngine::new(ft.net, 1);
+        engine.attach_routing(routing);
+        let nodes = engine.analysis_parts().3.node_count();
+        engine.set_gc_watermark(Some(nodes + nodes / 4));
+        Model {
+            engine,
+            rng: seed,
+            tors: ft.tors.iter().map(|t| t.0).collect(),
+            aggs: ft.aggs,
+            tests: Vec::new(),
+            inserted: Vec::new(),
+            down: BTreeSet::new(),
+            accepted: BTreeSet::new(),
+            refused: BTreeSet::new(),
+            refusals: seed as usize,
+            at: format!("seed {seed:#x} prologue"),
+            audit_cache: MatchSetCache::new(),
+            audit_gcs: 0,
+        }
+    }
+
+    fn pick(&mut self, n: usize) -> usize {
+        (splitmix64(&mut self.rng) % n as u64) as usize
+    }
+
+    fn prefix(&mut self) -> Prefix {
+        PREFIXES[self.pick(PREFIXES.len())].parse().unwrap()
+    }
+
+    fn device(&mut self) -> DeviceId {
+        DeviceId(self.pick(self.engine.network().topology().device_count()) as u32)
+    }
+
+    fn tor(&mut self) -> DeviceId {
+        let at = self.pick(self.tors.len());
+        self.tors[at]
+    }
+
+    fn table_len(&self, device: DeviceId) -> usize {
+        self.engine.network().device_rules(device).len()
+    }
+
+    fn state(&mut self) -> State {
+        let nodes = self.engine.analysis_parts().3.node_count();
+        let net = self.engine.network();
+        let devices = net.topology().devices();
+        let tables = devices.map(|(d, _)| net.device_rules(d).to_vec()).collect();
+        let tests = self.engine.test_names().map(String::from).collect();
+        (self.engine.version(), tables, tests, nodes)
+    }
+
+    /// Send one request, check the status and what every answer must
+    /// satisfy, and audit the shards.
+    fn expect(&mut self, method: &str, target: &str, body: &str, status: u16) -> Response {
+        let before = self.state();
+        let resp = handle(&mut self.engine, &Request::new(method, target, body));
+        let at = format!("{}: {method} {target} {body:.100}", self.at);
+        assert_eq!(resp.status, status, "{at}: {}", resp.body);
+        if status != 200 {
+            assert!(self.state() == before, "a refusal changed the engine, {at}");
+        } else if target == "/delta" {
+            assert_eq!(self.engine.version(), before.0 + 1, "{at}");
+            let answer = json::parse(&resp.body).unwrap();
+            let since = format!("/delta-since?trace={}", before.0);
+            let tail = handle(&mut self.engine, &Request::new("GET", &since, ""));
+            let tail = json::parse(&tail.body).unwrap();
+            let [record] = tail.get("deltas").and_then(Json::as_array).unwrap() else {
+                panic!("not one record after an applied delta, {at}");
+            };
+            for key in ["version", "detail", "devices"] {
+                assert_eq!(record.get(key), answer.get(key), "{key}, {at}");
+            }
+            let kind = record.get("kind").and_then(Json::as_str).unwrap();
+            self.accepted.insert(kind.to_string());
+        } else {
+            let after = self.state();
+            let same = (after.0, after.1, after.2) == (before.0, before.1, before.2);
+            assert!(same, "a read changed the engine, {at}");
+        }
+        self.audit(&at);
+        resp
+    }
+
+    fn delta(&mut self, body: &str) {
+        self.expect("POST", "/delta", body, 200);
+    }
+
+    /// Register a test with the model first, so the audit after the
+    /// delta counts it.
+    fn add_test(&mut self, name: String, trace: PortableTrace) {
+        let body = test_add(&name, &trace);
+        self.tests.push((name, trace));
+        self.delta(&body);
+    }
+
+    /// Take a link (or, as `(agg, agg)`, a router) down, or bring it up
+    /// if it is down.
+    fn toggle(&mut self, target: (DeviceId, DeviceId)) -> String {
+        let was_down = self.down.remove(&target);
+        if !was_down {
+            self.down.insert(target);
+        }
+        let body = topo(["down", "up"][was_down as usize], target);
+        self.delta(&body);
+        body
+    }
+
+    /// The resident shards against a batch compute in the engine's own
+    /// manager, `Ref` for `Ref`.
+    fn audit(&mut self, at: &str) {
+        if self.engine.gc_collections() != self.audit_gcs {
+            self.audit_cache.clear();
+            self.audit_gcs = self.engine.gc_collections();
+        }
+        let (net, ms, covered, bdd) = self.engine.analysis_parts();
+        let combined = combine(&self.tests, bdd);
+        let fresh = MatchSets::compute_cached(net, bdd, &mut self.audit_cache);
+        let fresh_covered = CoveredSets::compute(net, &fresh, &combined, bdd);
+        for (id, _) in net.rules() {
+            assert_eq!(ms.get(id), fresh.get(id), "M[{id:?}], {at}");
+            assert_eq!(covered.get(id), fresh_covered.get(id), "T[{id:?}], {at}");
+        }
+        for (d, _) in net.topology().devices() {
+            let resident = ms.action_classes(net, bdd, d).to_vec();
+            let built = fresh.action_classes(net, bdd, d);
+            assert_eq!(resident, built, "action classes of {d:?}, {at}");
+        }
+    }
+
+    /// Severing tor 0's uplinks takes its last rule away and recovery
+    /// brings the same answer back; the topology wire errors are mapped.
+    fn prologue(&mut self) {
+        let (tor, other) = (self.tors[0], self.tors[1]);
+        let neighbors = self.engine.network().topology().neighbors(tor);
+        let uplinks: Vec<DeviceId> = neighbors.iter().map(|n| n.1).collect();
+        let trace = mark_trace(tor, "10.0.0.0/8".parse().unwrap(), None);
+        self.add_test("probe".into(), trace);
+        let covers = format!("/covers?rule={}.{}", tor.0, self.table_len(tor) - 1);
+        let before = self.expect("GET", &covers, "", 200);
+        self.expect("POST", "/delta", &topo("down", (tor, other)), 404);
+        let ghost = DeviceId(999);
+        self.expect("POST", "/delta", &topo("down", (ghost, ghost)), 404);
+        for &agg in &uplinks {
+            self.delta(&topo("down", (tor, agg)));
+        }
+        let again = self.expect("POST", "/delta", &topo("down", (tor, uplinks[0])), 400);
+        assert!(again.body.contains("already down"), "{}", again.body);
+        self.expect("GET", &covers, "", 404);
+        for &agg in &uplinks {
+            self.delta(&topo("up", (tor, agg)));
+        }
+        let after = self.expect("GET", &covers, "", 200);
+        // Everything after the version is the coverage answer.
+        let (_, want) = before.body.split_once("\"match").unwrap();
+        assert_eq!(after.body.split_once("\"match").unwrap().1, want);
+
+        let mut bare = CoverageEngine::new(self.engine.network().clone(), 1);
+        let down = topo("down", (tor, uplinks[0]));
+        let resp = handle(&mut bare, &Request::new("POST", "/delta", &down));
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains("no routing engine"), "{}", resp.body);
+        assert_eq!(bare.version(), 0);
+    }
+
+    /// Send one seeded request (or collect); returns what it did.
+    fn step(&mut self, i: usize) -> String {
+        match self.pick(20) {
+            0..=2 => {
+                let (device, prefix) = (self.device(), self.prefix());
+                let ifaces = self.engine.network().topology().neighbors(device);
+                let out = ifaces[self.pick(ifaces.len())].0 .0;
+                let out = match self.pick(3) {
+                    0 => String::new(), // a null route
+                    _ => format!(r#","out_ifaces":[{out}]"#),
+                };
+                self.delta(&insert(device, &format!(r#"{{"dst":"{prefix}"{out}}}"#)));
+                self.inserted.push((device, prefix));
+                format!("insert {prefix} at {device:?}")
+            }
+            3 | 4 if !self.inserted.is_empty() => {
+                let at = self.pick(self.inserted.len());
+                let (device, prefix) = self.inserted.remove(at);
+                let table = self.engine.network().device_rules(device);
+                let index = table.iter().position(|r| r.matches.dst == Some(prefix));
+                self.delta(&withdraw(device, index.unwrap()));
+                format!("withdraw {prefix} at {device:?}")
+            }
+            5 | 6 => {
+                let (device, prefix) = (self.device(), self.prefix());
+                let len = self.table_len(device);
+                let inspect = (self.pick(2) == 0 && len > 0).then(|| self.pick(len) as u32);
+                let name = format!("t{i}");
+                self.add_test(name.clone(), mark_trace(device, prefix, inspect));
+                format!("add {name}: {prefix} at {device:?}, inspecting {inspect:?}")
+            }
+            7 if !self.tests.is_empty() => {
+                let at = self.pick(self.tests.len());
+                let (name, _) = self.tests.remove(at);
+                self.delta(&format!(r#"{{"kind":"test-remove","name":"{name}"}}"#));
+                format!("remove {name}")
+            }
+            // Half the time, bring back what is down; else flap a ToR
+            // uplink on even steps, an aggregation router on odd ones.
+            8..=11 => match self.down.first().copied() {
+                Some(down) if self.pick(2) == 0 => self.toggle(down),
+                _ if i.is_multiple_of(2) => {
+                    let tor = self.tor();
+                    let aggs = self.engine.network().topology().neighbors(tor);
+                    let agg = aggs[self.pick(aggs.len())].1;
+                    self.toggle((tor, agg))
+                }
+                _ => {
+                    let at = self.pick(self.aggs.len());
+                    self.toggle((self.aggs[at], self.aggs[at]))
+                }
+            },
+            12 => {
+                self.engine.gc();
+                self.audit(&format!("{}: gc", self.at));
+                "gc".into()
+            }
+            13 => self.read(),
+            _ => self.refuse(i),
+        }
+    }
+
+    /// A `/covers`, `/metrics` or `/delta-since` read.
+    fn read(&mut self) -> String {
+        match self.pick(3) {
+            0 => {
+                let device = self.device();
+                let len = self.table_len(device);
+                let index = self.pick(len + 1);
+                let target = format!("/covers?rule={}.{index}", device.0);
+                self.expect("GET", &target, "", if index < len { 200 } else { 404 });
+                target
+            }
+            1 => {
+                self.expect("GET", "/metrics", "", 200);
+                "/metrics".into()
+            }
+            _ => {
+                let version = self.engine.version() as usize;
+                let since = self.pick(version + 1);
+                let target = format!("/delta-since?trace={since}");
+                let doc = json::parse(&self.expect("GET", &target, "", 200).body).unwrap();
+                let deltas = doc.get("deltas").and_then(Json::as_array).unwrap();
+                assert_eq!(since + deltas.len(), version, "{}: {target}", self.at);
+                target
+            }
+        }
+    }
+
+    /// Send the next request the daemon must refuse, first applying what
+    /// it needs (something down, a registered test) if the model has
+    /// none.
+    fn refuse(&mut self, i: usize) -> String {
+        let (class, status) = REFUSALS[self.refusals % REFUSALS.len()];
+        self.refusals += 1;
+        let tor = self.tor();
+        let name = format!("x{i}");
+        let body = match class {
+            "unknown device" => {
+                let at = DeviceId(20 + self.pick(100) as u32);
+                let dst = format!("10.{}.{}.0/31", self.pick(256), self.pick(256));
+                test_add(&name, &mark_trace(at, dst.parse().unwrap(), None))
+            }
+            "unknown rule" => withdraw(tor, self.table_len(tor) + self.pick(3)),
+            "unknown test" => format!(r#"{{"kind":"test-remove","name":"{name}"}}"#),
+            // No two ToRs are linked.
+            "unknown link" => topo("down", (tor, self.tors[(self.tors[0] == tor) as usize])),
+            "double down" => {
+                if self.down.is_empty() {
+                    self.toggle((self.aggs[0], self.aggs[0]));
+                }
+                topo("down", *self.down.first().unwrap())
+            }
+            "mixed ingress" => {
+                let ingress = self.engine.network().topology().neighbors(tor)[0].0 .0;
+                let rule = format!(r#"{{"dst":"{}","in_iface":{ingress}}}"#, self.prefix());
+                insert(tor, &rule)
+            }
+            "duplicate test" => {
+                if self.tests.is_empty() {
+                    let prefix = self.prefix();
+                    self.add_test(name.clone(), mark_trace(tor, prefix, None));
+                }
+                test_add(&self.tests[0].0, &self.tests[0].1)
+            }
+            "malformed JSON" => "{nope".into(),
+            "unknown kind" => r#"{"kind":"teleport"}"#.into(),
+            // Well formed up to its last node, which is out of order.
+            "malformed snapshot" => raw_test_add(&name, "[[180,0,1],[170,2,1],[170,0,4]]", 6),
+            "off-header variable" => {
+                let var = header::NVARS as usize + self.pick(100);
+                raw_test_add(&name, &format!("[[{var},0,1]]"), 2)
+            }
+            "deep nesting" => "[".repeat(100_000),
+            other => unreachable!("{other}"),
+        };
+        let resp = self.expect("POST", "/delta", &body, status);
+        let named = resp.body.contains("outside the 201-variable header");
+        assert!(named || class != "off-header variable", "{}", resp.body);
+        self.refused.insert(class);
+        format!("refused: {class}")
+    }
+
+    /// The engine against a from-scratch batch in a fresh manager and a
+    /// control plane rebuilt from scratch.
+    fn checkpoint(&mut self, what: &str) {
+        let at = format!("{} ({what})", self.at);
+        let net = self.engine.network().clone();
+        let mut bdd = Bdd::new();
+        let ms = MatchSets::compute(&net, &mut bdd);
+        let combined = combine(&self.tests, &mut bdd);
+        let covered = CoveredSets::compute(&net, &ms, &combined, &mut bdd);
+        let batch = Analyzer::with_covered(&net, &ms, &combined, covered.clone());
+        let (mut exercised, mut unshadowed) = (0usize, 0usize);
+        for (id, _) in net.rules() {
+            let (_, _, resident, ebdd) = self.engine.analysis_parts();
+            let got = ebdd.export(resident.get(id));
+            assert_eq!(got, bdd.export(covered.get(id)), "T[{id:?}] vs batch, {at}");
+            let coverage = self.engine.rule_coverage(id).unwrap().coverage;
+            assert_eq!(coverage, batch.rule_coverage(&mut bdd, id), "{id:?}, {at}");
+            unshadowed += !ms.get(id).is_false() as usize;
+            exercised += covered.is_exercised(id) as usize;
+        }
+        let want = HeadlineMetrics {
+            rule_fractional: batch.aggregate_rules(&mut bdd, Aggregator::Fractional, |_, _| true),
+            rule_weighted: batch.aggregate_rules(&mut bdd, Aggregator::Weighted, |_, _| true),
+            device_fractional: batch
+                .aggregate_devices(&mut bdd, Aggregator::Fractional, |_, _| true),
+        };
+        assert_eq!(self.engine.headline_metrics(), want, "headline, {at}");
+        let counted = (unshadowed > 0).then(|| exercised as f64 / unshadowed as f64);
+        assert_eq!(want.rule_fractional, counted, "exercised / live, {at}");
+        for role in [Role::Tor, Role::Aggregation, Role::Spine] {
+            let want = batch.role_metrics(&mut bdd, role);
+            let got = self.engine.with_analyzer(|a, b| a.role_metrics(b, role));
+            assert_eq!(got, want, "{role:?} role metrics, {at}");
+            let flat = flat_role_metrics(&batch, &mut bdd, role);
+            let counts = [want.device_fractional, want.rule_fractional];
+            assert_eq!(counts, flat[..2], "{role:?} devices and rules, {at}");
+            let close = match (want.rule_weighted, flat[2]) {
+                (Some(x), Some(y)) => (x - y).abs() < 1e-12,
+                (x, y) => x == y,
+            };
+            assert!(close, "{role:?} weighted {want:?} vs flat {flat:?}, {at}");
+        }
+
+        // The served FIB, less the model's own rules, is a rebuilt control plane's.
+        let rebuilt = self.engine.routing().unwrap().full_rebuild().unwrap();
+        for (d, _) in net.topology().devices() {
+            let ours = |r: &&Rule| self.inserted.contains(&(d, r.matches.dst.unwrap()));
+            let served: Vec<&Rule> = net.device_rules(d).iter().filter(|r| !ours(r)).collect();
+            let want: Vec<&Rule> = rebuilt.device_rules(d).iter().collect();
+            assert_eq!(served, want, "FIB of {d:?}, {at}");
+        }
+
+        // A fresh engine would boot with the batch's match sets.
+        let (enet, resident, _, ebdd) = self.engine.analysis_parts();
+        let got = reach_everywhere(enet, resident, ebdd);
+        let want = reach_everywhere(&net, &ms, &mut bdd);
+        let keys = got.keys().chain(want.keys());
+        let differing: Vec<&String> = keys.filter(|k| got.get(*k) != want.get(*k)).collect();
+        assert!(differing.is_empty(), "reach differs at {differing:?}, {at}");
+    }
+}
+
+/// A portable trace marking `prefix` at `device`, optionally inspecting
+/// one rule of its table (rule marks are positional, like the wire).
+fn mark_trace(device: DeviceId, prefix: Prefix, inspect: Option<u32>) -> PortableTrace {
+    let mut bdd = Bdd::new();
+    let mut t = CoverageTrace::new();
+    let set = header::dst_in(&mut bdd, &prefix);
+    t.add_packets(&mut bdd, Location::device(device), set);
+    if let Some(index) = inspect {
+        t.add_rule(RuleId { device, index });
+    }
+    t.export(&bdd)
+}
+
+fn insert(device: DeviceId, rule: &str) -> String {
+    let device = device.0;
+    format!(r#"{{"kind":"rule-insert","device":{device},"rule":{rule}}}"#)
+}
+
+fn withdraw(device: DeviceId, index: usize) -> String {
+    let device = device.0;
+    format!(r#"{{"kind":"rule-withdraw","device":{device},"index":{index}}}"#)
+}
+
+fn test_add(name: &str, trace: &PortableTrace) -> String {
+    let trace = trace_to_json(trace);
+    format!(r#"{{"kind":"test-add","name":"{name}","trace":{trace}}}"#)
+}
+
+/// A `test-add` at device 0 whose one snapshot is written out by hand.
+fn raw_test_add(name: &str, nodes: &str, root: u32) -> String {
+    let packets = format!(r#"[{{"device":0,"iface":null,"nodes":{nodes},"root":{root}}}]"#);
+    format!(r#"{{"kind":"test-add","name":"{name}","trace":{{"packets":{packets}}}}}"#)
+}
+
+/// An `up` or `down` delta on a link, or on the device `d` as `(d, d)`.
+fn topo(change: &str, (a, b): (DeviceId, DeviceId)) -> String {
+    match a == b {
+        true => format!(r#"{{"kind":"device-{change}","device":{}}}"#, a.0),
+        false => format!(r#"{{"kind":"link-{change}","a":{},"b":{}}}"#, a.0, b.0),
+    }
+}
+
+/// The union of `tests`' traces, imported into `bdd`.
+fn combine(tests: &[(String, PortableTrace)], bdd: &mut Bdd) -> CoverageTrace {
+    let mut combined = CoverageTrace::new();
+    for (_, portable) in tests {
+        let t = portable.import(bdd);
+        combined.merge(bdd, &t);
+    }
+    combined
+}
+
+/// `[device fractional, rule fractional, rule weighted]` for one role,
+/// folded by hand: the rule aggregates over the role's rules as one flat
+/// list, the device aggregate counted directly.
+fn flat_role_metrics(batch: &Analyzer, bdd: &mut Bdd, role: Role) -> [Option<f64>; 3] {
+    let (net, ms, covered) = (batch.network(), batch.match_sets(), batch.covered_sets());
+    let (mut items, mut devices) = (Vec::new(), Vec::new());
+    for device in net.topology().devices_with_role(role) {
+        let ids = net.device_rule_ids(device);
+        let live: Vec<RuleId> = ids.filter(|&id| !ms.get(id).is_false()).collect();
+        if !live.is_empty() {
+            devices.push(live.iter().any(|&id| covered.is_exercised(id)));
+        }
+        for id in live {
+            let w = bdd.probability(ms.get(id));
+            items.push((bdd.probability(covered.get(id)) / w, w));
+        }
+    }
+    let exercised = devices.iter().filter(|&&e| e).count() as f64;
+    [
+        (!devices.is_empty()).then(|| exercised / devices.len() as f64),
+        Aggregator::Fractional.fold(&items),
+        Aggregator::Weighted.fold(&items),
+    ]
+}
+
+/// Symbolic reachability of the full header space from every device, as
+/// exports keyed by what they describe.
+fn reach_everywhere(net: &Network, ms: &MatchSets, bdd: &mut Bdd) -> BTreeMap<String, PortableBdd> {
+    let fwd = Forwarder::new(net, ms);
+    let full = bdd.full();
+    let mut sets: BTreeMap<String, Ref> = BTreeMap::new();
+    for (d, _) in net.topology().devices() {
+        let res = reach(bdd, &fwd, Location::device(d), full, 6);
+        let mut add = |what: String, set: Ref| {
+            let e = sets
+                .entry(format!("from {d:?}: {what}"))
+                .or_insert(Ref::FALSE);
+            *e = bdd.or(*e, set);
+        };
+        for (l, s) in res.per_hop.iter() {
+            add(format!("hop {l:?}"), s);
+        }
+        for (what, ifaces) in [("delivered", &res.delivered), ("exited", &res.exited)] {
+            for &(i, s) in ifaces {
+                add(format!("{what} {i:?}"), s);
+            }
+        }
+        for &(r, s) in &res.dropped {
+            add(format!("dropped {r:?}"), s);
+        }
+        for &(l, s) in &res.unmatched {
+            add(format!("unmatched {l:?}"), s);
+        }
+    }
+    sets.into_iter().map(|(k, r)| (k, bdd.export(r))).collect()
+}
+
+fn run(seed: u64) {
+    let mut model = Model::boot(seed);
+    model.prologue();
+    for i in 0..64 {
+        model.at = format!("seed {seed:#x} step {i}");
+        let what = model.step(i);
+        if i % 32 == 31 {
+            model.checkpoint(&what);
+        }
+    }
+    let kinds: BTreeSet<String> = KINDS.iter().map(|k| k.to_string()).collect();
+    assert_eq!(model.accepted, kinds, "seed {seed:#x}: delta kinds applied");
+    let refusals: BTreeSet<&str> = REFUSALS.iter().map(|r| r.0).collect();
+    assert_eq!(model.refused, refusals, "seed {seed:#x}: refusals seen");
+    assert!(model.engine.gc_collections() > 0, "seed {seed:#x}: no gc");
+}
+
+#[test]
+fn the_engine_matches_its_model_seed_c0ffee() {
+    run(0xC0FFEE);
+}
+
+#[test]
+fn the_engine_matches_its_model_seed_7() {
+    run(7);
+}

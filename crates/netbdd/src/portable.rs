@@ -193,24 +193,18 @@ impl Bdd {
     /// [`Bdd::import`] for untrusted snapshots: validates every slot
     /// (children-first references only, regular lo edges, ordered and
     /// non-terminal variables) and reports the first violation instead
-    /// of panicking or silently building a non-canonical diagram.
+    /// of panicking or silently building a non-canonical diagram. The
+    /// whole snapshot is validated before the first node is built, so a
+    /// refused one leaves the arena as it found it.
     pub fn try_import(&mut self, p: &PortableBdd) -> Result<Ref, PortableBddError> {
-        let mut refs: Vec<Ref> = Vec::with_capacity(p.nodes.len());
-        // Resolve a slot against the nodes built so far; `node` is the
-        // index of the referencing node, for error reporting.
-        let resolve = |refs: &[Ref], node: usize, s: Slot| -> Result<Ref, PortableBddError> {
-            let base = match s >> 1 {
-                0 => Ref::TRUE,
-                k if (k as usize) <= refs.len() => refs[k as usize - 1],
-                _ => return Err(PortableBddError::SlotOutOfRange { node, slot: s }),
-            };
-            Ok(if s & 1 == 1 { base.complement() } else { base })
-        };
-        // Variable of the node a slot targets (terminals order below all).
-        let slot_var = |p: &PortableBdd, s: Slot| -> Var {
-            match s >> 1 {
-                0 => TERMINAL_VAR,
-                k => p.nodes[k as usize - 1].0,
+        // Variable of the node a slot targets (terminals order below
+        // all); `node` is the index of the referencing node, and only the
+        // nodes before it may be referenced.
+        let slot_var = |node: usize, s: Slot| -> Result<Var, PortableBddError> {
+            match (s >> 1) as usize {
+                0 => Ok(TERMINAL_VAR),
+                k if k <= node => Ok(p.nodes[k - 1].0),
+                _ => Err(PortableBddError::SlotOutOfRange { node, slot: s }),
             }
         };
         for (idx, &(var, lo, hi)) in p.nodes.iter().enumerate() {
@@ -220,14 +214,29 @@ impl Bdd {
             if lo & 1 == 1 {
                 return Err(PortableBddError::ComplementedLo { node: idx });
             }
-            let lo_ref = resolve(&refs, idx, lo)?;
-            let hi_ref = resolve(&refs, idx, hi)?;
-            if slot_var(p, lo) <= var || slot_var(p, hi) <= var {
+            let (lo_var, hi_var) = (slot_var(idx, lo)?, slot_var(idx, hi)?);
+            if lo_var <= var || hi_var <= var {
                 return Err(PortableBddError::VarOrdering { node: idx });
             }
-            refs.push(self.mk(var, lo_ref, hi_ref));
         }
-        resolve(&refs, p.nodes.len(), p.root)
+        slot_var(p.nodes.len(), p.root)?;
+        let mut refs: Vec<Ref> = Vec::with_capacity(p.nodes.len());
+        let resolve = |refs: &[Ref], s: Slot| {
+            let base = match s >> 1 {
+                0 => Ref::TRUE,
+                k => refs[k as usize - 1],
+            };
+            if s & 1 == 1 {
+                base.complement()
+            } else {
+                base
+            }
+        };
+        for &(var, lo, hi) in &p.nodes {
+            let node = self.mk(var, resolve(&refs, lo), resolve(&refs, hi));
+            refs.push(node);
+        }
+        Ok(resolve(&refs, p.root))
     }
 }
 
@@ -386,6 +395,20 @@ mod tests {
             bdd.try_import(&bad),
             Err(PortableBddError::VarOrdering { node: 1 })
         );
+    }
+
+    #[test]
+    fn a_snapshot_malformed_past_its_first_node_builds_nothing() {
+        // nodes[0] is well formed and new to the manager; nodes[1] is
+        // out of order. Validation must finish before the first `mk`.
+        let bad = PortableBdd::from_parts(vec![(7, 0, 1), (9, 0, 2)], 4);
+        let mut bdd = Bdd::new();
+        let before = bdd.node_count();
+        assert_eq!(
+            bdd.try_import(&bad),
+            Err(PortableBddError::VarOrdering { node: 1 })
+        );
+        assert_eq!(bdd.node_count(), before);
     }
 
     #[test]
