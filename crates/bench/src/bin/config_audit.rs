@@ -36,7 +36,7 @@
 
 use bench::{arity, fattree_info, figures_dir, parse_flag, parse_opt_flag, time_it};
 use netbdd::Bdd;
-use netmodel::provenance::{ConfigDb, Construct};
+use netmodel::provenance::Construct;
 use netmodel::MatchSets;
 use testsuite::{fattree_suite_jobs, run_job, SuiteVerdict};
 use topogen::{fattree_builder, FatTreeParams};
@@ -70,18 +70,21 @@ fn main() {
         class: netmodel::rule::RouteClass::Other,
     });
     let (ft, routing_engine) = builder.into_engine();
-    let db = routing_engine.config_db();
+    let mut engine = CoverageEngine::new(ft.net.clone(), 1);
+    engine.attach_routing(routing_engine);
+    let boot = engine.config_coverage().expect("routing is attached");
+    let universe = [boot.covered, boot.uncovered, boot.unreferenced].concat();
     let dark = Construct::Static {
         device: dark_core,
         prefix: DARK_PREFIX.parse().unwrap(),
     };
     assert!(
-        db.constructs.contains(&dark),
+        universe.contains(&dark),
         "dark static must register as a config construct"
     );
     println!(
         "   config: {} constructs (dark: {})",
-        db.constructs.len(),
+        universe.len(),
         dark.wire_id()
     );
 
@@ -107,15 +110,13 @@ fn main() {
     let portable = tracker.trace().export(&bdd);
 
     // The audit proper: per-construct coverage through the engine.
-    let mut engine = CoverageEngine::new(ft.net.clone(), 1);
-    engine.attach_routing(routing_engine);
     engine
         .add_test("baseline-suite", &portable)
         .expect("baseline trace must import cleanly");
     let (cov, audit_t) = time_it(|| engine.config_coverage().expect("routing is attached"));
 
     print_audit(&cov, "behavioural suite");
-    let uncovered_before: Vec<String> = cov.uncovered().map(|c| c.construct.wire_id()).collect();
+    let uncovered_before: Vec<String> = cov.uncovered.iter().map(Construct::wire_id).collect();
     assert!(
         uncovered_before.contains(&dark.wire_id()),
         "the dark static must be uncovered by the behavioural suite"
@@ -124,7 +125,7 @@ fn main() {
 
     // Acceptance: every covered destination-prefix FIB rule must be
     // attributed to at least one construct.
-    let (covered_rules, attributed) = attribution_census(&mut engine, &db);
+    let (covered_rules, attributed) = attribution_census(&mut engine);
     assert_eq!(
         covered_rules, attributed,
         "a covered dst-prefix rule has no provenance"
@@ -160,7 +161,7 @@ fn main() {
         );
         let after = engine.config_coverage().expect("routing is attached");
         print_audit(&after, "suite + generated tests");
-        println!("   uncovered after autogen: {}", after.uncovered().count());
+        println!("   uncovered after autogen: {}", after.uncovered.len());
         autogen_leg = Some((report, autogen_t.as_secs_f64()));
     }
 
@@ -201,16 +202,9 @@ fn print_audit(cov: &ConfigCoverage, what: &str) {
     println!("\n   per-construct coverage ({what}):");
     println!("   {:<14} {:>9} {:>8}", "kind", "coverable", "covered");
     for k in ["origination", "session", "static"] {
-        let total = cov
-            .constructs
-            .iter()
-            .filter(|c| kind(&c.construct) == k)
-            .count();
-        let hit = cov
-            .constructs
-            .iter()
-            .filter(|c| kind(&c.construct) == k && c.covered)
-            .count();
+        let of_kind = |cs: &[Construct]| cs.iter().filter(|c| kind(c) == k).count();
+        let hit = of_kind(&cov.covered);
+        let total = hit + of_kind(&cov.uncovered);
         println!("   {k:<14} {total:>9} {hit:>8}");
     }
     println!(
@@ -222,8 +216,8 @@ fn print_audit(cov: &ConfigCoverage, what: &str) {
             .map(|f| format!("{:.1}%", f * 100.0))
             .unwrap_or_else(|| "n/a".into())
     );
-    for c in cov.uncovered().take(4) {
-        println!("     uncovered: {}", c.construct.wire_id());
+    for c in cov.uncovered.iter().take(4) {
+        println!("     uncovered: {}", c.wire_id());
     }
     if !cov.unreferenced.is_empty() {
         println!("   unreferenced constructs: {}", cov.unreferenced.len());
@@ -232,23 +226,19 @@ fn print_audit(cov: &ConfigCoverage, what: &str) {
 
 /// Count covered destination-prefix FIB rules and how many of them the
 /// provenance layer attributes to at least one construct.
-fn attribution_census(engine: &mut CoverageEngine, db: &ConfigDb) -> (usize, usize) {
-    let (net, _ms, covered, _bdd) = engine.analysis_parts();
-    let mut covered_rules = 0usize;
-    let mut attributed = 0usize;
-    for (id, rule) in net.rules() {
-        let f = &rule.matches;
-        let dst = match (f.dst, f.src, f.proto, f.dport, f.sport, f.in_iface) {
-            (Some(dst), None, None, None, None, None) => dst,
-            _ => continue,
+fn attribution_census(engine: &mut CoverageEngine) -> (usize, usize) {
+    let routing = engine.routing().expect("routing is attached");
+    let (mut covered_rules, mut attributed) = (0usize, 0usize);
+    for (id, rule) in engine.network().rules() {
+        let Some(dst) = rule.matches.route_prefix() else {
+            continue;
         };
-        if !covered.is_exercised(id) {
+        if !engine.is_exercised(id) {
             continue;
         }
         covered_rules += 1;
-        if db.attribution(id.device, dst).is_some() {
-            attributed += 1;
-        }
+        let via = routing.rule_provenance(id.device, dst);
+        attributed += via.is_some_and(|via| !via.is_empty()) as usize;
     }
     (covered_rules, attributed)
 }
@@ -282,7 +272,7 @@ fn to_json(
     }
     out.push_str(&format!(
         "    \"uncovered_constructs\": {}\n",
-        cov.uncovered().count()
+        cov.uncovered.len()
     ));
     out.push_str("  },\n");
     out.push_str("  \"info\": {\n");

@@ -6,11 +6,9 @@
 //! subset of components" facility of §6.
 
 use netbdd::Bdd;
-use netmodel::provenance::ConfigDb;
 use netmodel::topology::{DeviceId, IfaceKind, Role};
 use netmodel::{IfaceId, MatchSets, Network, RuleId};
 
-use crate::config::ConfigCoverage;
 use crate::covered::CoveredSets;
 use crate::framework::Aggregator;
 use crate::trace::CoverageTrace;
@@ -186,13 +184,6 @@ impl<'a> Analyzer<'a> {
             return None;
         }
         Some(t_total / m_total)
-    }
-
-    /// Config-level coverage: the analyzer's covered sets mapped
-    /// through a control-plane provenance database (see
-    /// [`crate::config`] for the attribution and metric definitions).
-    pub fn config_coverage(&self, bdd: &mut Bdd, db: &ConfigDb) -> ConfigCoverage {
-        ConfigCoverage::compute(self.net, self.ms, &self.covered, bdd, db)
     }
 
     // ----- aggregation (Equation 2) -----------------------------------------

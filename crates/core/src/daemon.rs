@@ -368,15 +368,10 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
                 Ok(c) => c,
                 Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
             };
-            let uncovered: Vec<String> = cov
-                .uncovered()
-                .map(|c| quote(&c.construct.wire_id()))
-                .collect();
-            let unreferenced: Vec<String> = cov
-                .unreferenced
-                .iter()
-                .map(|c| quote(&c.wire_id()))
-                .collect();
+            let wire_ids = |cs: &[Construct]| -> Vec<String> {
+                cs.iter().map(|c| quote(&c.wire_id())).collect()
+            };
+            let (uncovered, unreferenced) = (wire_ids(&cov.uncovered), wire_ids(&cov.unreferenced));
             let body = format!(
                 "{{\"version\":{},\"coverable\":{},\"covered\":{},\"fractional\":{},\
                  \"uncovered\":[{}],\"unreferenced\":[{}]}}",
@@ -404,12 +399,12 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
             if let Some(cached) = engine.query_cache().get(&key) {
                 return Response::ok(cached);
             }
-            let cov = match engine.config_coverage() {
-                Ok(c) => c,
+            let entry = match engine.construct_coverage(&construct) {
+                Ok(entry) => entry,
                 Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
             };
-            let body = match cov.get(&construct) {
-                Some(entry) => {
+            let body = match entry {
+                Some(entry) if !entry.rules.is_empty() => {
                     let rules: Vec<String> = entry
                         .rules
                         .iter()
@@ -434,7 +429,7 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
                         tests.join(",")
                     )
                 }
-                None if cov.unreferenced.contains(&construct) => format!(
+                Some(_) => format!(
                     "{{\"construct\":{},\"version\":{},\"covered\":false,\
                      \"unreferenced\":true,\"rules\":[],\"tests\":[]}}",
                     quote(&construct.wire_id()),

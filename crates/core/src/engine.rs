@@ -57,16 +57,23 @@
 //! call after a delta and answers every later one from the memo. A GC
 //! keeps the memo — relocation changes no packet set, so no
 //! probability.
+//!
+//! The config-level queries ([`CoverageEngine::config_coverage`],
+//! [`CoverageEngine::construct_coverage`]) keep no state of their own.
+//! Each is computed on the query from the resident shards and the
+//! attached routing engine's distance fields (see [`crate::config`]),
+//! so no delta path maintains anything for them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use netbdd::{Bdd, GcStats, PortableBddError};
 use netmodel::header;
+use netmodel::provenance::Construct;
 use netmodel::topology::DeviceId;
 use netmodel::{IfaceId, Location, MatchSetCache, MatchSets, Network, Rule, RuleId};
 
 use crate::analyzer::Analyzer;
-use crate::config::ConfigCoverage;
+use crate::config::{self, ConfigCoverage, ConstructCoverage};
 use crate::covered::CoveredSets;
 use crate::framework::Aggregator;
 use crate::trace::{CoverageTrace, PortableTrace};
@@ -572,23 +579,53 @@ impl CoverageEngine {
         })
     }
 
-    /// Config-level coverage: the resident covered sets mapped through
-    /// the attached routing engine's provenance database
-    /// ([`routing::RoutingEngine::config_db`]). Requires
-    /// [`CoverageEngine::attach_routing`] — without a control plane
-    /// there is no configuration to attribute rules to. The database is
-    /// read off the engine's *current* (possibly degraded) state, so
-    /// the report tracks topology deltas automatically.
+    /// Config-level coverage: every live construct of the attached
+    /// routing engine, covered, uncovered or unreferenced (see
+    /// [`crate::config`]). One pass over the rules marks the installed
+    /// keys, and [`routing::RoutingEngine::mark_constructs`] carries the
+    /// marks backwards to the constructs. No footprint is built and no
+    /// probability computed. Requires [`CoverageEngine::attach_routing`]
+    /// — without a control plane there is no configuration to attribute
+    /// rules to. Provenance is read off the routing engine's *current*
+    /// (possibly degraded) state, so the report tracks topology deltas
+    /// without keeping any state of its own.
     pub fn config_coverage(&mut self) -> Result<ConfigCoverage, EngineError> {
         let routing = self.routing.as_ref().ok_or(EngineError::NoRoutingEngine)?;
-        let db = routing.config_db();
-        Ok(ConfigCoverage::compute(
+        let _span = netobs::span!("config_summary");
+        let keys = {
+            let _span = netobs::span!("config_keys");
+            config::entry_marks(&self.net, &self.ms, &self.covered)
+        };
+        let marked = {
+            let _span = netobs::span!("provenance_marks");
+            routing.mark_constructs(keys)
+        };
+        Ok(ConfigCoverage::from_marks(marked))
+    }
+
+    /// One construct's footprint and probability sums, or `None` when
+    /// the construct is not in the live configuration. An unreferenced
+    /// construct has an empty footprint. The footprint comes from a
+    /// forward walk ([`routing::RoutingEngine::attributed_keys`]). The
+    /// sums run in rule-id order, so they do not depend on how the
+    /// footprint was found.
+    pub fn construct_coverage(
+        &mut self,
+        construct: &Construct,
+    ) -> Result<Option<ConstructCoverage>, EngineError> {
+        let routing = self.routing.as_ref().ok_or(EngineError::NoRoutingEngine)?;
+        let _span = netobs::span!("config_drilldown");
+        let Some(keys) = routing.attributed_keys(construct) else {
+            return Ok(None);
+        };
+        Ok(Some(config::footprint(
+            *construct,
+            &keys,
             &self.net,
             &self.ms,
             &self.covered,
             &mut self.bdd,
-            &db,
-        ))
+        )))
     }
 
     /// Names of the registered tests that exercise at least one of

@@ -511,11 +511,11 @@ pub fn autogen_config(
     let mut covered = covered_before;
 
     while rounds < cfg.max_rounds && tests.len() < cfg.budget {
-        let cov = engine.config_coverage()?;
-        let round_targets: BTreeSet<RuleId> = cov
-            .uncovered()
-            .flat_map(|c| c.rules.iter().copied())
-            .collect();
+        let mut round_targets: BTreeSet<RuleId> = BTreeSet::new();
+        for c in engine.config_coverage()?.uncovered {
+            let footprint = engine.construct_coverage(&c)?;
+            round_targets.extend(footprint.into_iter().flat_map(|entry| entry.rules));
+        }
         if round_targets.is_empty() {
             break;
         }
@@ -544,7 +544,7 @@ pub fn autogen_config(
         coverable,
         covered_before,
         covered_after: after.covered_count(),
-        uncovered: after.uncovered().map(|c| c.construct).collect(),
+        uncovered: after.uncovered,
     })
 }
 

@@ -14,14 +14,22 @@
 //! gives. At checkpoints the engine must equal a from-scratch batch in a
 //! fresh manager (covered sets, per-rule, headline and role metrics), a
 //! control plane rebuilt from scratch (the FIB) and a fresh engine
-//! (reachability). Each seed must reach every delta kind, every refusal
-//! and a collection, so a model that stops exercising a path fails.
+//! (reachability). Every eighth step also reads `/config-coverage` and
+//! one `?construct=` drill-down, drawn from a random stream of their own
+//! so the requests sent are the same with or without them; at
+//! checkpoints the summary must be the oracle fold's through the
+//! provenance of a control plane built from scratch. Each
+//! seed must reach every delta kind, every refusal, a collection and
+//! both config reads, so a model that stops exercising a path fails.
+
+mod config_oracle;
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dataplane::{reach, Forwarder};
 use netbdd::{Bdd, PortableBdd, Ref};
 use netmodel::header;
+use netmodel::provenance::Construct;
 use netmodel::topology::{DeviceId, Role};
 use netmodel::{Location, MatchSetCache, MatchSets, Network, Prefix, Rule, RuleId};
 use netobs::json::{self, Json};
@@ -78,6 +86,10 @@ struct Model {
     refused: BTreeSet<&'static str>,
     /// Refusals sent so far; the next is `REFUSALS[refusals % len]`.
     refusals: usize,
+    /// The config reads' own stream, and how many summaries and live
+    /// drill-downs were answered.
+    config_rng: u64,
+    config_reads: (usize, usize),
     /// Where the run is, for failure messages.
     at: String,
     /// The audit's prefix memo, and the collection count it is valid
@@ -109,6 +121,8 @@ impl Model {
             accepted: BTreeSet::new(),
             refused: BTreeSet::new(),
             refusals: seed as usize,
+            config_rng: !seed,
+            config_reads: (0, 0),
             at: format!("seed {seed:#x} prologue"),
             audit_cache: MatchSetCache::new(),
             audit_gcs: 0,
@@ -347,6 +361,22 @@ impl Model {
         }
     }
 
+    /// A `/config-coverage` summary and the drill-down of one link's
+    /// session: a 404 when the model took the link or an endpoint down.
+    fn config_read(&mut self) {
+        self.expect("GET", "/config-coverage", "", 200);
+        self.config_reads.0 += 1;
+        let links = self.engine.routing().unwrap().link_endpoints();
+        let (a, b) = links[(splitmix64(&mut self.config_rng) % links.len() as u64) as usize];
+        let dead = [(a, b), (b, a), (a, a), (b, b)]
+            .iter()
+            .any(|t| self.down.contains(t));
+        let session = Construct::session(a, b).wire_id();
+        let target = format!("/config-coverage?construct={session}");
+        self.expect("GET", &target, "", if dead { 404 } else { 200 });
+        self.config_reads.1 += !dead as usize;
+    }
+
     /// Send the next request the daemon must refuse, first applying what
     /// it needs (something down, a registered test) if the model has
     /// none.
@@ -444,8 +474,18 @@ impl Model {
             assert!(close, "{role:?} weighted {want:?} vs flat {flat:?}, {at}");
         }
 
-        // The served FIB, less the model's own rules, is a rebuilt control plane's.
-        let rebuilt = self.engine.routing().unwrap().full_rebuild().unwrap();
+        // The served FIB, less the model's own rules, is a rebuilt control plane's,
+        // and the config summary is the oracle fold through its provenance.
+        let routing = self.engine.routing().unwrap();
+        let rebuilt = routing.full_rebuild().unwrap();
+        let (_, db) = routing
+            .degraded_builder()
+            .try_build_with_provenance()
+            .unwrap();
+        let want = config_oracle::compute(&net, &ms, &covered, &mut bdd, &db);
+        let want = want.summary_body(self.engine.version());
+        let got = self.expect("GET", "/config-coverage", "", 200).body;
+        assert_eq!(got, want, "config coverage, {at}");
         for (d, _) in net.topology().devices() {
             let ours = |r: &&Rule| self.inserted.contains(&(d, r.matches.dst.unwrap()));
             let served: Vec<&Rule> = net.device_rules(d).iter().filter(|r| !ours(r)).collect();
@@ -578,6 +618,9 @@ fn run(seed: u64) {
     for i in 0..64 {
         model.at = format!("seed {seed:#x} step {i}");
         let what = model.step(i);
+        if i % 8 == 7 {
+            model.config_read();
+        }
         if i % 32 == 31 {
             model.checkpoint(&what);
         }
@@ -587,6 +630,12 @@ fn run(seed: u64) {
     let refusals: BTreeSet<&str> = REFUSALS.iter().map(|r| r.0).collect();
     assert_eq!(model.refused, refusals, "seed {seed:#x}: refusals seen");
     assert!(model.engine.gc_collections() > 0, "seed {seed:#x}: no gc");
+    let (summaries, drill_downs) = model.config_reads;
+    assert!(
+        summaries >= 8 && drill_downs >= 2,
+        "seed {seed:#x}: config reads {:?}",
+        model.config_reads
+    );
 }
 
 #[test]

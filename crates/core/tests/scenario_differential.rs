@@ -352,63 +352,3 @@ fn link_down_changes_covers_over_the_wire_and_recovers() {
         "recovery must restore the original /covers answer"
     );
 }
-
-#[test]
-fn topology_delta_wire_errors_are_mapped() {
-    let mut engine = scenario_engine();
-    // No link between the two ToRs: 404 (UnknownLink).
-    let resp = handle(
-        &mut engine,
-        &Request::new("POST", "/delta", r#"{"kind":"link-down","a":0,"b":1}"#),
-    );
-    assert_eq!(resp.status, 404, "{}", resp.body);
-    // Unknown device: 404.
-    let resp = handle(
-        &mut engine,
-        &Request::new("POST", "/delta", r#"{"kind":"device-down","device":999}"#),
-    );
-    assert_eq!(resp.status, 404, "{}", resp.body);
-    // Double down: 400 (LinkAlreadyDown).
-    let down = Request::new("POST", "/delta", r#"{"kind":"link-down","a":0,"b":2}"#);
-    assert_eq!(handle(&mut engine, &down).status, 200);
-    let resp = handle(&mut engine, &down);
-    assert_eq!(resp.status, 400, "{}", resp.body);
-    assert!(resp.body.contains("already down"), "{}", resp.body);
-
-    // Without a routing engine attached, topology deltas are a 400.
-    let (ft, _) = fattree_with_engine(FatTreeParams::paper(4));
-    let mut bare = CoverageEngine::new(ft.net, 1);
-    let resp = handle(
-        &mut bare,
-        &Request::new("POST", "/delta", r#"{"kind":"link-down","a":0,"b":2}"#),
-    );
-    assert_eq!(resp.status, 400, "{}", resp.body);
-    assert!(resp.body.contains("no routing engine"), "{}", resp.body);
-}
-
-#[test]
-fn topology_deltas_are_versioned_in_the_log() {
-    let mut engine = scenario_engine();
-    let since = engine.version();
-    engine
-        .apply_topology(&TopologyDelta::LinkDown {
-            a: DeviceId(0),
-            b: DeviceId(2),
-        })
-        .unwrap();
-    engine
-        .apply_topology(&TopologyDelta::LinkUp {
-            a: DeviceId(0),
-            b: DeviceId(2),
-        })
-        .unwrap();
-    let tail = engine.deltas_since(since).unwrap();
-    assert_eq!(tail.len(), 2);
-    assert_eq!(tail[0].kind.as_str(), "link-down");
-    assert_eq!(tail[1].kind.as_str(), "link-up");
-    assert_eq!(tail[0].detail, "link:0-2");
-    assert!(
-        !tail[0].devices.is_empty(),
-        "the FIB diff must invalidate devices"
-    );
-}

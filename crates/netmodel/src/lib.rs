@@ -43,7 +43,7 @@ pub use disjoint::{ActionClass, MatchSetCache, MatchSets};
 pub use header::{HeaderField, Packet};
 pub use located::{LocatedPacketSet, Location};
 pub use network::{Network, RuleId};
-pub use provenance::{ConfigDb, Construct};
+pub use provenance::{ConfigDb, Construct, Marks};
 pub use region::{describe_set, FieldConstraint, Region};
 pub use rule::{Action, MatchFields, Rewrite, RouteClass, Rule, Table, TableMode};
 pub use topology::{Device, DeviceId, Iface, IfaceId, IfaceKind, Role, Topology};

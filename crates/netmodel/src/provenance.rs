@@ -6,9 +6,10 @@
 //! origination that injected the prefix into BGP, every eBGP session on
 //! the winning/ECMP announcement paths, and the statically configured
 //! routes that won the admin-distance merge. This module defines the
-//! construct identities ([`Construct`]) and the attribution database
-//! ([`ConfigDb`]) the routing layer emits; `yardstick` maps Algorithm-1
-//! covered sets through it to report per-construct coverage.
+//! construct identities ([`Construct`]), the per-entry [`Marks`] that
+//! `yardstick` carries backwards through the routing layer to report
+//! per-construct coverage, and the full attribution database
+//! ([`ConfigDb`]) the routing layer can emit as the reference.
 //!
 //! Identity is deliberately coarse — a construct names a line of config
 //! (one origination statement, one session, one static route), not a
@@ -132,6 +133,62 @@ impl Construct {
 impl fmt::Display for Construct {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.wire_id())
+    }
+}
+
+/// What the tests say about a FIB entry, or about a construct once the
+/// marks of every entry it contributed to are OR-ed in: *testable* (some
+/// rule for the entry has a non-empty match set `M[r]`) and *exercised*
+/// (some rule for it has a non-empty covered set `T[r]`).
+///
+/// # Examples
+///
+/// ```
+/// use netmodel::provenance::Marks;
+///
+/// let mut m = Marks::NONE;
+/// assert!(m.is_empty());
+/// m |= Marks::TESTABLE;
+/// m |= Marks::EXERCISED;
+/// assert!(m.testable() && m.exercised());
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Marks(u8);
+
+impl Marks {
+    /// No mark.
+    pub const NONE: Marks = Marks(0);
+    /// Some rule for the entry can carry packets (`M[r] ≠ ∅`).
+    pub const TESTABLE: Marks = Marks(1);
+    /// Some rule for the entry was exercised (`T[r] ≠ ∅`).
+    pub const EXERCISED: Marks = Marks(2);
+
+    /// Whether the testable bit is set.
+    pub fn testable(self) -> bool {
+        self.0 & Marks::TESTABLE.0 != 0
+    }
+
+    /// Whether the exercised bit is set.
+    pub fn exercised(self) -> bool {
+        self.0 & Marks::EXERCISED.0 != 0
+    }
+
+    /// Whether no bit is set.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl std::ops::BitOr for Marks {
+    type Output = Marks;
+    fn bitor(self, rhs: Marks) -> Marks {
+        Marks(self.0 | rhs.0)
+    }
+}
+
+impl std::ops::BitOrAssign for Marks {
+    fn bitor_assign(&mut self, rhs: Marks) {
+        self.0 |= rhs.0;
     }
 }
 

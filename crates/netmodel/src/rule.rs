@@ -39,6 +39,22 @@ impl MatchFields {
         }
     }
 
+    /// The destination prefix of a destination-only match (a route), or
+    /// `None` when there is no `dst` or any other field is set.
+    pub fn route_prefix(&self) -> Option<Prefix> {
+        match (
+            self.dst,
+            self.src,
+            self.proto,
+            self.dport,
+            self.sport,
+            self.in_iface,
+        ) {
+            (Some(dst), None, None, None, None, None) => Some(dst),
+            _ => None,
+        }
+    }
+
     /// Compile the *header* part of the match (everything except
     /// `in_iface`, which is positional, not header bits) to a BDD.
     pub fn to_bdd(&self, bdd: &mut Bdd) -> Ref {
