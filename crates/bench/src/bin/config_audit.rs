@@ -35,9 +35,7 @@
 //! value or an odd `--k` exits 2 before any network is built.
 
 use bench::{arity, fattree_info, figures_dir, parse_flag, parse_opt_flag, time_it};
-use netbdd::Bdd;
 use netmodel::provenance::Construct;
-use netmodel::MatchSets;
 use testsuite::{fattree_suite_jobs, run_job, SuiteVerdict};
 use topogen::{fattree_builder, FatTreeParams};
 use yardstick::testgen::{autogen_config, ConfigGenReport, GenConfig};
@@ -88,16 +86,16 @@ fn main() {
         dark.wire_id()
     );
 
-    // Behavioural baseline: the §8 suite, tracked.
+    // Behavioural baseline: the §8 suite, tracked in the engine's own
+    // manager over its resident match sets.
     let info = fattree_info(&ft);
     let jobs = fattree_suite_jobs(&ft.net, &info, seed);
-    let mut bdd = Bdd::new();
-    let ms = MatchSets::compute(&ft.net, &mut bdd);
     let mut tracker = Tracker::new();
     let (verdict, suite_t) = time_it(|| {
+        let (a, bdd) = engine.analyzer();
         let mut verdict = SuiteVerdict::new();
         for job in &jobs {
-            let report = run_job(&mut bdd, &ft.net, &ms, &info, &mut tracker, job);
+            let report = run_job(bdd, a.network(), a.match_sets(), &info, &mut tracker, job);
             verdict.record(&report);
         }
         verdict
@@ -107,12 +105,11 @@ fn main() {
         "behavioural suite must pass; failed: {:?}",
         verdict.failed_tests()
     );
-    let portable = tracker.trace().export(&bdd);
 
     // The audit proper: per-construct coverage through the engine.
     engine
-        .add_test("baseline-suite", &portable)
-        .expect("baseline trace must import cleanly");
+        .add_trace("baseline-suite", tracker.into_trace())
+        .expect("the baseline trace marks only topology devices");
     let (cov, audit_t) = time_it(|| engine.config_coverage().expect("routing is attached"));
 
     print_audit(&cov, "behavioural suite");

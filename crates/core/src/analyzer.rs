@@ -1,9 +1,11 @@
 //! Phase-2 analysis: from a coverage trace to metrics.
 //!
-//! The [`Analyzer`] owns the derived covered sets (Algorithm 1) and
-//! exposes the standard per-component metrics plus aggregation over
-//! arbitrary component collections with user filters — the "zoom in on a
-//! subset of components" facility of §6.
+//! The [`Analyzer`] holds the derived covered sets (Algorithm 1), its own
+//! or a resident engine's, and exposes the standard per-component metrics
+//! plus aggregation over arbitrary component collections with user
+//! filters — the "zoom in on a subset of components" facility of §6.
+
+use std::borrow::Cow;
 
 use netbdd::Bdd;
 use netmodel::topology::{DeviceId, IfaceKind, Role};
@@ -42,7 +44,7 @@ pub struct Analyzer<'a> {
     net: &'a Network,
     ms: &'a MatchSets,
     trace: &'a CoverageTrace,
-    covered: CoveredSets,
+    covered: Cow<'a, CoveredSets>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -55,31 +57,24 @@ impl<'a> Analyzer<'a> {
     ) -> Analyzer<'a> {
         let _span = netobs::span!("analysis");
         let covered = CoveredSets::compute(net, ms, trace, bdd);
-        Analyzer {
-            net,
-            ms,
-            trace,
-            covered,
-        }
+        Analyzer::with_covered(net, ms, trace, covered)
     }
 
-    /// Wrap covered sets that were computed elsewhere — the constructor a
-    /// long-lived engine uses after incrementally refreshing its shards,
-    /// so metrics never force a from-scratch Algorithm 1 pass. The caller
-    /// is responsible for `covered` actually corresponding to
-    /// `(net, ms, trace)`; every metric is then bit-identical to what
-    /// [`Analyzer::new`] would produce.
+    /// Wrap covered sets computed elsewhere, owned or borrowed (a resident
+    /// engine lends its shards). The caller is responsible for `covered`
+    /// actually corresponding to `(net, ms, trace)`; every metric is then
+    /// bit-identical to what [`Analyzer::new`] would produce.
     pub fn with_covered(
         net: &'a Network,
         ms: &'a MatchSets,
         trace: &'a CoverageTrace,
-        covered: CoveredSets,
+        covered: impl Into<Cow<'a, CoveredSets>>,
     ) -> Analyzer<'a> {
         Analyzer {
             net,
             ms,
             trace,
-            covered,
+            covered: covered.into(),
         }
     }
 
@@ -320,6 +315,14 @@ impl<'a> Analyzer<'a> {
             rule_fractional: rule_frac,
             rule_weighted,
         }
+    }
+}
+
+/// Owned covered sets, as [`Analyzer::with_covered`] takes them from a
+/// batch caller (an engine lends its own as `Cow::Borrowed`).
+impl From<CoveredSets> for Cow<'_, CoveredSets> {
+    fn from(covered: CoveredSets) -> Self {
+        Cow::Owned(covered)
     }
 }
 

@@ -47,9 +47,9 @@
 use netbdd::Bdd;
 use netmodel::provenance::{Construct, Marks};
 use netmodel::topology::DeviceId;
-use netmodel::{MatchSets, Network, Prefix, RuleId};
+use netmodel::{Prefix, RuleId};
 
-use crate::covered::CoveredSets;
+use crate::analyzer::Analyzer;
 
 /// Coverage of one configuration construct: its FIB-rule footprint and
 /// the covered/match probability mass accumulated over it.
@@ -192,11 +192,8 @@ impl ConfigCoverage {
 /// The result is in key order, the order
 /// [`routing::RoutingEngine::mark_constructs`] merges in, so its sort
 /// has nothing to do.
-pub(crate) fn entry_marks(
-    net: &Network,
-    ms: &MatchSets,
-    covered: &CoveredSets,
-) -> Vec<((DeviceId, Prefix), Marks)> {
+pub(crate) fn entry_marks(analyzer: &Analyzer) -> Vec<((DeviceId, Prefix), Marks)> {
+    let (net, ms) = (analyzer.network(), analyzer.match_sets());
     let mut out = Vec::with_capacity(net.rule_count());
     for (device, _) in net.topology().devices() {
         let start = out.len();
@@ -211,7 +208,7 @@ pub(crate) fn entry_marks(
             if ms.get(id).is_false() {
                 continue; // shadowed: untestable, no footprint
             }
-            let marks = match covered.is_exercised(id) {
+            let marks = match analyzer.covered_sets().is_exercised(id) {
                 true => Marks::TESTABLE | Marks::EXERCISED,
                 false => Marks::TESTABLE,
             };
@@ -231,11 +228,10 @@ pub(crate) fn entry_marks(
 pub(crate) fn footprint(
     construct: Construct,
     keys: &[(DeviceId, Prefix)],
-    net: &Network,
-    ms: &MatchSets,
-    covered: &CoveredSets,
+    analyzer: &Analyzer,
     bdd: &mut Bdd,
 ) -> ConstructCoverage {
+    let (net, ms) = (analyzer.network(), analyzer.match_sets());
     let mut entry = ConstructCoverage {
         construct,
         rules: Vec::new(),
@@ -260,7 +256,7 @@ pub(crate) fn footprint(
             if m.is_false() {
                 continue;
             }
-            let t = covered.get(id);
+            let t = analyzer.covered_sets().get(id);
             entry.rules.push(id);
             entry.match_probability += bdd.probability(m);
             entry.covered_probability += bdd.probability(t);
@@ -411,8 +407,11 @@ mod tests {
         for c in cov.covered.iter().chain(&cov.uncovered) {
             let entry = drill_down(&mut engine, c);
             assert!(!entry.rules.is_empty());
-            let (_, ms, _, _) = engine.analysis_parts();
-            assert!(entry.rules.iter().all(|&id| !ms.get(id).is_false()));
+            let (a, _) = engine.analyzer();
+            assert!(entry
+                .rules
+                .iter()
+                .all(|&id| !a.match_sets().get(id).is_false()));
         }
         for half in ["192.0.2.0/25", "192.0.2.128/25"] {
             let rule = Rule::null_route(half.parse().unwrap(), RouteClass::Other);

@@ -44,7 +44,7 @@ fn metrics_report_bdd_bytes_and_gc_pauses() {
     let resp = handle(&mut engine, &Request::new("GET", "/metrics", ""));
     assert_eq!(resp.status, 200, "{}", resp.body);
     let metrics = json::parse(&resp.body).unwrap();
-    let stats = engine.with_analyzer(|_, bdd| bdd.stats());
+    let stats = engine.analyzer().1.stats();
     for (name, bytes) in [
         ("bdd.bytes.arena", stats.arena_bytes),
         ("bdd.bytes.unique", stats.unique_bytes),

@@ -149,7 +149,8 @@ impl Run {
     fn check(&mut self) {
         let at = &self.at;
         let db = self.engine.routing().unwrap().config_db();
-        let (net, ms, covered, bdd) = self.engine.analysis_parts();
+        let (a, bdd) = self.engine.analyzer();
+        let (net, ms, covered) = (a.network(), a.match_sets(), a.covered_sets());
         let oracle = config_oracle::compute(net, ms, covered, bdd, &db);
 
         let summary = self.engine.config_coverage().unwrap();

@@ -213,7 +213,8 @@ fn replay(ops: &[Op]) -> (CoverageEngine, Vec<(String, PortableTrace)>) {
 /// rule, per unmatched location). Leaves every device's action classes
 /// built.
 fn reach_everywhere(engine: &mut CoverageEngine) -> BTreeMap<String, PortableBdd> {
-    let (net, ms, _, bdd) = engine.analysis_parts();
+    let (a, bdd) = engine.analyzer();
+    let (net, ms) = (a.network(), a.match_sets());
     let fwd = Forwarder::new(net, ms);
     let full = bdd.full();
     let mut sets: BTreeMap<String, Ref> = BTreeMap::new();
@@ -266,7 +267,8 @@ fn differing(a: &BTreeMap<String, PortableBdd>, b: &BTreeMap<String, PortableBdd
 fn classes_everywhere(
     engine: &mut CoverageEngine,
 ) -> Vec<(Option<netmodel::IfaceId>, RuleId, PortableBdd)> {
-    let (net, ms, _, bdd) = engine.analysis_parts();
+    let (a, bdd) = engine.analyzer();
+    let (net, ms) = (a.network(), a.match_sets());
     let mut out = Vec::new();
     for (d, _) in net.topology().devices() {
         let classes = ms.action_classes(net, bdd, d).to_vec();
@@ -363,11 +365,12 @@ proptest! {
         let covered = CoveredSets::compute(&net, &ms, &combined, &mut bdd);
 
         // Covered sets: canonical exports must be equal node for node.
-        let engine_side: Vec<(RuleId, PortableBdd)> = engine.with_analyzer(|a, ebdd| {
+        let engine_side: Vec<(RuleId, PortableBdd)> = {
+            let (a, ebdd) = engine.analyzer();
             net.rules()
                 .map(|(id, _)| (id, ebdd.export(a.covered_sets().get(id))))
                 .collect()
-        });
+        };
         for (id, engine_snapshot) in engine_side {
             let batch_snapshot = bdd.export(covered.get(id));
             prop_assert_eq!(

@@ -263,9 +263,8 @@ fn check(run: &mut Run, when: &str) {
 
     for role in [Role::Tor, Role::Aggregation, Role::Spine] {
         let got: RoleMetrics = batch.role_metrics(&mut bdd, role);
-        let resident = run
-            .engine
-            .with_analyzer(|a, ebdd| a.role_metrics(ebdd, role));
+        let (a, ebdd) = run.engine.analyzer();
+        let resident = a.role_metrics(ebdd, role);
         assert_eq!(
             resident, got,
             "{role:?} role metrics, engine vs batch {when}"

@@ -102,10 +102,10 @@ fn topology_deltas_match_batch() {
         let ids: Vec<_> = engine.network().rules().map(|(id, _)| id).collect();
         let mut exercised = 0usize;
         for id in &ids {
-            let (_, _, covered, bdd) = engine.analysis_parts();
-            let engine_snapshot = bdd.export(covered.get(*id));
-            let (_, _, bcovered, bbdd) = batch.analysis_parts();
-            let batch_snapshot = bbdd.export(bcovered.get(*id));
+            let (a, bdd) = engine.analyzer();
+            let engine_snapshot = bdd.export(a.covered_sets().get(*id));
+            let (b, bbdd) = batch.analyzer();
+            let batch_snapshot = bbdd.export(b.covered_sets().get(*id));
             assert_eq!(
                 engine_snapshot, batch_snapshot,
                 "covered set diverged at {id:?} after {delta:?}"
@@ -188,9 +188,11 @@ fn assert_matches_fresh_batch(
     let ids: Vec<_> = engine.network().rules().map(|(id, _)| id).collect();
     let mut exercised = 0usize;
     for &id in &ids {
-        let (_, ms, covered, bdd) = engine.analysis_parts();
+        let (a, bdd) = engine.analyzer();
+        let (ms, covered) = (a.match_sets(), a.covered_sets());
         let got = (bdd.export(ms.get(id)), bdd.export(covered.get(id)));
-        let (_, bms, bcovered, bbdd) = batch.analysis_parts();
+        let (b, bbdd) = batch.analyzer();
+        let (bms, bcovered) = (b.match_sets(), b.covered_sets());
         let want = (bbdd.export(bms.get(id)), bbdd.export(bcovered.get(id)));
         assert_eq!(got, want, "M[r] or T[r] diverged at {id:?} {when}");
         assert_eq!(
@@ -266,7 +268,8 @@ fn rule_marks_on_an_action_only_device_read_the_same_covered_sets() {
     ] {
         let before = engine.network().clone();
         let marked: Vec<_> = {
-            let (net, _, covered, _) = engine.analysis_parts();
+            let (a, _) = engine.analyzer();
+            let (net, covered) = (a.network(), a.covered_sets());
             net.rules().map(|(id, _)| (id, covered.get(id))).collect()
         };
         let changed = engine.apply_topology(&delta).unwrap();
@@ -275,7 +278,8 @@ fn rule_marks_on_an_action_only_device_read_the_same_covered_sets() {
             kept.contains(&DeviceId(0)),
             "{delta:?}: tor-0-0 only swaps next-hops"
         );
-        let (_, ms, covered, _) = engine.analysis_parts();
+        let (a, _) = engine.analyzer();
+        let (ms, covered) = (a.match_sets(), a.covered_sets());
         for &(id, was) in marked.iter().filter(|(id, _)| kept.contains(&id.device)) {
             assert_eq!(covered.get(id), was, "T[r] at {id:?} after {delta:?}");
             if id.index % 2 == 0 {

@@ -34,19 +34,18 @@ fn guarded_net() -> Network {
 /// The gap report of a fresh engine, rendered to comparable form:
 /// `(rule, rendered entry text, witness debug)` per entry.
 fn gap_fingerprint(engine: &mut CoverageEngine) -> Vec<(String, String, String)> {
-    engine.with_analyzer(|a, bdd| {
-        a.gap_report(bdd, usize::MAX, 4, |_, _| true)
-            .entries
-            .iter()
-            .map(|e: &GapEntry| {
-                (
-                    format!("r{}.{}", e.rule.device.0, e.rule.index),
-                    e.to_string(),
-                    format!("{:?}", e.witness),
-                )
-            })
-            .collect()
-    })
+    let (a, bdd) = engine.analyzer();
+    a.gap_report(bdd, usize::MAX, 4, |_, _| true)
+        .entries
+        .iter()
+        .map(|e: &GapEntry| {
+            (
+                format!("r{}.{}", e.rule.device.0, e.rule.index),
+                e.to_string(),
+                format!("{:?}", e.witness),
+            )
+        })
+        .collect()
 }
 
 /// An engine on [`guarded_net`] in the freshly booted logical state but
