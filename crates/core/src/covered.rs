@@ -104,21 +104,34 @@ fn device_covered(
 ) -> Vec<Ref> {
     // The packets the trace recorded anywhere at this device.
     let at_device = trace.packets.at_device(bdd, device);
-    let mut dev = Vec::with_capacity(net.device_rules(device).len());
-    for id in net.device_rule_ids(device) {
-        let m = ms.get(id);
-        let t = if trace.rules.contains(&id) {
-            m
-        } else {
-            let applicable = match net.rule(id).matches.in_iface {
-                None => at_device,
-                Some(iface) => trace.packets.at_device_iface(device, iface),
-            };
-            bdd.and(applicable, m)
-        };
-        dev.push(t);
+    net.device_rule_ids(device)
+        .map(|id| rule_covered(net, ms, trace, bdd, id, Some(at_device)))
+        .collect()
+}
+
+/// Algorithm 1 for one rule, `T[r]` under `trace`: `M[r]` when a
+/// state-inspection test examined `r`, else the packets recorded where
+/// `r` applies (on its ingress interface when it is scoped, anywhere at
+/// its device otherwise) intersected with `M[r]`. `at_device` is the
+/// device-wide union when the caller already holds it; without it the
+/// union is built here, and only if `r` needs it.
+pub(crate) fn rule_covered(
+    net: &Network,
+    ms: &MatchSets,
+    trace: &CoverageTrace,
+    bdd: &mut Bdd,
+    id: RuleId,
+    at_device: Option<Ref>,
+) -> Ref {
+    let m = ms.get(id);
+    if trace.rules.contains(&id) {
+        return m;
     }
-    dev
+    let applicable = match net.rule(id).matches.in_iface {
+        None => at_device.unwrap_or_else(|| trace.packets.at_device(bdd, id.device)),
+        Some(iface) => trace.packets.at_device_iface(id.device, iface),
+    };
+    bdd.and(applicable, m)
 }
 
 #[cfg(test)]

@@ -1331,6 +1331,26 @@ mod tests {
     }
 
     #[test]
+    fn a_test_add_on_a_foreign_interface_is_a_400_and_builds_nothing() {
+        // Interface 2 is the spine's end of the link; 999 is no interface
+        // at all. Either used to be answered 200, and its packets moved
+        // the tor's unscoped rules' coverage.
+        let mut engine = build_routed_engine();
+        let nodes = engine.analyzer().1.node_count();
+        for iface in [2, 999] {
+            let body = format!(
+                r#"{{"kind":"test-add","name":"x","trace":{{"packets":[{{"device":0,"iface":{iface},"nodes":[],"root":0}}]}}}}"#
+            );
+            let resp = handle(&mut engine, &Request::new("POST", "/delta", &body));
+            assert_eq!(resp.status, 400, "iface {iface}: {}", resp.body);
+            assert!(resp.body.contains("does not belong to"), "{}", resp.body);
+        }
+        assert_eq!(engine.version(), 0);
+        assert_eq!(engine.analyzer().1.node_count(), nodes);
+        assert!(engine.test_names().next().is_none());
+    }
+
+    #[test]
     fn delta_since_reports_the_tail() {
         let mut engine = build_engine();
         let body = format!(

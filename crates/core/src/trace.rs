@@ -99,11 +99,16 @@ impl PortableTrace {
 
     /// [`PortableTrace::import`] for untrusted traces: validates every
     /// per-location snapshot and reports the first malformed one with
-    /// its location instead of panicking.
+    /// its location instead of panicking. Every snapshot is validated
+    /// before the first is built, so a refused trace leaves the arena as
+    /// it found it.
     pub fn try_import(&self, bdd: &mut Bdd) -> Result<CoverageTrace, (Location, PortableBddError)> {
+        for (loc, p) in &self.packets {
+            p.validate().map_err(|e| (*loc, e))?;
+        }
         let mut trace = CoverageTrace::new();
         for (loc, p) in &self.packets {
-            let set = bdd.try_import(p).map_err(|e| (*loc, e))?;
+            let set = bdd.import(p);
             trace.packets.add(bdd, *loc, set);
         }
         trace.rules = self.rules.clone();
@@ -221,6 +226,22 @@ mod tests {
         let err = p.try_import(&mut bdd).unwrap_err();
         assert_eq!(err.0, loc);
         assert!(matches!(err.1, PortableBddError::SlotOutOfRange { .. }));
+    }
+
+    #[test]
+    fn a_trace_malformed_at_its_second_location_builds_nothing() {
+        // The first snapshot is well formed and new to the manager; the
+        // second is out of order. Both are validated before either is
+        // built.
+        let good = PortableBdd::from_parts(vec![(190, 0, 1), (185, 2, 1)], 4);
+        let bad = PortableBdd::from_parts(vec![(180, 0, 1), (170, 2, 1), (170, 0, 4)], 6);
+        let (l0, l1) = (Location::device(DeviceId(0)), Location::device(DeviceId(1)));
+        let p = PortableTrace::from_parts(vec![(l0, good), (l1, bad)], BTreeSet::new());
+        let mut bdd = Bdd::new();
+        let before = bdd.node_count();
+        let err = p.try_import(&mut bdd).unwrap_err();
+        assert_eq!(err, (l1, PortableBddError::VarOrdering { node: 2 }));
+        assert_eq!(bdd.node_count(), before);
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl PortableBdd {
     }
 
     /// Assemble a snapshot from raw parts — the decode half of a wire
-    /// format. No validation happens here; [`Bdd::try_import`] validates
-    /// on use, so a malformed wire payload surfaces as a
+    /// format. No validation happens here; [`PortableBdd::validate`]
+    /// (which [`Bdd::try_import`] runs) checks it before use, so a malformed wire payload surfaces as a
     /// [`PortableBddError`] rather than a panic.
     pub fn from_parts(nodes: Vec<(Var, Slot, Slot)>, root: Slot) -> PortableBdd {
         PortableBdd { nodes, root }
@@ -128,6 +128,37 @@ impl PortableBdd {
     /// The root slot.
     pub fn root(&self) -> Slot {
         self.root
+    }
+
+    /// Check the snapshot without a manager: children-first references
+    /// only, regular lo edges, ordered and non-terminal variables. The
+    /// first violation is reported. [`Bdd::try_import`] runs this before
+    /// it builds anything; a caller importing several snapshots runs it
+    /// on all of them first, so a bad one builds none.
+    pub fn validate(&self) -> Result<(), PortableBddError> {
+        // Variable of the node a slot targets (terminals order below
+        // all); `node` is the index of the referencing node, and only the
+        // nodes before it may be referenced.
+        let slot_var = |node: usize, s: Slot| -> Result<Var, PortableBddError> {
+            match (s >> 1) as usize {
+                0 => Ok(TERMINAL_VAR),
+                k if k <= node => Ok(self.nodes[k - 1].0),
+                _ => Err(PortableBddError::SlotOutOfRange { node, slot: s }),
+            }
+        };
+        for (idx, &(var, lo, hi)) in self.nodes.iter().enumerate() {
+            if var == TERMINAL_VAR {
+                return Err(PortableBddError::TerminalVar { node: idx });
+            }
+            if lo & 1 == 1 {
+                return Err(PortableBddError::ComplementedLo { node: idx });
+            }
+            let (lo_var, hi_var) = (slot_var(idx, lo)?, slot_var(idx, hi)?);
+            if lo_var <= var || hi_var <= var {
+                return Err(PortableBddError::VarOrdering { node: idx });
+            }
+        }
+        slot_var(self.nodes.len(), self.root).map(drop)
     }
 }
 
@@ -190,36 +221,13 @@ impl Bdd {
         self.try_import(p).expect("malformed PortableBdd snapshot")
     }
 
-    /// [`Bdd::import`] for untrusted snapshots: validates every slot
-    /// (children-first references only, regular lo edges, ordered and
-    /// non-terminal variables) and reports the first violation instead
-    /// of panicking or silently building a non-canonical diagram. The
-    /// whole snapshot is validated before the first node is built, so a
-    /// refused one leaves the arena as it found it.
+    /// [`Bdd::import`] for untrusted snapshots: [`PortableBdd::validate`]
+    /// reports the first violation instead of panicking or silently
+    /// building a non-canonical diagram. The whole snapshot is validated
+    /// before the first node is built, so a refused one leaves the arena
+    /// as it found it.
     pub fn try_import(&mut self, p: &PortableBdd) -> Result<Ref, PortableBddError> {
-        // Variable of the node a slot targets (terminals order below
-        // all); `node` is the index of the referencing node, and only the
-        // nodes before it may be referenced.
-        let slot_var = |node: usize, s: Slot| -> Result<Var, PortableBddError> {
-            match (s >> 1) as usize {
-                0 => Ok(TERMINAL_VAR),
-                k if k <= node => Ok(p.nodes[k - 1].0),
-                _ => Err(PortableBddError::SlotOutOfRange { node, slot: s }),
-            }
-        };
-        for (idx, &(var, lo, hi)) in p.nodes.iter().enumerate() {
-            if var == TERMINAL_VAR {
-                return Err(PortableBddError::TerminalVar { node: idx });
-            }
-            if lo & 1 == 1 {
-                return Err(PortableBddError::ComplementedLo { node: idx });
-            }
-            let (lo_var, hi_var) = (slot_var(idx, lo)?, slot_var(idx, hi)?);
-            if lo_var <= var || hi_var <= var {
-                return Err(PortableBddError::VarOrdering { node: idx });
-            }
-        }
-        slot_var(p.nodes.len(), p.root)?;
+        p.validate()?;
         let mut refs: Vec<Ref> = Vec::with_capacity(p.nodes.len());
         let resolve = |refs: &[Ref], s: Slot| {
             let base = match s >> 1 {
@@ -409,6 +417,19 @@ mod tests {
             Err(PortableBddError::VarOrdering { node: 1 })
         );
         assert_eq!(bdd.node_count(), before);
+    }
+
+    #[test]
+    fn validate_needs_no_manager_and_agrees_with_try_import() {
+        let mut bdd = Bdd::new();
+        let f = sample(&mut bdd);
+        assert_eq!(bdd.export(f).validate(), Ok(()));
+        let bad = PortableBdd::from_parts(vec![(7, 0, 1), (9, 0, 2)], 4);
+        assert_eq!(
+            bad.validate(),
+            Err(PortableBddError::VarOrdering { node: 1 })
+        );
+        assert_eq!(bdd.try_import(&bad).map(drop), bad.validate());
     }
 
     #[test]
