@@ -1082,6 +1082,34 @@ mod tests {
         );
     }
 
+    /// A route the control plane installed is withdrawn by the topology
+    /// delta that takes it away: a rule delta for it is refused, so the
+    /// routing engine still finds it when that topology delta comes.
+    #[test]
+    fn withdrawing_a_control_plane_route_is_a_400_and_the_next_link_down_applies() {
+        let mut engine = build_routed_engine();
+        let spine = DeviceId(1);
+        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
+        let index = engine
+            .network()
+            .device_rules(spine)
+            .iter()
+            .position(|r| r.matches.dst == Some(prefix))
+            .unwrap();
+        let before = engine.version();
+        let body = format!(r#"{{"kind":"rule-withdraw","device":1,"index":{index}}}"#);
+        let resp = handle(&mut engine, &Request::new("POST", "/delta", &body));
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains("control plane"), "{}", resp.body);
+        assert_eq!(engine.version(), before);
+        let resp = handle(
+            &mut engine,
+            &Request::new("POST", "/delta", r#"{"kind":"link-down","a":0,"b":1}"#),
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(engine.version(), before + 1);
+    }
+
     #[test]
     fn request_parsing_splits_target_and_decodes() {
         let r = Request::new("GET", "/covers?rule=r0.1&x=a%20b+c", "");

@@ -14,7 +14,10 @@
 //!   [`CoverageEngine::withdraw_rule`]) re-derive the one device's
 //!   disjoint match sets ([`MatchSets::recompute_device`]) and re-run
 //!   Algorithm 1 for that device ([`CoveredSets::recompute_device`]).
-//!   Every other device's shard is untouched.
+//!   Every other device's shard is untouched. A route the attached
+//!   routing engine installed is not a rule delta's to withdraw
+//!   ([`EngineError::ControlPlaneRoute`]): only the topology delta that
+//!   takes the route away removes it.
 //! * **Topology deltas** ([`CoverageEngine::apply_topology`])
 //!   re-converge the attached [`routing::RoutingEngine`] and walk the FIB
 //!   diff it returns. A device that gained or lost a prefix takes the
@@ -156,6 +159,13 @@ pub enum EngineError {
         /// The offending variable.
         var: u32,
     },
+    /// The rule is the one the attached routing engine installed for its
+    /// `(device, prefix)` key: it is withdrawn by the topology delta that
+    /// takes the route away, not by a rule delta.
+    ControlPlaneRoute {
+        /// The offending rule id.
+        id: RuleId,
+    },
     /// A topology delta arrived but no routing engine is attached
     /// ([`CoverageEngine::attach_routing`] was never called).
     NoRoutingEngine,
@@ -204,6 +214,11 @@ impl std::fmt::Display for EngineError {
                 f,
                 "trace at {location:?} uses variable {var}, outside the {}-variable header",
                 header::NVARS
+            ),
+            EngineError::ControlPlaneRoute { id } => write!(
+                f,
+                "rule r{}.{} is installed by the control plane; a topology delta withdraws it",
+                id.device.0, id.index
             ),
             EngineError::NoRoutingEngine => {
                 write!(f, "no routing engine attached: topology deltas unavailable")
@@ -689,9 +704,17 @@ impl CoverageEngine {
     }
 
     /// Withdraw the rule `id` and refresh its device's shards. Later
-    /// rules on the device shift down one index.
+    /// rules on the device shift down one index. A rule the attached
+    /// routing engine installed is refused: re-convergence edits it in
+    /// place, so it must stay in the table.
     pub fn withdraw_rule(&mut self, id: RuleId) -> Result<Rule, EngineError> {
         self.check_rule(id)?;
+        let rule = &self.net.device_rules(id.device)[id.index as usize];
+        if let (Some(routing), Some(dst)) = (self.routing(), rule.matches.dst) {
+            if routing.installed_rule(id.device, dst) == Some(rule) {
+                return Err(EngineError::ControlPlaneRoute { id });
+            }
+        }
         let rule = self.net.withdraw_rule(id);
         self.refresh_device(id.device);
         self.record(

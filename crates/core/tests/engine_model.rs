@@ -66,6 +66,7 @@ const REFUSALS: &[(&str, u16)] = &[
     ("duplicate test", 400), ("malformed JSON", 400), ("unknown kind", 400),
     ("malformed snapshot", 400), ("off-header variable", 400), ("deep nesting", 400),
     ("foreign interface", 400), ("malformed second location", 400),
+    ("control-plane route", 400),
 ];
 
 /// What a refused request may not move: the version, every table, the
@@ -446,11 +447,22 @@ impl Model {
                     r#"{{"kind":"test-add","name":"{name}","trace":{{"packets":[{good},{bad}]}}}}"#
                 )
             }
+            // A route the routing engine installed: a topology delta
+            // withdraws it, a rule delta may not.
+            "control-plane route" => {
+                let routing = self.engine.routing().unwrap();
+                let table = self.engine.network().device_rules(tor);
+                let managed = |r: &Rule| routing.installed_rule(tor, r.matches.dst.unwrap());
+                let index = table.iter().position(|r| managed(r) == Some(r));
+                withdraw(tor, index.unwrap())
+            }
             other => unreachable!("{other}"),
         };
         let resp = self.expect("POST", "/delta", &body, status);
         let named = resp.body.contains("outside the 201-variable header");
         assert!(named || class != "off-header variable", "{}", resp.body);
+        let named = resp.body.contains("installed by the control plane");
+        assert!(named || class != "control-plane route", "{}", resp.body);
         self.refused.insert(class);
         format!("refused: {class}")
     }

@@ -5,8 +5,9 @@
 //! turns a control-plane description into FIBs. It runs in three stages:
 //!
 //! 1. **converge** — index links and adjacencies, group originations by
-//!    prefix (multi-origin = anycast), and run one multi-source BFS per
-//!    group over the devices whose scope accepts the route;
+//!    prefix (multi-origin = anycast), and [`RoutingEngine::relax`] each
+//!    group from its originators over the devices whose scope accepts
+//!    the route;
 //! 2. **fold** — for every `(device, prefix)` key, in key order, merge
 //!    the key's static candidates and its group's BGP candidate by
 //!    administrative distance (connected < static < BGP, first in config
@@ -18,13 +19,16 @@
 //! and keeps the fixpoint *resident* — per-prefix distance vectors plus
 //! the folded FIB entry installed for every key — so that topology
 //! deltas — [`TopologyDelta::LinkDown`]/[`TopologyDelta::LinkUp`] and
-//! device counterparts — re-converge only the affected subtrees:
+//! device counterparts — re-converge only the affected subtrees. One
+//! per-group repair serves every delta:
 //!
-//! * **deletion** runs the two-phase shortest-path repair (identify the
-//!   orphaned region seeded from the dead element's BFS children, then
-//!   re-relax it from the surviving frontier with a bounded Dijkstra),
-//! * **addition** runs a decrease-only relaxation seeded from the revived
-//!   element's endpoints (and restored origination seeds).
+//! * **deletion** finds the orphans — the dead element's shortest-path
+//!   children, the downed device itself, and whatever hangs only off
+//!   them — and clears their distances;
+//! * **relaxation** then lowers the group again from the orphans' live,
+//!   reached neighbours, both ends of each revived link and the group's
+//!   originators. It is the same level-by-level sweep construction runs,
+//!   and the only code that lowers a distance.
 //!
 //! Devices whose distance or ECMP set changed are *re-folded* — stage 2
 //! for just their `(device, prefix)` keys, under the current failure
@@ -45,7 +49,7 @@
 //! not-down) — before any state is mutated.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use netmodel::provenance::{ConfigDb, Construct, Marks};
 use netmodel::rule::{Action, RouteClass, Rule};
@@ -212,8 +216,8 @@ pub struct RoutingEngine {
 }
 
 impl RoutingEngine {
-    /// Stage 1 of construction: index the validated description and run
-    /// the initial multi-source BFS of every prefix group. The result
+    /// Stage 1 of construction: index the validated description and
+    /// [`Self::relax`] every prefix group from its originators. The result
     /// holds everything [`Self::fold_key`] reads and none of the
     /// delta-only state.
     pub(crate) fn converge(description: RibBuilder) -> RoutingEngine {
@@ -307,24 +311,6 @@ impl RoutingEngine {
                     seeds.push(d.0);
                 }
             }
-            // Multi-source BFS over accepting devices (every link is
-            // live at construction).
-            let mut dist = vec![u32::MAX; n];
-            let mut q = VecDeque::new();
-            for &s in &seeds {
-                dist[s as usize] = 0;
-                q.push_back(s);
-            }
-            while let Some(v) = q.pop_front() {
-                let dv = dist[v as usize];
-                for a in &adj[v as usize] {
-                    let u = a.peer as usize;
-                    if dist[u] == u32::MAX && accepts[u] {
-                        dist[u] = dv + 1;
-                        q.push_back(a.peer);
-                    }
-                }
-            }
             let class = originations[origin_idxs[0]].class;
             group_of.insert(prefix, groups.len());
             groups.push(Group {
@@ -333,11 +319,11 @@ impl RoutingEngine {
                 class,
                 accepts,
                 seeds,
-                dist,
+                dist: vec![u32::MAX; n],
             });
         }
 
-        RoutingEngine {
+        let mut engine = RoutingEngine {
             topo,
             tiers,
             asns,
@@ -357,7 +343,13 @@ impl RoutingEngine {
             reconverge_count: 0,
             devices_touched_total: 0,
             rules_changed_total: 0,
+        };
+        let mut moved = Vec::new();
+        for gi in 0..engine.groups.len() {
+            engine.relax(gi, Vec::new(), &mut moved);
+            moved.clear();
         }
+        engine
     }
 
     /// Stage 2 of construction: every `(device, prefix)` key a static
@@ -438,6 +430,12 @@ impl RoutingEngine {
             .get(device.0 as usize)
             .copied()
             .unwrap_or(false)
+    }
+
+    /// The rule the engine installed for `prefix` on `device`, if it
+    /// manages that key.
+    pub fn installed_rule(&self, device: DeviceId, prefix: Prefix) -> Option<&Rule> {
+        self.installed.get(&(device.0, prefix))
     }
 
     /// The base (healthy) topology the engine was built over.
@@ -583,15 +581,10 @@ impl RoutingEngine {
             }
         };
 
-        // Validate and update failure state; collect the toggled links
-        // and the per-group repair work.
+        // Validate and update failure state; collect the links that
+        // died or came back, and the device that went down, if any.
         let mut refold: BTreeSet<(u32, Prefix)> = BTreeSet::new();
-        let toggled: Vec<usize>;
-        enum Repair {
-            Delete { downed: Option<u32> },
-            Add { revived: Option<u32> },
-        }
-        let repair;
+        let (mut removed, mut added, mut downed) = (Vec::new(), Vec::new(), None);
         match *delta {
             TopologyDelta::LinkDown { a, b } => {
                 check_dev(a)?;
@@ -605,7 +598,7 @@ impl RoutingEngine {
                     return Err(RibError::LinkAlreadyDown { a, b });
                 }
                 // Only links that were live actually change reachability.
-                let removed: Vec<usize> = targets
+                removed = targets
                     .iter()
                     .copied()
                     .filter(|&l| self.link_live(l))
@@ -613,8 +606,6 @@ impl RoutingEngine {
                 for &l in &targets {
                     self.link_down[l] = true;
                 }
-                toggled = removed;
-                repair = Repair::Delete { downed: None };
             }
             TopologyDelta::LinkUp { a, b } => {
                 check_dev(a)?;
@@ -630,10 +621,7 @@ impl RoutingEngine {
                 for &l in &targets {
                     self.link_down[l] = false;
                 }
-                let added: Vec<usize> =
-                    targets.into_iter().filter(|&l| self.link_live(l)).collect();
-                toggled = added;
-                repair = Repair::Add { revived: None };
+                added = targets.into_iter().filter(|&l| self.link_live(l)).collect();
             }
             TopologyDelta::DeviceDown { device } => {
                 check_dev(device)?;
@@ -641,7 +629,7 @@ impl RoutingEngine {
                 if self.device_down[d] {
                     return Err(RibError::DeviceAlreadyDown { device });
                 }
-                let removed: Vec<usize> = self.adj[d]
+                removed = self.adj[d]
                     .iter()
                     .filter(|a| self.link_live(a.link))
                     .map(|a| a.link)
@@ -653,10 +641,7 @@ impl RoutingEngine {
                     }
                 }
                 self.device_down[d] = true;
-                toggled = removed;
-                repair = Repair::Delete {
-                    downed: Some(device.0),
-                };
+                downed = Some(device.0);
             }
             TopologyDelta::DeviceUp { device } => {
                 check_dev(device)?;
@@ -665,7 +650,7 @@ impl RoutingEngine {
                     return Err(RibError::DeviceNotDown { device });
                 }
                 self.device_down[d] = false;
-                let added: Vec<usize> = self.adj[d]
+                added = self.adj[d]
                     .iter()
                     .filter(|a| self.link_live(a.link))
                     .map(|a| a.link)
@@ -675,12 +660,9 @@ impl RoutingEngine {
                 for &si in &self.statics_by_device[d] {
                     refold.insert((self.statics[si].device.0, self.statics[si].prefix));
                 }
-                toggled = added;
-                repair = Repair::Add {
-                    revived: Some(device.0),
-                };
             }
         }
+        let toggled: Vec<usize> = removed.iter().chain(&added).copied().collect();
 
         // Statics whose next-hop set crosses a toggled link re-fold.
         for &l in &toggled {
@@ -695,10 +677,7 @@ impl RoutingEngine {
 
         // Per-group incremental repair.
         for gi in 0..self.groups.len() {
-            let changed = match repair {
-                Repair::Delete { downed } => self.repair_delete(gi, &toggled, downed),
-                Repair::Add { revived } => self.repair_add(gi, &toggled, revived),
-            };
+            let changed = self.repair(gi, &removed, &added, downed);
             let prefix = self.groups[gi].prefix;
             // Changed devices and their live neighbors re-fold (a
             // neighbor's ECMP set can change without its distance
@@ -809,164 +788,140 @@ impl RoutingEngine {
             .collect()
     }
 
-    /// Two-phase deletion repair for one group after `removed` edges
-    /// died (plus, for a device failure, the downed device's own
-    /// distance). Returns the devices whose distance changed.
-    fn repair_delete(&mut self, gi: usize, removed: &[usize], downed: Option<u32>) -> Vec<u32> {
-        let n = self.topo.device_count();
-        // Phase 1: find the orphaned region. Seed with the BFS children
-        // of every removed edge; a candidate survives if it still has a
-        // live, unorphaned parent one step closer.
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        {
-            let dist = &self.groups[gi].dist;
-            for &l in removed {
-                let (x, y) = (self.links[l].a.0, self.links[l].b.0);
-                for (u, v) in [(x, y), (y, x)] {
-                    let (du, dv) = (dist[u as usize], dist[v as usize]);
-                    if du != u32::MAX && dv != u32::MAX && dv == du + 1 {
-                        queue.push_back(v);
-                    }
+    /// Re-converge one group after `removed` links died and `added` ones
+    /// came back, `downed` being the device that went down, if any.
+    /// Returns the devices whose distance changed.
+    ///
+    /// First the orphan scan: a candidate (a child across a removed link,
+    /// the downed device, or a child of an orphan) survives if it is an
+    /// up seed or still has a live, unorphaned parent one step closer; a
+    /// down device never survives. A ToR-uplink flap thus orphans nothing
+    /// in a group where the ToR keeps another uplink. The orphans are
+    /// cleared, then [`Self::relax`] lowers the group again from each
+    /// orphan's live, reached neighbours plus one, from both ends of each
+    /// revived link, and from the group's own seeds.
+    fn repair(
+        &mut self,
+        gi: usize,
+        removed: &[usize],
+        added: &[usize],
+        downed: Option<u32>,
+    ) -> Vec<u32> {
+        let mut dist = std::mem::take(&mut self.groups[gi].dist);
+        let mut queue: VecDeque<u32> = downed.into_iter().collect();
+        for &l in removed {
+            let (x, y) = (self.links[l].a.0, self.links[l].b.0);
+            for (u, v) in [(x, y), (y, x)] {
+                let (du, dv) = (dist[u as usize], dist[v as usize]);
+                if du != u32::MAX && dv == du + 1 {
+                    queue.push_back(v);
                 }
             }
         }
-        let mut forced_changed = Vec::new();
-        if let Some(d) = downed {
-            // A downed seed device cannot keep distance 0; any other
-            // finite distance is orphaned through the generic seeding
-            // (all its live edges are in `removed`).
-            if self.groups[gi].dist[d as usize] == 0 {
-                self.groups[gi].dist[d as usize] = u32::MAX;
-                forced_changed.push(d);
-            }
-        }
-        let mut affected = vec![false; n];
-        let mut n_affected = 0usize;
+        // An orphan is cleared as soon as it is found, so it no longer
+        // counts as anyone's parent.
+        let mut moved = Vec::new();
         while let Some(v) = queue.pop_front() {
             let vi = v as usize;
-            let dv = self.groups[gi].dist[vi];
-            if affected[vi] || dv == u32::MAX || dv == 0 {
+            let dv = dist[vi];
+            if dv == u32::MAX {
                 continue;
             }
-            let survives = self.adj[vi].iter().any(|a| {
-                let du = self.groups[gi].dist[a.peer as usize];
-                self.link_live(a.link)
-                    && !affected[a.peer as usize]
-                    && du != u32::MAX
-                    && du + 1 == dv
-            });
+            let survives = !self.device_down[vi]
+                && (dv == 0
+                    || self.adj[vi]
+                        .iter()
+                        .any(|a| dist[a.peer as usize] == dv - 1 && self.link_live(a.link)));
             if survives {
                 continue;
             }
-            affected[vi] = true;
-            n_affected += 1;
+            moved.push((v, dv));
+            dist[vi] = u32::MAX;
             for a in &self.adj[vi] {
-                let du = self.groups[gi].dist[a.peer as usize];
-                if self.link_live(a.link) && du != u32::MAX && du == dv + 1 {
+                if dist[a.peer as usize] == dv + 1 && self.link_live(a.link) {
                     queue.push_back(a.peer);
                 }
             }
         }
-        if n_affected == 0 {
-            return forced_changed;
-        }
-        // Phase 2: re-relax the orphaned region from its surviving
-        // boundary. Boundary distances are not uniform, so this is a
-        // bounded Dijkstra, not a BFS.
-        let mut old = Vec::with_capacity(n_affected);
-        for (v, &hit) in affected.iter().enumerate() {
-            if hit {
-                old.push((v as u32, self.groups[gi].dist[v]));
-                self.groups[gi].dist[v] = u32::MAX;
+
+        let reached = |v: u32| Some(dist[v as usize]).filter(|&d| d != u32::MAX);
+        let mut seeds = Vec::new();
+        for &(v, _) in &moved {
+            let live = self.adj[v as usize]
+                .iter()
+                .filter(|a| self.link_live(a.link));
+            if let Some(d) = live.filter_map(|a| reached(a.peer)).min() {
+                seeds.push((d + 1, v));
             }
         }
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for &(v, _) in &old {
-            if self.device_down[v as usize] {
-                continue;
-            }
-            let mut best = u32::MAX;
-            for a in &self.adj[v as usize] {
-                let du = self.groups[gi].dist[a.peer as usize];
-                if self.link_live(a.link) && du != u32::MAX {
-                    best = best.min(du + 1);
-                }
-            }
-            if best != u32::MAX {
-                heap.push(Reverse((best, v)));
-            }
-        }
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d >= self.groups[gi].dist[v as usize] {
-                continue;
-            }
-            self.groups[gi].dist[v as usize] = d;
-            for a in &self.adj[v as usize] {
-                let u = a.peer as usize;
-                if self.link_live(a.link)
-                    && affected[u]
-                    && !self.device_down[u]
-                    && self.groups[gi].dist[u] > d + 1
-                {
-                    heap.push(Reverse((d + 1, a.peer)));
+        for &l in added {
+            let (x, y) = (self.links[l].a.0, self.links[l].b.0);
+            for (u, v) in [(x, y), (y, x)] {
+                if let Some(d) = reached(u) {
+                    seeds.push((d + 1, v));
                 }
             }
         }
-        let mut changed = forced_changed;
-        for (v, before) in old {
-            if self.groups[gi].dist[v as usize] != before {
-                changed.push(v);
-            }
-        }
-        changed
+        self.groups[gi].dist = dist;
+        self.relax(gi, seeds, &mut moved);
+
+        // An orphan is logged twice, first with its distance before the
+        // delta: keep that entry.
+        moved.sort_by_key(|&(v, _)| v);
+        moved.dedup_by_key(|&mut (v, _)| v);
+        let dist = &self.groups[gi].dist;
+        moved
+            .into_iter()
+            .filter(|&(v, before)| dist[v as usize] != before)
+            .map(|(v, _)| v)
+            .collect()
     }
 
-    /// Decrease-only repair for one group after `added` edges came up
-    /// (plus, for a device recovery, its restored origination seed).
-    /// Returns the devices whose distance changed.
-    fn repair_add(&mut self, gi: usize, added: &[usize], revived: Option<u32>) -> Vec<u32> {
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        if let Some(d) = revived {
-            if self.groups[gi].seeds.contains(&d) {
-                heap.push(Reverse((0, d)));
+    /// The one relaxation that lowers a group's distances: a
+    /// level-by-level sweep over live links into up devices that accept
+    /// the group's route. Each `(distance, device)` seed is taken in when
+    /// the sweep reaches its distance; the group's own originators are
+    /// always seeded at 0, exempt from acceptance (as in
+    /// `bgp::simulate`). Every edge weighs 1, so a device is lowered at
+    /// most once, to its exact distance; each lowered device is logged
+    /// to `moved` with the distance it had.
+    fn relax(&mut self, gi: usize, mut seeds: Vec<(u32, u32)>, moved: &mut Vec<(u32, u32)>) {
+        let mut dist = std::mem::take(&mut self.groups[gi].dist);
+        let g = &self.groups[gi];
+        seeds.extend(g.seeds.iter().map(|&s| (0, s)));
+        // Nearest last, so the sweep pops seeds in distance order.
+        seeds.sort_unstable_by_key(|&(d, _)| Reverse(d));
+        let (mut level, mut frontier, mut next) = (0, Vec::new(), Vec::new());
+        loop {
+            if frontier.is_empty() {
+                match seeds.last() {
+                    Some(&(d, _)) => level = d,
+                    None => break,
+                }
             }
-        }
-        {
-            let dist = &self.groups[gi].dist;
-            for &l in added {
-                let (x, y) = (self.links[l].a.0, self.links[l].b.0);
-                for (u, v) in [(x, y), (y, x)] {
-                    if dist[u as usize] != u32::MAX {
-                        heap.push(Reverse((dist[u as usize] + 1, v)));
+            while let Some((d, v)) = seeds.pop_if(|&mut (d, _)| d == level) {
+                let vi = v as usize;
+                if !self.device_down[vi] && (d == 0 || g.accepts[vi]) && d < dist[vi] {
+                    moved.push((v, dist[vi]));
+                    dist[vi] = d;
+                    frontier.push(v);
+                }
+            }
+            for &v in &frontier {
+                for a in &self.adj[v as usize] {
+                    let u = a.peer as usize;
+                    if level + 1 < dist[u] && g.accepts[u] && self.link_live(a.link) {
+                        moved.push((a.peer, dist[u]));
+                        dist[u] = level + 1;
+                        next.push(a.peer);
                     }
                 }
             }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+            level += 1;
         }
-        let mut changed = Vec::new();
-        while let Some(Reverse((d, v))) = heap.pop() {
-            let vi = v as usize;
-            if self.device_down[vi] {
-                continue;
-            }
-            // Seeds (distance 0) are exempt from acceptance, exactly as
-            // in `converge`'s seeding.
-            if d > 0 && !self.groups[gi].accepts[vi] {
-                continue;
-            }
-            if d >= self.groups[gi].dist[vi] {
-                continue;
-            }
-            self.groups[gi].dist[vi] = d;
-            changed.push(v);
-            for a in &self.adj[vi] {
-                if self.link_live(a.link) && self.groups[gi].dist[a.peer as usize] > d + 1 {
-                    heap.push(Reverse((d + 1, a.peer)));
-                }
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        changed
+        self.groups[gi].dist = dist;
     }
 
     /// The admin-distance merge for one `(device, prefix)` key under the

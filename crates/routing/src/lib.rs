@@ -16,8 +16,9 @@
 //!
 //! There is one implementation of it. [`RibBuilder`] holds and validates
 //! the control-plane description; [`RoutingEngine`]'s construction
-//! (see [`engine`]) converges it by multi-source BFS per originated
-//! prefix, applies route scopes (the stand-in for route-leak policy),
+//! (see [`engine`]) converges it by one level-by-level relaxation per
+//! originated prefix — the same one that repairs it after a topology
+//! delta — applies route scopes (the stand-in for route-leak policy),
 //! resolves same-prefix conflicts by administrative distance (connected
 //! < static < BGP), and compiles everything into [`netmodel::Network`]
 //! forwarding state. [`RibBuilder::try_build`] stops there;

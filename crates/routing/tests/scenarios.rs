@@ -343,6 +343,86 @@ fn device_flap_restores_baseline_bit_identically() {
     }
 }
 
+/// The k=4 fat-tree's fabric and hosted /24s (as `topogen` wires them:
+/// pod by pod, ToRs then aggs, cores last), without its statics.
+fn fattree_k4() -> RibBuilder {
+    let mut t = Topology::new();
+    let mut tors = Vec::new();
+    let mut aggs = Vec::new();
+    for p in 0..4 {
+        for i in 0..2 {
+            tors.push(t.add_device(format!("tor-{p}-{i}"), Role::Tor));
+        }
+        for i in 0..2 {
+            aggs.push(t.add_device(format!("agg-{p}-{i}"), Role::Aggregation));
+        }
+    }
+    let cores: Vec<DeviceId> = (0..4)
+        .map(|c| t.add_device(format!("core-{c}"), Role::Spine))
+        .collect();
+    let hosts: Vec<IfaceId> = tors
+        .iter()
+        .map(|&d| t.add_iface(d, "hosts", IfaceKind::Host))
+        .collect();
+    for p in 0..4 {
+        for &tor in &tors[2 * p..2 * p + 2] {
+            for &agg in &aggs[2 * p..2 * p + 2] {
+                t.add_link(tor, agg);
+            }
+        }
+        for (a, &agg) in aggs[2 * p..2 * p + 2].iter().enumerate() {
+            for &core in &cores[2 * a..2 * a + 2] {
+                t.add_link(agg, core);
+            }
+        }
+    }
+    let mut rb = RibBuilder::new(t);
+    for (tier, devs) in [(0u8, &tors), (1, &aggs), (2, &cores)] {
+        for &d in devs {
+            rb.set_tier(d, tier);
+            rb.set_asn(d, 65000 + d.0);
+        }
+    }
+    for (i, (&tor, &h)) in tors.iter().zip(&hosts).enumerate() {
+        rb.originate(Origination::new(
+            tor,
+            format!("10.0.{i}.0/24").parse().unwrap(),
+            RouteClass::HostSubnet,
+            Some(h),
+            Scope::All,
+        ));
+    }
+    rb
+}
+
+/// An originator cut off from every neighbour still holds its own
+/// prefix; taken down it holds nothing, and brought back up with no live
+/// link, it must be seeded again on its own.
+#[test]
+fn an_isolated_originator_goes_down_and_comes_back() {
+    let (mut engine, mut net) = fattree_k4().into_engine().unwrap();
+    let (tor0, agg0, agg1) = (DeviceId(0), DeviceId(2), DeviceId(3));
+    let own: Prefix = "10.0.0.0/24".parse().unwrap();
+    let holds_own = |net: &Network| {
+        net.device_rules(tor0)
+            .iter()
+            .any(|r| r.matches.dst == Some(own))
+    };
+    for (delta, up) in [
+        (TopologyDelta::LinkDown { a: tor0, b: agg0 }, true),
+        (TopologyDelta::LinkDown { a: tor0, b: agg1 }, true),
+        (TopologyDelta::DeviceDown { device: tor0 }, false),
+        (TopologyDelta::DeviceUp { device: tor0 }, true),
+        (TopologyDelta::LinkUp { a: tor0, b: agg0 }, true),
+        (TopologyDelta::LinkUp { a: tor0, b: agg1 }, true),
+    ] {
+        engine.apply(&mut net, &delta).unwrap();
+        let what = format!("after {delta:?}");
+        assert_identical(&net, &engine.full_rebuild().unwrap(), &what);
+        assert_eq!(holds_own(&net), up, "{what}: tor0's own /24");
+    }
+}
+
 // ---- the in-place replacement contract ----
 
 /// Every table of the network, as owned rows.

@@ -7,7 +7,11 @@
 //! * the headline (the four network-wide aggregates) and every per-role
 //!   row, as exact `f64` bits;
 //! * rules, jobs, `mark_packet` and `mark_rule` calls, exactly;
-//! * `nodes_final` and `ops_total` may only fall, and a change that
+//! * on the fat-trees, the path universe over the edge starts (its
+//!   [`PathUniverseDigest`]), exactly; it is enumerated after the arc's
+//!   counters are read, so they do not include it;
+//! * `matchsets_nodes` (the arena right after match-set derivation),
+//!   `nodes_final` and `ops_total` may only fall, and a change that
 //!   lowers one rewrites the file in the same diff, so the new numbers
 //!   are reviewed. On any mismatch the failure prints the whole document
 //!   this run produced.
@@ -18,6 +22,8 @@
 //! that enables `netobs`, which is where the engine publishes those
 //! counters.
 
+use dataplane::paths::edge_starts;
+use dataplane::{ExploreOpts, Forwarder};
 use netbdd::Bdd;
 use netmodel::rule::RouteClass;
 use netmodel::topology::DeviceId;
@@ -26,14 +32,17 @@ use netobs::json::{self, number, Json};
 use routing::TopologyDelta;
 use testsuite::{fattree_suite_jobs, regional_suite_jobs, run_job, NetworkInfo, SuiteJob};
 use topogen::{fattree, fattree_with_engine, regional, FatTreeParams, RegionalParams};
+use yardstick::pathcov::{path_coverage, PathUniverseDigest};
 use yardstick::{Analyzer, CoverageEngine, CoverageReport, CoverageTrace, PortableTrace, Tracker};
 
 const SEED: u64 = 0xC0FFEE;
 
-/// The arc on `net` with `jobs`, rendered as a golden document.
-fn arc(net: &Network, info: &NetworkInfo, suite: &str, jobs: &[SuiteJob]) -> String {
+/// The arc on `net` with `jobs`, rendered as a golden document; with
+/// `paths`, the path universe too.
+fn arc(net: &Network, info: &NetworkInfo, suite: &str, jobs: &[SuiteJob], paths: bool) -> String {
     let mut bdd = Bdd::new();
     let ms = MatchSets::compute(net, &mut bdd);
+    let matchsets_nodes = bdd.stats().nodes;
     let mut tracker = Tracker::new();
     for job in jobs {
         let report = run_job(&mut bdd, net, &ms, info, &mut tracker, job);
@@ -44,6 +53,18 @@ fn arc(net: &Network, info: &NetworkInfo, suite: &str, jobs: &[SuiteJob]) -> Str
     let analyzer = Analyzer::new(net, &ms, &trace, &mut bdd);
     let report = CoverageReport::by_role(&mut bdd, &analyzer);
     let stats = bdd.stats();
+    let universe = if paths {
+        let starts = edge_starts(&mut bdd, &Forwarder::new(net, &ms));
+        let pc = path_coverage(&mut bdd, &analyzer, &starts, &ExploreOpts::default());
+        let d = PathUniverseDigest::from(pc.stats);
+        format!(
+            "  \"path_universe\": {{\"paths\": {}, \"delivered\": {}, \"exited\": {}, \
+             \"dropped\": {}, \"unmatched\": {}}},\n",
+            d.paths, d.delivered, d.exited, d.dropped, d.unmatched
+        )
+    } else {
+        String::new()
+    };
 
     let opt = |v: Option<f64>| v.map_or("null".to_string(), number);
     let metrics = |d: Option<f64>, i: Option<f64>, rf: Option<f64>, rw: Option<f64>| {
@@ -79,8 +100,9 @@ fn arc(net: &Network, info: &NetworkInfo, suite: &str, jobs: &[SuiteJob]) -> Str
     format!(
         "{{\n  \"suite\": {},\n  \
          \"exact\": {{\"rules\": {}, \"jobs\": {}, \"mark_packet_calls\": {mark_packet}, \
-         \"mark_rule_calls\": {mark_rule}}},\n  \
-         \"may_only_fall\": {{\"nodes_final\": {}, \"ops_total\": {}}},\n  \
+         \"mark_rule_calls\": {mark_rule}}},\n{universe}  \
+         \"may_only_fall\": {{\"matchsets_nodes\": {matchsets_nodes}, \"nodes_final\": {}, \
+         \"ops_total\": {}}},\n  \
          \"headline\": {{{}}},\n  \
          \"roles\": {{\n{}\n  }}\n}}\n",
         json::quote(suite),
@@ -155,7 +177,10 @@ fn fattree_case(k: u32) {
     let ft = fattree(FatTreeParams::paper(k));
     let info = bench::fattree_info(&ft);
     let jobs = fattree_suite_jobs(&ft.net, &info, SEED);
-    check(&format!("fattree_k{k}"), &arc(&ft.net, &info, "s8", &jobs));
+    check(
+        &format!("fattree_k{k}"),
+        &arc(&ft.net, &info, "s8", &jobs, true),
+    );
 }
 
 #[test]
@@ -173,7 +198,7 @@ fn regional_1x_final() {
     let r = regional(RegionalParams::default());
     let info = bench::regional_info(&r);
     let jobs = regional_suite_jobs(&r.net, &info);
-    check("regional_1x", &arc(&r.net, &info, "final", &jobs));
+    check("regional_1x", &arc(&r.net, &info, "final", &jobs, false));
 }
 
 /// A trace marking `prefix` at each of `devices`, built in its own
