@@ -15,7 +15,7 @@
 use netbdd::{Bdd, Ref};
 use netmodel::{IfaceId, IfaceKind, Location, RuleId};
 
-use crate::forward::{Forwarder, Outcome};
+use crate::forward::{Forwarder, Outcome, StepMemo};
 
 /// How a path ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,37 +102,40 @@ pub struct PathStats {
 /// `starts` supplies `(location, packet set)` injection points; use
 /// [`edge_starts`] for the standard "all packets at every edge interface"
 /// universe. The `visitor` is invoked once per maximal path.
+///
+/// Every path prefix that arrives at a device in a state the walk has
+/// already stepped — same device, ingress scope and packet set, as ECMP
+/// legs that re-converge do — replays that step instead of splitting the
+/// packets across the table again. The paths, their order and their
+/// final sets are those of stepping every arrival afresh.
 pub fn explore(
     bdd: &mut Bdd,
     fwd: &Forwarder<'_>,
     starts: &[(Location, Ref)],
     opts: &ExploreOpts,
-    mut visitor: impl FnMut(&mut Bdd, &PathEvent<'_>),
+    visitor: impl FnMut(&mut Bdd, &PathEvent<'_>),
 ) -> PathStats {
     let _span = netobs::span!("dataplane_explore");
-    let mut stats = PathStats::default();
-    let mut rules: Vec<RuleId> = Vec::new();
+    let mut walk = Walk {
+        opts,
+        start: None,
+        rules: Vec::new(),
+        stats: PathStats::default(),
+        memo: StepMemo::new(fwd, Forwarder::step),
+        visitor,
+    };
     for &(start, packets) in starts {
         if packets.is_false() {
             continue;
         }
-        dfs(
-            bdd,
-            fwd,
-            start,
-            start,
-            packets,
-            opts,
-            &mut rules,
-            &mut stats,
-            &mut visitor,
-        );
-        rules.clear();
-        if stats.paths >= opts.max_paths {
+        walk.start = Some(start);
+        walk.dfs(bdd, start, packets);
+        if walk.stats.paths >= opts.max_paths {
             break;
         }
     }
-    stats
+    walk.memo.publish();
+    walk.stats
 }
 
 /// The standard injection points for the full path universe: the complete
@@ -147,116 +150,68 @@ pub fn edge_starts(bdd: &mut Bdd, fwd: &Forwarder<'_>) -> Vec<(Location, Ref)> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    bdd: &mut Bdd,
-    fwd: &Forwarder<'_>,
-    start: Location,
-    loc: Location,
-    packets: Ref,
-    opts: &ExploreOpts,
-    rules: &mut Vec<RuleId>,
-    stats: &mut PathStats,
-    visitor: &mut impl FnMut(&mut Bdd, &PathEvent<'_>),
-) {
-    if stats.paths >= opts.max_paths {
-        return;
-    }
-    if rules.len() >= opts.max_hops {
-        emit(
-            bdd,
-            start,
-            rules,
-            Terminal::Truncated,
-            packets,
-            stats,
-            visitor,
-        );
-        return;
-    }
-    let step = fwd.step(bdd, loc.device, loc.iface, packets);
-    if !step.unmatched.is_false() && (!rules.is_empty() || opts.emit_empty_paths) {
-        emit(
-            bdd,
-            start,
-            rules,
-            Terminal::Unmatched,
-            step.unmatched,
-            stats,
-            visitor,
-        );
-    }
-    for t in step.transitions {
-        rules.push(t.rule);
-        for o in t.outcomes {
-            match o {
-                Outcome::Hop { next, packets } => {
-                    dfs(bdd, fwd, start, next, packets, opts, rules, stats, visitor);
-                }
-                Outcome::Delivered { iface, packets } => {
-                    emit(
-                        bdd,
-                        start,
-                        rules,
-                        Terminal::Delivered { iface },
-                        packets,
-                        stats,
-                        visitor,
-                    );
-                }
-                Outcome::Exited { iface, packets } => {
-                    emit(
-                        bdd,
-                        start,
-                        rules,
-                        Terminal::Exited { iface },
-                        packets,
-                        stats,
-                        visitor,
-                    );
-                }
-                Outcome::Dropped { packets } => {
-                    emit(
-                        bdd,
-                        start,
-                        rules,
-                        Terminal::Dropped,
-                        packets,
-                        stats,
-                        visitor,
-                    );
-                }
-            }
-        }
-        rules.pop();
-    }
+/// One [`explore`] call: the start being walked, the rule stack of the
+/// current path prefix, the running totals, the step memo shared by
+/// every start, and the visitor.
+struct Walk<'w, 'f, 'n, V> {
+    opts: &'w ExploreOpts,
+    start: Option<Location>,
+    rules: Vec<RuleId>,
+    stats: PathStats,
+    memo: StepMemo<'f, 'n>,
+    visitor: V,
 }
 
-fn emit(
-    bdd: &mut Bdd,
-    start: Location,
-    rules: &[RuleId],
-    terminal: Terminal,
-    final_set: Ref,
-    stats: &mut PathStats,
-    visitor: &mut impl FnMut(&mut Bdd, &PathEvent<'_>),
-) {
-    stats.paths += 1;
-    stats.max_len = stats.max_len.max(rules.len());
-    match terminal {
-        Terminal::Delivered { .. } => stats.delivered += 1,
-        Terminal::Exited { .. } => stats.exited += 1,
-        Terminal::Dropped => stats.dropped += 1,
-        Terminal::Unmatched => stats.unmatched += 1,
-        Terminal::Truncated => stats.truncated += 1,
+impl<V: FnMut(&mut Bdd, &PathEvent<'_>)> Walk<'_, '_, '_, V> {
+    fn dfs(&mut self, bdd: &mut Bdd, loc: Location, packets: Ref) {
+        if self.stats.paths >= self.opts.max_paths {
+            return;
+        }
+        if self.rules.len() >= self.opts.max_hops {
+            self.emit(bdd, Terminal::Truncated, packets);
+            return;
+        }
+        let step = self.memo.step(bdd, loc, packets);
+        if !step.unmatched.is_false() && (!self.rules.is_empty() || self.opts.emit_empty_paths) {
+            self.emit(bdd, Terminal::Unmatched, step.unmatched);
+        }
+        for t in &step.transitions {
+            self.rules.push(t.rule);
+            for o in &t.outcomes {
+                match *o {
+                    Outcome::Hop { next, packets } => self.dfs(bdd, next, packets),
+                    Outcome::Delivered { iface, packets } => {
+                        self.emit(bdd, Terminal::Delivered { iface }, packets)
+                    }
+                    Outcome::Exited { iface, packets } => {
+                        self.emit(bdd, Terminal::Exited { iface }, packets)
+                    }
+                    Outcome::Dropped { packets } => self.emit(bdd, Terminal::Dropped, packets),
+                }
+            }
+            self.rules.pop();
+        }
     }
-    let event = PathEvent {
-        start,
-        rules,
-        terminal,
-        final_set,
-    };
-    visitor(bdd, &event);
+
+    fn emit(&mut self, bdd: &mut Bdd, terminal: Terminal, final_set: Ref) {
+        let stats = &mut self.stats;
+        stats.paths += 1;
+        stats.max_len = stats.max_len.max(self.rules.len());
+        match terminal {
+            Terminal::Delivered { .. } => stats.delivered += 1,
+            Terminal::Exited { .. } => stats.exited += 1,
+            Terminal::Dropped => stats.dropped += 1,
+            Terminal::Unmatched => stats.unmatched += 1,
+            Terminal::Truncated => stats.truncated += 1,
+        }
+        let event = PathEvent {
+            start: self.start.expect("set before the walk of each start"),
+            rules: &self.rules,
+            terminal,
+            final_set,
+        };
+        (self.visitor)(bdd, &event);
+    }
 }
 
 #[cfg(test)]

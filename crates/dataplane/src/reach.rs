@@ -13,9 +13,9 @@
 use std::collections::HashMap;
 
 use netbdd::{Bdd, Ref};
-use netmodel::{DeviceId, IfaceId, LocatedPacketSet, Location, MatchSets, Network, RuleId};
+use netmodel::{IfaceId, LocatedPacketSet, Location, MatchSets, Network, RuleId};
 
-use crate::forward::{Forwarder, Outcome, StepResult};
+use crate::forward::{Forwarder, Outcome, StepMemo};
 
 /// Result of a symbolic reachability query.
 #[derive(Clone, Debug, Default)]
@@ -99,7 +99,7 @@ pub fn reach(
     // only the delta, which guarantees termination even with loops (sets
     // grow monotonically and the lattice is finite).
     let mut seen: HashMap<Location, Ref> = HashMap::new();
-    let mut steps: HashMap<(DeviceId, Option<IfaceId>, Ref), StepResult> = HashMap::new();
+    let mut steps = StepMemo::new(fwd, Forwarder::step_classes);
     let mut frontier: Vec<(Location, Ref)> = vec![(start, packets)];
 
     for _round in 0..max_rounds {
@@ -117,10 +117,7 @@ pub fn reach(
             *already = bdd.or(*already, fresh);
             result.per_hop.add(bdd, loc, fresh);
 
-            let scope = fwd.ingress_scope(loc.device, loc.iface);
-            let step = steps
-                .entry((loc.device, scope, fresh))
-                .or_insert_with(|| fwd.step_classes(bdd, loc.device, loc.iface, fresh));
+            let step = steps.step(bdd, loc, fresh);
             if !step.unmatched.is_false() {
                 result.unmatched.push((loc, step.unmatched));
             }
@@ -149,6 +146,7 @@ pub fn reach(
         }
         frontier.extend(next);
     }
+    steps.publish();
     result
 }
 
