@@ -245,10 +245,18 @@ fn analyse(command: &str, view: &View) -> Result<(), String> {
                     ..ExploreOpts::default()
                 };
                 let pc = yardstick::pathcov::path_coverage(&mut bdd, &analyzer, &starts, &opts);
+                let s = pc.stats;
                 println!(
-                    "paths: {} ({} delivered, {} exited, {} dropped)",
-                    pc.total_paths, pc.stats.delivered, pc.stats.exited, pc.stats.dropped
+                    "paths: {} ({} delivered, {} exited, {} dropped, {} unmatched, {} truncated)",
+                    s.paths, s.delivered, s.exited, s.dropped, s.unmatched, s.truncated
                 );
+                if s.paths >= view.path_budget {
+                    println!(
+                        "path budget {} reached: the walk stopped early, so the universe \
+                         has at least {} paths and every figure here covers only those",
+                        view.path_budget, s.paths
+                    );
+                }
                 println!(
                     "path coverage: fractional {:.1}%  mean {:.3}  weighted {:.3}",
                     pc.fractional() * 100.0,
