@@ -23,14 +23,14 @@
 //! ## Two queries, no footprint in the summary
 //!
 //! The summary ([`ConfigCoverage`]) needs two bits per construct, not its
-//! footprint. One pass over the rules ([`entry_marks`]) tags each
+//! footprint. One pass over the rules (`entry_marks`) tags each
 //! installed key *testable* and/or *exercised*.
 //! [`routing::RoutingEngine::mark_constructs`] then ORs those tags
 //! backwards over the shortest-path DAG of each prefix group, the way
 //! NetCov computes coverage backwards from the tested facts. No per-key
 //! construct set is built. One construct's footprint and its
 //! probabilities ([`ConstructCoverage`]) come from a forward walk
-//! ([`routing::RoutingEngine::attributed_keys`]) and [`footprint`]. The
+//! ([`routing::RoutingEngine::attributed_keys`]) and `footprint`. The
 //! attribution database `RoutingEngine::config_db` builds every per-key
 //! set at once, and it is the oracle both queries are tested against.
 //!

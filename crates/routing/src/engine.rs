@@ -5,7 +5,7 @@
 //! turns a control-plane description into FIBs. It runs in three stages:
 //!
 //! 1. **converge** — index links and adjacencies, group originations by
-//!    prefix (multi-origin = anycast), and [`RoutingEngine::relax`] each
+//!    prefix (multi-origin = anycast), and `RoutingEngine::relax` each
 //!    group from its originators over the devices whose scope accepts
 //!    the route;
 //! 2. **fold** — for every `(device, prefix)` key, in key order, merge
@@ -1154,7 +1154,7 @@ impl RoutingEngine {
     /// marks of every installed key whose provenance contains it, in
     /// construct order.
     ///
-    /// This is [`Self::group_provenance`]'s recurrence run backwards, and
+    /// This is `Self::group_provenance`'s recurrence run backwards, and
     /// it builds no per-key set. Each marked key that is installed sends
     /// its marks to one of two places. A key with an applicable static
     /// sends them to its `Static` construct. Any other key sends them to
