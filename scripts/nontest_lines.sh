@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Non-test source lines: for every .rs file under crates/*/src and src/,
-# the lines above its first `#[cfg(test)]` (the whole file when it has
-# none). Prints one row per crate and a total; with --files, one row per
-# file instead of per crate; with --against REV, each crate's count at
-# REV, in the working tree, and the difference.
+# the lines above its first `#[cfg(test)]` or `#![cfg(test)]` (the whole
+# file when it has neither; a test-only module file that opens with
+# `#![cfg(test)]` counts as test code). Prints one row per crate and a
+# total; with --files, one row per file instead of per crate; with
+# --against REV, each crate's count at REV, in the working tree, and the
+# difference.
 #
 #   bash scripts/nontest_lines.sh                 # per crate + total
 #   bash scripts/nontest_lines.sh --files         # per file + total
@@ -13,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 per_file() {
     for f in $(find crates/*/src src -name '*.rs' | sort); do
-        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, f }' "$f"
+        awk -v f="$f" '/^[[:space:]]*#!?\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, f }' "$f"
     done
 }
 
