@@ -32,10 +32,8 @@
 
 #![deny(missing_docs)]
 
-pub mod bgp;
 pub mod engine;
 pub mod rib;
 
-pub use bgp::{simulate, try_simulate, BgpConfig, BgpRibs, BgpRoute};
 pub use engine::{FibChange, FibDiff, RoutingEngine, TopologyDelta};
 pub use rib::{Origination, RibBuilder, RibError, Scope, StaticRoute, StaticTarget};

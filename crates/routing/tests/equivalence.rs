@@ -7,7 +7,10 @@
 use netmodel::rule::RouteClass;
 use netmodel::topology::{DeviceId, IfaceId, IfaceKind, Role, Topology};
 use netmodel::Prefix;
-use routing::{simulate, BgpConfig, Origination, RibBuilder, Scope};
+use routing::{Origination, RibBuilder, Scope};
+
+mod bgp;
+use bgp::{simulate, BgpConfig};
 
 /// A miniature regional fabric: 2 DCs × (2 ToR + 2 agg) + 2 spines each,
 /// 2 hubs, 1 WAN router; host prefixes everywhere, scoped WAN prefixes.
@@ -249,4 +252,208 @@ fn cross_dc_routes_depend_on_allow_as_in() {
     // (shared by every spine) at the remote spine, so plain loop
     // prevention rejects it.
     assert!(no_allow.route(tor0, &dc1_prefix).is_none());
+}
+
+/// The simulator's own unit tests. `scenarios.rs` shares the simulator
+/// but not these, so each runs once.
+mod simulator {
+    use netmodel::rule::RouteClass;
+    use netmodel::topology::{DeviceId, IfaceId, IfaceKind, Role, Topology};
+    use netmodel::Prefix;
+    use routing::{Origination, RibError, Scope};
+
+    use super::bgp::*;
+
+    /// A 2-tier fabric: 2 ToRs × 2 spines, one prefix per ToR.
+    fn fabric() -> (Topology, Vec<DeviceId>, Vec<DeviceId>, Vec<Origination>) {
+        let mut t = Topology::new();
+        let tors = vec![
+            t.add_device("tor1", Role::Tor),
+            t.add_device("tor2", Role::Tor),
+        ];
+        let spines = vec![
+            t.add_device("spine1", Role::Spine),
+            t.add_device("spine2", Role::Spine),
+        ];
+        let hosts: Vec<IfaceId> = tors
+            .iter()
+            .map(|&d| t.add_iface(d, "hosts", IfaceKind::Host))
+            .collect();
+        for &tor in &tors {
+            for &s in &spines {
+                t.add_link(tor, s);
+            }
+        }
+        let origs = vec![
+            Origination::new(
+                tors[0],
+                "10.0.1.0/24".parse().unwrap(),
+                RouteClass::HostSubnet,
+                Some(hosts[0]),
+                Scope::All,
+            ),
+            Origination::new(
+                tors[1],
+                "10.0.2.0/24".parse().unwrap(),
+                RouteClass::HostSubnet,
+                Some(hosts[1]),
+                Scope::All,
+            ),
+        ];
+        (t, tors, spines, origs)
+    }
+
+    #[test]
+    fn converges_in_diameter_rounds_with_shortest_paths() {
+        let (t, tors, spines, origs) = fabric();
+        let asns = vec![65001, 65002, 64700, 64700];
+        let tiers = vec![0, 0, 2, 2];
+        let ribs = simulate(&t, &asns, &tiers, &origs, &BgpConfig::default());
+        // tor1 reaches tor2's prefix over both spines with path len 2.
+        let p2: Prefix = "10.0.2.0/24".parse().unwrap();
+        let r = ribs.route(tors[0], &p2).expect("route must exist");
+        assert_eq!(r.path_len(), 2);
+        assert_eq!(r.next_hops.len(), 2);
+        assert_eq!(r.as_path, vec![64700, 65002]);
+        // Spines have 1-hop routes.
+        let rs = ribs.route(spines[0], &p2).unwrap();
+        assert_eq!(rs.path_len(), 1);
+        // Convergence well under the bound.
+        assert!(ribs.rounds <= 4, "rounds = {}", ribs.rounds);
+    }
+
+    #[test]
+    fn without_allow_as_in_tier_reentry_is_rejected() {
+        // tor1 - spineA - hub - spineB - tor2, spines share an ASN: the
+        // cross-side route re-enters the spine ASN and dies without
+        // allow-as-in.
+        let mut t = Topology::new();
+        let tor1 = t.add_device("tor1", Role::Tor);
+        let sa = t.add_device("spineA", Role::Spine);
+        let hub = t.add_device("hub", Role::RegionalHub);
+        let sb = t.add_device("spineB", Role::Spine);
+        let tor2 = t.add_device("tor2", Role::Tor);
+        let h2 = t.add_iface(tor2, "hosts", IfaceKind::Host);
+        t.add_link(tor1, sa);
+        t.add_link(sa, hub);
+        t.add_link(hub, sb);
+        t.add_link(sb, tor2);
+        let p: Prefix = "10.0.2.0/24".parse().unwrap();
+        let origs = vec![Origination::new(
+            tor2,
+            p,
+            RouteClass::HostSubnet,
+            Some(h2),
+            Scope::All,
+        )];
+        let asns = vec![65001, 64700, 64600, 64700, 65002];
+        let tiers = vec![0, 2, 3, 2, 0];
+
+        let with = simulate(&t, &asns, &tiers, &origs, &BgpConfig::default());
+        assert!(
+            with.route(tor1, &p).is_some(),
+            "allow-as-in must admit the route"
+        );
+        assert_eq!(with.route(tor1, &p).unwrap().path_len(), 4);
+
+        let without = simulate(
+            &t,
+            &asns,
+            &tiers,
+            &origs,
+            &BgpConfig {
+                allow_as_in: false,
+                ..BgpConfig::default()
+            },
+        );
+        // spineA's import sees path [hub, spineB(64700), tor2] — fine for
+        // spineA? It contains 64700 == spineA's ASN → rejected. So tor1
+        // never hears about the prefix.
+        assert!(without.route(tor1, &p).is_none());
+        assert!(without.route(sa, &p).is_none());
+    }
+
+    #[test]
+    fn scoped_prefixes_respect_tiers() {
+        let (t, tors, spines, mut origs) = fabric();
+        // A WAN-ish prefix originated at spine1, scoped to tier >= 2.
+        origs.push(Origination::new(
+            spines[0],
+            "52.0.0.0/16".parse().unwrap(),
+            RouteClass::Wan,
+            None,
+            Scope::MinTier(2),
+        ));
+        let asns = vec![65001, 65002, 64700, 64700];
+        let tiers = vec![0, 0, 2, 2];
+        let ribs = simulate(&t, &asns, &tiers, &origs, &BgpConfig::default());
+        let w: Prefix = "52.0.0.0/16".parse().unwrap();
+        for &tor in &tors {
+            assert!(
+                ribs.route(tor, &w).is_none(),
+                "ToRs must not accept scoped WAN routes"
+            );
+        }
+        // spine2 can't learn it either: the only path is via a ToR, which
+        // doesn't accept (and therefore doesn't re-advertise) it.
+        assert!(ribs.route(spines[1], &w).is_none());
+    }
+
+    #[test]
+    fn malformed_attribute_slices_are_errors_not_panics() {
+        // Previously panicking input: `simulate` asserted on the slice
+        // lengths, so a caller passing per-device attributes for the
+        // wrong topology died with a bare assert_eq. `try_simulate`
+        // reports which slice is short and what length it needs.
+        let (t, _tors, _spines, origs) = fabric();
+        let err =
+            try_simulate(&t, &[65001], &[0, 0, 2, 2], &origs, &BgpConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            RibError::LengthMismatch {
+                what: "asns",
+                got: 1,
+                expected: 4
+            }
+        );
+        let err = try_simulate(
+            &t,
+            &[65001, 65002, 64700, 64700],
+            &[],
+            &origs,
+            &BgpConfig::default(),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("tiers"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_origination_is_an_error() {
+        let (t, _tors, _spines, mut origs) = fabric();
+        origs[0].device = DeviceId(40);
+        let err = try_simulate(
+            &t,
+            &[65001, 65002, 64700, 64700],
+            &[0, 0, 2, 2],
+            &origs,
+            &BgpConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, RibError::UnknownDevice { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn blocked_devices_neither_install_nor_propagate() {
+        let (t, tors, spines, mut origs) = fabric();
+        // tor2's prefix blocked at spine1.
+        origs[1].blocked.push(spines[0]);
+        let asns = vec![65001, 65002, 64700, 64700];
+        let tiers = vec![0, 0, 2, 2];
+        let ribs = simulate(&t, &asns, &tiers, &origs, &BgpConfig::default());
+        let p2: Prefix = "10.0.2.0/24".parse().unwrap();
+        assert!(ribs.route(spines[0], &p2).is_none());
+        // tor1 still gets the route, but only via spine2.
+        let r = ribs.route(tors[0], &p2).unwrap();
+        assert_eq!(r.next_hops.len(), 1);
+    }
 }

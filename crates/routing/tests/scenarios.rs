@@ -11,9 +11,12 @@ use netmodel::topology::{DeviceId, IfaceId, IfaceKind, Role, Topology};
 use netmodel::{Network, Prefix};
 use proptest::prelude::*;
 use routing::{
-    try_simulate, BgpConfig, FibChange, FibDiff, Origination, RibBuilder, RibError, RoutingEngine,
-    Scope, StaticRoute, StaticTarget, TopologyDelta,
+    FibChange, FibDiff, Origination, RibBuilder, RibError, RoutingEngine, Scope, StaticRoute,
+    StaticTarget, TopologyDelta,
 };
+
+mod bgp;
+use bgp::{try_simulate, BgpConfig};
 
 /// A two-tier mini-Clos: 2 ToRs, 2 aggs, 2 spines, full bipartite
 /// wiring per tier boundary. Exercises anycast (two spine defaults),
