@@ -127,13 +127,13 @@ fn check_rebuild(engine: &RoutingEngine, net: &Network, what: &str) -> Duration 
             d.0
         );
     }
-    let (_, scratch_db) = engine
+    let (scratch, _) = engine
         .degraded_builder()
-        .try_build_with_provenance()
+        .into_engine()
         .expect("scratch provenance build");
     assert_eq!(
         engine.config_db(),
-        scratch_db,
+        scratch.config_db(),
         "config provenance diverged from a scratch build ({what})"
     );
     dt

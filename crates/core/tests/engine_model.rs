@@ -515,10 +515,12 @@ impl Model {
         // and the config summary is the oracle fold through its provenance.
         let routing = self.engine.routing().unwrap();
         let rebuilt = routing.full_rebuild().unwrap();
-        let (_, db) = routing
+        let db = routing
             .degraded_builder()
-            .try_build_with_provenance()
-            .unwrap();
+            .into_engine()
+            .unwrap()
+            .0
+            .config_db();
         let want = config_oracle::compute(&net, &ms, &covered, &mut bdd, &db);
         let want = want.summary_body(self.engine.version());
         let got = self.expect("GET", "/config-coverage", "", 200).body;
