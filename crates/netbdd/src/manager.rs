@@ -161,6 +161,40 @@ impl Bdd {
         self.mk_raw(var, lo, hi)
     }
 
+    /// The function `if var then hi else lo`, built directly: the reduced,
+    /// complement-normalised constructor, with no ITE call and no
+    /// operation counted. Structural walks that already know the Shannon
+    /// expansion of their result (a prefix-trie descent) build it
+    /// bottom-up with this instead of an `and`/`or` chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both children's root variables come after `var`
+    /// (a terminal qualifies): an out-of-order node would break the
+    /// canonical form every `Ref` comparison relies on.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use netbdd::Bdd;
+    ///
+    /// let mut bdd = Bdd::new();
+    /// let (t, f) = (bdd.full(), bdd.empty());
+    /// let x1 = bdd.branch(1, f, t);
+    /// let built = bdd.branch(0, f, x1); // x0 ∧ x1
+    /// let (x0, x1) = (bdd.var(0), bdd.var(1));
+    /// assert_eq!(built, bdd.and(x0, x1));
+    /// ```
+    pub fn branch(&mut self, var: Var, lo: Ref, hi: Ref) -> Ref {
+        assert!(
+            var < self.top_var(lo) && var < self.top_var(hi),
+            "branch on variable {var} above a child rooted at {} / {}",
+            self.top_var(lo),
+            self.top_var(hi)
+        );
+        self.mk(var, lo, hi)
+    }
+
     fn mk_raw(&mut self, var: Var, lo: Ref, hi: Ref) -> Ref {
         debug_assert!(var < TERMINAL_VAR);
         debug_assert!(!lo.is_complemented(), "lo edges must be regular");
@@ -343,10 +377,13 @@ impl Bdd {
         self.node(r).var
     }
 
-    /// Shannon cofactors of `r` with respect to variable `v` (which must be
-    /// no deeper than `r`'s root variable).
+    /// Shannon cofactors `(r|v=0, r|v=1)` of `r` with respect to variable
+    /// `v`, which must be no deeper than `r`'s root variable: either the
+    /// root's two children (complement tag pushed down) or `r` twice.
+    /// Reads two edges; makes no node and counts no operation.
     #[inline]
-    fn cofactors(&self, r: Ref, v: Var) -> (Ref, Ref) {
+    pub fn cofactors(&self, r: Ref, v: Var) -> (Ref, Ref) {
+        debug_assert!(v <= self.top_var(r), "cofactor below the root variable");
         if self.node(r).var == v {
             self.expand(r)
         } else {

@@ -431,3 +431,60 @@ fn prob_cache_is_capacity_bounded() {
     assert_eq!(s.prob_evictions, before + 1);
     assert!(s.prob_cache_entries < PROB_CACHE_CAPACITY);
 }
+
+/// A handful of functions over variables `from..from + 4`, both
+/// polarities, terminals included.
+fn sample_functions(bdd: &mut Bdd, from: Var) -> Vec<Ref> {
+    let v: Vec<Ref> = (from..from + 4).map(|i| bdd.var(i)).collect();
+    let ab = bdd.and(v[0], v[1]);
+    let cd = bdd.xor(v[2], v[3]);
+    let f = bdd.or(ab, cd);
+    let g = bdd.ite(v[1], v[3], v[2]);
+    let mut out = vec![Ref::TRUE, Ref::FALSE, v[0], v[3], ab, cd, f, g];
+    let negated: Vec<Ref> = out.iter().map(|&r| bdd.not(r)).collect();
+    out.extend(negated);
+    out
+}
+
+#[test]
+fn branch_equals_ite_on_the_variable() {
+    let mut bdd = Bdd::new();
+    let children = sample_functions(&mut bdd, 3);
+    for &lo in &children {
+        for &hi in &children {
+            for var in [0, 2] {
+                let x = bdd.var(var);
+                let want = bdd.ite(x, hi, lo);
+                let ops = bdd.op_counts().total();
+                assert_eq!(
+                    bdd.branch(var, lo, hi),
+                    want,
+                    "branch({var}, {lo:?}, {hi:?})"
+                );
+                assert_eq!(bdd.op_counts().total(), ops, "branch counts no operation");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "branch on variable")]
+fn out_of_order_branch_panics() {
+    let mut bdd = Bdd::new();
+    let deep = bdd.var(2);
+    let _ = bdd.branch(2, Ref::FALSE, deep);
+}
+
+#[test]
+fn cofactors_agree_with_restrict() {
+    let mut bdd = Bdd::new();
+    for f in sample_functions(&mut bdd, 1) {
+        // At the root variable, above it, and (for terminals) anywhere.
+        let root = bdd.root_var(f).unwrap_or(1);
+        for v in [0, root] {
+            let (lo, hi) = bdd.cofactors(f, v);
+            assert_eq!(lo, bdd.restrict(f, v, false), "{f:?} at {v}, value 0");
+            assert_eq!(hi, bdd.restrict(f, v, true), "{f:?} at {v}, value 1");
+        }
+    }
+}
