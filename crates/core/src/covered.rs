@@ -15,7 +15,7 @@
 
 use netbdd::{Bdd, Ref};
 use netmodel::topology::DeviceId;
-use netmodel::{MatchSets, Network, RuleId};
+use netmodel::{MatchSets, Network, PrefixTries, RuleId};
 
 use crate::trace::CoverageTrace;
 
@@ -27,7 +27,11 @@ pub struct CoveredSets {
 }
 
 impl CoveredSets {
-    /// Run Algorithm 1 over every rule in the network.
+    /// Run Algorithm 1 over every rule in the network. A device whose
+    /// rules all match on the destination alone walks its packets down a
+    /// prefix trie ([`PrefixTries`]); every other device runs the
+    /// per-rule chain of [`CoveredSets::recompute_device`]. The two give
+    /// the same `Ref`s.
     pub fn compute(
         net: &Network,
         ms: &MatchSets,
@@ -35,9 +39,11 @@ impl CoveredSets {
         bdd: &mut Bdd,
     ) -> CoveredSets {
         let _span = netobs::span!("covered_sets");
+        let mut tries = PrefixTries::new();
         let mut covered = Vec::with_capacity(net.topology().device_count());
         for (device, _) in net.topology().devices() {
-            covered.push(device_covered(net, ms, trace, bdd, device));
+            let shard = device_covered(net, ms, trace, bdd, device, Some(&mut tries));
+            covered.push(shard);
         }
         CoveredSets { covered }
     }
@@ -56,7 +62,7 @@ impl CoveredSets {
         bdd: &mut Bdd,
         device: DeviceId,
     ) {
-        self.covered[device.0 as usize] = device_covered(net, ms, trace, bdd, device);
+        self.covered[device.0 as usize] = device_covered(net, ms, trace, bdd, device, None);
     }
 
     /// The covered set `T[r]` of one rule.
@@ -94,16 +100,30 @@ impl CoveredSets {
 }
 
 /// Algorithm 1 for one device: the shared body of
-/// [`CoveredSets::compute`] and [`CoveredSets::recompute_device`].
+/// [`CoveredSets::compute`], which passes its `tries`, and
+/// [`CoveredSets::recompute_device`], which runs the chain alone. A
+/// destination-only device walks its packets down its prefix trie and
+/// takes `M[r]` for every rule a state-inspection test examined; any
+/// other device intersects per rule.
 fn device_covered(
     net: &Network,
     ms: &MatchSets,
     trace: &CoverageTrace,
     bdd: &mut Bdd,
     device: DeviceId,
+    tries: Option<&mut PrefixTries>,
 ) -> Vec<Ref> {
     // The packets the trace recorded anywhere at this device.
     let at_device = trace.packets.at_device(bdd, device);
+    if let Some(tries) = tries {
+        // A trace may name rules a later withdraw removed: only the table's.
+        let index = net.device_rules(device).len() as u32;
+        let (first, end) = (RuleId { device, index: 0 }, RuleId { device, index });
+        let marked: Vec<u32> = trace.rules.range(first..end).map(|id| id.index).collect();
+        if let Some(covered) = tries.covered(net, ms, bdd, device, at_device, &marked) {
+            return covered;
+        }
+    }
     net.device_rule_ids(device)
         .map(|id| rule_covered(net, ms, trace, bdd, id, Some(at_device)))
         .collect()

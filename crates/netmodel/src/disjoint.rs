@@ -6,7 +6,10 @@
 //! tables are ordered with first-match-wins semantics; this module
 //! preprocesses them: walking each device's ordered rules, the effective
 //! match set of rule `i` is its raw match minus everything matched
-//! earlier.
+//! earlier. [`MatchSets::compute`] builds the same sets for a
+//! destination-only table by a prefix trie ([`crate::trie`]); this chain
+//! serves every other table, the resident per-device path, and is the
+//! trie's oracle.
 //!
 //! The result is **semantics-based** (§3.2): it depends only on rule
 //! meaning, never on how a device implements lookup. A test exercising the
@@ -21,6 +24,7 @@ use netbdd::{Bdd, Ref};
 use crate::network::{Network, RuleId};
 use crate::rule::{Action, MatchFields};
 use crate::topology::{DeviceId, IfaceId};
+use crate::trie::PrefixTries;
 
 /// Memo for compiled `fromRule` match sets, keyed by the *header* part of
 /// the match fields (`in_iface` is positional, not header bits, and is
@@ -165,35 +169,75 @@ pub struct MatchSets {
 impl MatchSets {
     /// Compute disjoint match sets for every device in `net`.
     ///
+    /// A device whose rules all match on the destination alone gets its
+    /// sets from a prefix trie ([`PrefixTries`]); every other device runs the
+    /// first-match chain of [`MatchSets::compute_cached`]. The two
+    /// constructions give the same `Ref`s. With `netobs` on, the split
+    /// is published as `match_sets.trie_devices` and
+    /// `match_sets.chain_devices`.
+    ///
     /// Rules constrained to an ingress interface (`in_iface`) shadow, and
     /// are shadowed by, only rules with the *same* ingress constraint;
     /// tables mixing iface-specific and unconstrained rules are rejected
     /// because their first-match semantics cannot be expressed in header
     /// space alone.
     pub fn compute(net: &Network, bdd: &mut Bdd) -> MatchSets {
-        Self::compute_cached(net, bdd, &mut MatchSetCache::new())
+        let mut tries = PrefixTries::new();
+        let mut cache = MatchSetCache::new();
+        let mut trie_devices = 0usize;
+        let ms = Self::per_device(net, bdd, |bdd, device| {
+            match tries.match_sets(net, bdd, device) {
+                Some(sets) => {
+                    trie_devices += 1;
+                    sets
+                }
+                None => device_match_sets(net, bdd, &mut cache, device),
+            }
+        });
+        if netobs::enabled() {
+            let chain_devices = net.topology().device_count() - trie_devices;
+            netobs::gauge("match_sets.trie_devices", trie_devices as f64);
+            netobs::gauge("match_sets.chain_devices", chain_devices as f64);
+        }
+        ms
     }
 
-    /// [`MatchSets::compute`] with a caller-held [`MatchSetCache`], so
-    /// repeated analyses over the same FIB (or FIBs sharing route shapes)
-    /// don't rebuild identical prefix BDDs. The cache must always be
-    /// paired with the same `bdd` manager.
+    /// Every device's match sets by the first-match chain, through a
+    /// caller-held [`MatchSetCache`], so repeated analyses over the same
+    /// FIB (or FIBs sharing route shapes) don't rebuild identical prefix
+    /// BDDs. The cache must always be paired with the same `bdd`
+    /// manager. This is the path a long-lived engine boots with, the one
+    /// [`MatchSets::recompute_device`] refreshes a device by, and the
+    /// oracle for [`MatchSets::compute`]'s tries.
     pub fn compute_cached(net: &Network, bdd: &mut Bdd, cache: &mut MatchSetCache) -> MatchSets {
-        let _span = netobs::span!("match_sets");
-        let ndev = net.topology().device_count();
-        let mut sets = Vec::with_capacity(ndev);
-        let mut device_total = Vec::with_capacity(ndev);
-        for (device, _) in net.topology().devices() {
-            let (dev_sets, total) = device_match_sets(net, bdd, cache, device);
-            sets.push(dev_sets);
-            device_total.push(total);
-        }
+        let ms = Self::per_device(net, bdd, |bdd, device| {
+            device_match_sets(net, bdd, cache, device)
+        });
         if netobs::enabled() {
             let (hits, misses) = cache.counters();
             netobs::gauge("match_cache.entries", cache.len() as f64);
             netobs::gauge("match_cache.hits", hits as f64);
             netobs::gauge("match_cache.misses", misses as f64);
             netobs::gauge("match_cache.evictions", cache.evictions() as f64);
+        }
+        ms
+    }
+
+    /// The match sets of every device in `net`, each device's sets and
+    /// total from `device_sets`.
+    fn per_device(
+        net: &Network,
+        bdd: &mut Bdd,
+        mut device_sets: impl FnMut(&mut Bdd, DeviceId) -> (Vec<Ref>, Ref),
+    ) -> MatchSets {
+        let _span = netobs::span!("match_sets");
+        let ndev = net.topology().device_count();
+        let mut sets = Vec::with_capacity(ndev);
+        let mut device_total = Vec::with_capacity(ndev);
+        for (device, _) in net.topology().devices() {
+            let (dev_sets, total) = device_sets(bdd, device);
+            sets.push(dev_sets);
+            device_total.push(total);
         }
         MatchSets {
             sets,

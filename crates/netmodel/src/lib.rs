@@ -18,6 +18,8 @@
 //! * [`network`] — the assembled `N = (V, I, E, S)` with global rule ids.
 //! * [`disjoint`] — preprocessing ordered tables into the disjoint match
 //!   sets the paper's framework assumes (§5.2, step 1).
+//! * [`trie`] — the same sets, and Algorithm 1's covered sets, for
+//!   destination-only tables by prefix-trie walks.
 //! * [`located`] — located packet sets: per-location BDDs.
 //! * [`provenance`] — config-construct identity and per-rule attribution
 //!   (the vocabulary of NetCov-style config-level coverage).
@@ -37,6 +39,7 @@ pub mod provenance;
 pub mod region;
 pub mod rule;
 pub mod topology;
+pub mod trie;
 
 pub use addr::{Family, Prefix};
 pub use disjoint::{ActionClass, MatchSetCache, MatchSets};
@@ -47,3 +50,4 @@ pub use provenance::{ConfigDb, Construct, Marks};
 pub use region::{describe_set, FieldConstraint, Region};
 pub use rule::{Action, MatchFields, Rewrite, RouteClass, Rule, Table, TableMode};
 pub use topology::{Device, DeviceId, Iface, IfaceId, IfaceKind, Role, Topology};
+pub use trie::PrefixTries;
