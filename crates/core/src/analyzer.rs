@@ -250,17 +250,38 @@ impl<'a> Analyzer<'a> {
             .filter(|(id, f)| filter(*id, f))
             .map(|(id, _)| id)
             .collect();
-        let mut items = Vec::with_capacity(ids.len());
-        for id in ids {
-            let c = self.out_iface_coverage(bdd, id).unwrap_or(0.0);
-            let w: f64 = self
-                .net
-                .rules_out_iface(id)
-                .into_iter()
-                .map(|r| bdd.probability(self.ms.get(r)))
-                .sum();
-            items.push((c, w));
+        // ΣP(M[r]) and ΣP(T[r]) over the rules forwarding out of each
+        // interface, added in table order as `out_iface_coverage` adds
+        // them, from one pass over each device's table.
+        let topo = self.net.topology();
+        let mut sums = vec![(0.0f64, 0.0f64); topo.iface_count()];
+        let mut devices: Vec<DeviceId> = ids.iter().map(|&i| topo.iface(i).device).collect();
+        devices.sort_unstable();
+        devices.dedup();
+        for device in devices {
+            for id in self.net.device_rule_ids(device) {
+                let outs = self.net.rule(id).action.out_ifaces();
+                if outs.is_empty() {
+                    continue;
+                }
+                let m = bdd.probability(self.ms.get(id));
+                let t = bdd.probability(self.covered.get(id));
+                for (k, &o) in outs.iter().enumerate() {
+                    if topo.iface(o).device == device && !outs[..k].contains(&o) {
+                        let s = &mut sums[o.0 as usize];
+                        s.0 += m;
+                        s.1 += t;
+                    }
+                }
+            }
         }
+        let items: Vec<(f64, f64)> = ids
+            .iter()
+            .map(|&i| {
+                let (m, t) = sums[i.0 as usize];
+                (if m == 0.0 { 0.0 } else { t / m }, m)
+            })
+            .collect();
         agg.fold(&items)
     }
 

@@ -11,12 +11,11 @@
 use netbdd::{Bdd, Ref};
 use netmodel::Location;
 
-use dataplane::paths::{explore, ExploreOpts};
+use dataplane::paths::{fold_paths, ExploreOpts};
 use dataplane::Forwarder;
 
 use crate::analyzer::Analyzer;
-use crate::framework::path_survival;
-use crate::pathcov::path_guard;
+use crate::pathcov::Survival;
 
 /// A flow: where its packets enter and which headers belong to it.
 #[derive(Clone, Copy, Debug)]
@@ -52,54 +51,25 @@ pub fn flow_coverage(
     if flow.headers.is_false() {
         return None;
     }
-    let net = analyzer.network();
-    let ms = analyzer.match_sets();
-    let covered = analyzer.covered_sets();
-    let fwd = Forwarder::new(net, ms);
-
-    let mut paths = 0u64;
-    let mut wsum = 0.0f64;
-    let mut wtotal = 0.0f64;
-    let mut unrouted = 0.0f64;
+    let fwd = Forwarder::new(analyzer.network(), analyzer.match_sets());
     let flow_weight = bdd.probability(flow.headers);
+    let opts = ExploreOpts {
+        emit_empty_paths: true,
+        ..opts.clone()
+    };
+    let mut value = Survival::new(analyzer, flow.headers);
+    let t = fold_paths(bdd, &fwd, &[(flow.start, flow.headers)], &opts, &mut value);
 
-    explore(
-        bdd,
-        &fwd,
-        &[(flow.start, flow.headers)],
-        &ExploreOpts {
-            emit_empty_paths: true,
-            ..opts.clone()
-        },
-        |bdd, ev| {
-            if ev.rules.is_empty() {
-                unrouted += bdd.probability(ev.final_set);
-                return;
-            }
-            let guard = path_guard(bdd, net, ms, ev.rules, ev.final_set);
-            // Restrict the guard to this flow's packets.
-            let guard = bdd.and(guard, flow.headers);
-            if guard.is_false() {
-                return;
-            }
-            let m = path_survival(bdd, net, ms, covered, guard, ev.rules);
-            let w = bdd.probability(guard);
-            paths += 1;
-            wsum += m * w;
-            wtotal += w;
-        },
-    );
-
-    if wtotal == 0.0 {
+    if t.wtotal == 0.0 {
         return None;
     }
     Some(FlowCoverage {
-        paths,
-        coverage: wsum / wtotal,
+        paths: t.valued,
+        coverage: t.wsum / t.wtotal,
         unrouted_weight: if flow_weight == 0.0 {
             0.0
         } else {
-            unrouted / flow_weight
+            t.unrouted / flow_weight
         },
     })
 }

@@ -3,16 +3,19 @@
 //! The denominator of aggregate path metrics is the number of paths
 //! *imputed by the forwarding state* (not the topology, which would admit
 //! unrealistic zig-zags). Paths are enumerated depth-first and processed
-//! on the fly; per path, Equation (3) runs against the covered sets.
+//! on the fly; per path, Equation (3) runs against the covered sets, and
+//! a subtree that recurs in the same state with the same covered
+//! intersection is valued once ([`fold_paths`]).
 
 use netbdd::{Bdd, Ref};
 use netmodel::rule::Action;
 use netmodel::{MatchSets, Network, RuleId};
 
-use dataplane::paths::{explore, ExploreOpts, PathStats};
+use dataplane::paths::{fold_paths, ExploreOpts, PathStats, PathValue};
 use dataplane::Forwarder;
 
 use crate::analyzer::Analyzer;
+use crate::covered::CoveredSets;
 use crate::framework::path_survival;
 
 /// Aggregate path-coverage results.
@@ -73,50 +76,82 @@ pub fn path_guard(
     g
 }
 
+/// Equation 3 as [`fold_paths`] needs it, restricted to the packets
+/// `within`.
+///
+/// A rewrite-free path's guard is its final set `f`, which lies inside
+/// every `M[rᵢ]` of the path, so Equation 3's ratios fall along the path
+/// and its minimum is the last one, `P(f ∧ ⋂ T[rᵢ]) / P(f)`. The carry
+/// is that intersection, built one edge at a time as `K ∧ T[r] ∧
+/// packets`. A path with a rewrite keeps [`path_guard`] and
+/// [`path_survival`] on its rule stack.
+pub(crate) struct Survival<'a> {
+    net: &'a Network,
+    ms: &'a MatchSets,
+    covered: &'a CoveredSets,
+    within: Ref,
+}
+
+impl<'a> Survival<'a> {
+    /// Equation 3 against `analyzer`'s covered sets, with guards cut to
+    /// `within`.
+    pub(crate) fn new(analyzer: &'a Analyzer<'_>, within: Ref) -> Survival<'a> {
+        Survival {
+            net: analyzer.network(),
+            ms: analyzer.match_sets(),
+            covered: analyzer.covered_sets(),
+            within,
+        }
+    }
+}
+
+impl PathValue for Survival<'_> {
+    fn edge(&mut self, bdd: &mut Bdd, carry: Ref, rule: RuleId, packets: Ref) -> Ref {
+        let kept = bdd.and(carry, self.covered.get(rule));
+        bdd.and(kept, packets)
+    }
+
+    fn leaf(&mut self, bdd: &mut Bdd, carry: Ref, final_set: Ref) -> Option<(f64, f64)> {
+        let w = bdd.probability(final_set);
+        (w != 0.0).then(|| ((bdd.probability(carry) / w).clamp(0.0, 1.0), w))
+    }
+
+    fn rewritten(&mut self, bdd: &mut Bdd, rules: &[RuleId], final_set: Ref) -> Option<(f64, f64)> {
+        let guard = path_guard(bdd, self.net, self.ms, rules, final_set);
+        let guard = bdd.and(guard, self.within);
+        if guard.is_false() {
+            return None;
+        }
+        let m = path_survival(bdd, self.net, self.ms, self.covered, guard, rules);
+        Some((m, bdd.probability(guard)))
+    }
+}
+
 /// Enumerate the path universe from `starts` and measure coverage of
-/// every path (Equation 3 per path).
+/// every path (Equation 3 per path, each recurring subtree folded once).
 pub fn path_coverage(
     bdd: &mut Bdd,
     analyzer: &Analyzer<'_>,
     starts: &[(netmodel::Location, Ref)],
     opts: &ExploreOpts,
 ) -> PathCoverage {
-    let net = analyzer.network();
-    let ms = analyzer.match_sets();
-    let covered = analyzer.covered_sets();
-    let fwd = Forwarder::new(net, ms);
-
-    let mut total = 0u64;
-    let mut hit = 0u64;
-    let mut sum = 0.0f64;
-    let mut wsum = 0.0f64;
-    let mut wtotal = 0.0f64;
-
-    let stats = explore(bdd, &fwd, starts, opts, |bdd, ev| {
-        if ev.rules.is_empty() {
-            return; // unmatched at injection: no rules to cover
-        }
-        let guard = path_guard(bdd, net, ms, ev.rules, ev.final_set);
-        if guard.is_false() {
-            return;
-        }
-        let m = path_survival(bdd, net, ms, covered, guard, ev.rules);
-        total += 1;
-        if m > 0.0 {
-            hit += 1;
-        }
-        sum += m;
-        let w = bdd.probability(guard);
-        wsum += m * w;
-        wtotal += w;
-    });
-
+    let fwd = Forwarder::new(analyzer.network(), analyzer.match_sets());
+    let mut value = Survival::new(analyzer, Ref::TRUE);
+    let t = fold_paths(bdd, &fwd, starts, opts, &mut value);
     PathCoverage {
-        total_paths: total,
-        covered_paths: hit,
-        mean: if total == 0 { 0.0 } else { sum / total as f64 },
-        weighted: if wtotal == 0.0 { 0.0 } else { wsum / wtotal },
-        stats,
+        total_paths: t.valued,
+        covered_paths: t.hit,
+        mean: if t.valued == 0 {
+            0.0
+        } else {
+            t.sum / t.valued as f64
+        },
+        weighted: if t.wtotal == 0.0 {
+            0.0
+        } else {
+            t.wsum / t.wtotal
+        },
+        stats: t.stats,
     }
 }
 

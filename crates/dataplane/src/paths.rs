@@ -11,11 +11,19 @@
 //! edge interface, exit from the modelled network, an explicit drop rule,
 //! or an unmatched lookup. Packets dropped at an intermediate rule `r_j`
 //! belong to the shorter `r_1..r_j` path, exactly as the paper specifies.
+//!
+//! [`explore`] hands each path to a visitor; [`fold_paths`] walks the
+//! same paths under the same budget and sums a per-path value over them,
+//! folding each subtree that recurs once.
 
 use netbdd::{Bdd, Ref};
 use netmodel::{IfaceId, IfaceKind, Location, RuleId};
 
 use crate::forward::{Forwarder, Outcome, StepMemo};
+
+mod fold;
+
+pub use fold::{fold_paths, PathTotals, PathValue};
 
 /// How a path ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,6 +103,32 @@ pub struct PathStats {
     pub truncated: u64,
     /// Longest emitted path, in rules.
     pub max_len: usize,
+}
+
+impl PathStats {
+    /// Count one path of `len` rules ending in `terminal`.
+    fn record(&mut self, terminal: Terminal, len: usize) {
+        self.paths += 1;
+        self.max_len = self.max_len.max(len);
+        match terminal {
+            Terminal::Delivered { .. } => self.delivered += 1,
+            Terminal::Exited { .. } => self.exited += 1,
+            Terminal::Dropped => self.dropped += 1,
+            Terminal::Unmatched => self.unmatched += 1,
+            Terminal::Truncated => self.truncated += 1,
+        }
+    }
+
+    /// Add the counts of `other`, paths disjoint from these.
+    fn merge(&mut self, other: &PathStats) {
+        self.paths += other.paths;
+        self.delivered += other.delivered;
+        self.exited += other.exited;
+        self.dropped += other.dropped;
+        self.unmatched += other.unmatched;
+        self.truncated += other.truncated;
+        self.max_len = self.max_len.max(other.max_len);
+    }
 }
 
 /// Enumerate the path universe from the given start locations.
@@ -194,16 +228,7 @@ impl<V: FnMut(&mut Bdd, &PathEvent<'_>)> Walk<'_, '_, '_, V> {
     }
 
     fn emit(&mut self, bdd: &mut Bdd, terminal: Terminal, final_set: Ref) {
-        let stats = &mut self.stats;
-        stats.paths += 1;
-        stats.max_len = stats.max_len.max(self.rules.len());
-        match terminal {
-            Terminal::Delivered { .. } => stats.delivered += 1,
-            Terminal::Exited { .. } => stats.exited += 1,
-            Terminal::Dropped => stats.dropped += 1,
-            Terminal::Unmatched => stats.unmatched += 1,
-            Terminal::Truncated => stats.truncated += 1,
-        }
+        self.stats.record(terminal, self.rules.len());
         let event = PathEvent {
             start: self.start.expect("set before the walk of each start"),
             rules: &self.rules,

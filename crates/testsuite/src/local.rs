@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use netbdd::Bdd;
+use netbdd::{Bdd, Ref};
 use netmodel::header;
 use netmodel::topology::{DeviceId, Topology};
 use netmodel::{IfaceId, Location, Prefix};
@@ -38,21 +38,21 @@ fn hop_distances(topo: &Topology, from: DeviceId) -> Vec<u32> {
 
 /// Check one device's local contract for one prefix: its FIB rule for
 /// `prefix` forwards to exactly the distance-reducing neighbor links.
-/// Marks the prefix's packet set at the device either way (the state was
-/// symbolically analysed even if the assertion fails).
+/// Marks `packets`, the prefix's packet set, at the device either way
+/// (the state was symbolically analysed even if the assertion fails).
 fn check_contract(
     bdd: &mut Bdd,
     ctx: &mut TestContext<'_>,
     report: &mut TestReport,
     device: DeviceId,
     prefix: Prefix,
+    packets: Ref,
     dist: &[u32],
 ) {
     let topo = ctx.net.topology();
     let name = &topo.device(device).name;
     let d = dist[device.0 as usize];
     debug_assert!(d > 0, "contracts are for non-originators");
-    let packets = header::dst_in(bdd, &prefix);
     ctx.tracker
         .mark_packet(bdd, Location::device(device), packets);
 
@@ -107,8 +107,13 @@ pub(crate) fn check_contract_prefix(
         })
         .map(|(v, _)| v)
         .collect();
+    if devices.is_empty() {
+        return;
+    }
+    // One hash-consed set for every device of the job.
+    let packets = header::dst_in(bdd, &prefix);
     for v in devices {
-        check_contract(bdd, ctx, report, v, prefix, &dist);
+        check_contract(bdd, ctx, report, v, prefix, packets, &dist);
     }
 }
 
