@@ -1,12 +1,13 @@
 //! Dependency specifications for the common network components (§4.3.2):
-//! rules, devices, outgoing interfaces, paths, and flows.
+//! rules, devices and outgoing interfaces. Path and flow coverage are
+//! folded over the forwarding graph instead ([`crate::pathcov`],
+//! [`crate::flowcov`]).
 //!
 //! Each function builds the `(κ, µ, G)` triple for one component; the
 //! [`crate::Analyzer`] evaluates them (and provides the faster fused
 //! implementations used by the standard reports, which are tested to
 //! agree with these specifications).
 
-use netbdd::Ref;
 use netmodel::topology::DeviceId;
 use netmodel::{IfaceId, MatchSets, Network, RuleId};
 
@@ -45,25 +46,6 @@ pub fn out_iface_spec(net: &Network, ms: &MatchSets, iface: IfaceId) -> Componen
         .into_iter()
         .map(|id| GuardedString::rule(ms.get(id), id))
         .collect();
-    ComponentSpec {
-        strings,
-        measure: Measure::Fraction,
-        combinator: Combinator::WeightedByGuard,
-    }
-}
-
-/// Path coverage for one path: `G = {P ▷ r₁,…,r_k}`, κ = only.
-pub fn path_spec(guard: Ref, rules: Vec<RuleId>) -> ComponentSpec {
-    ComponentSpec {
-        strings: vec![GuardedString { guard, rules }],
-        measure: Measure::Fraction,
-        combinator: Combinator::Only,
-    }
-}
-
-/// Flow coverage: one guarded string per path the flow takes, weighted
-/// by the share of the flow's packets using each path.
-pub fn flow_spec(strings: Vec<GuardedString>) -> ComponentSpec {
     ComponentSpec {
         strings,
         measure: Measure::Fraction,

@@ -69,11 +69,6 @@ impl Tracker {
         }
     }
 
-    /// Whether mark calls are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// `markPacket(P)`: record that a behavioural test analysed `packets`
     /// at `loc`.
     pub fn mark_packet(&mut self, bdd: &mut Bdd, loc: Location, packets: Ref) {

@@ -34,11 +34,6 @@ pub struct ReachResult {
 }
 
 impl ReachResult {
-    /// Union of all packets delivered anywhere.
-    pub fn delivered_union(&self, bdd: &mut Bdd) -> Ref {
-        bdd.or_all(self.delivered.iter().map(|&(_, p)| p))
-    }
-
     /// Union of all packets delivered out a specific interface.
     pub fn delivered_at(&self, bdd: &mut Bdd, iface: IfaceId) -> Ref {
         bdd.or_all(

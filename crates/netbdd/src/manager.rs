@@ -442,11 +442,6 @@ impl Bdd {
         self.ite(f, ng, g)
     }
 
-    /// Logical implication `f → g` as a function (not a test).
-    pub fn imp(&mut self, f: Ref, g: Ref) -> Ref {
-        self.ite(f, g, Ref::TRUE)
-    }
-
     /// Union of many sets, combined as a balanced binary tree: operands
     /// meet at O(log n) depth, keeping intermediate diagrams small, where
     /// a linear fold drags one ever-growing accumulator through every

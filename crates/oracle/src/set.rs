@@ -43,13 +43,6 @@ impl PacketSet {
         PacketSet::from_pred(space, |p| space.bit(p, var) == value)
     }
 
-    /// The set holding exactly `packets`.
-    pub fn from_packets(packets: impl IntoIterator<Item = ToyPacket>) -> PacketSet {
-        PacketSet {
-            packets: packets.into_iter().collect(),
-        }
-    }
-
     /// Add one packet.
     pub fn insert(&mut self, p: ToyPacket) {
         self.packets.insert(p);

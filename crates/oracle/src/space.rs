@@ -104,11 +104,6 @@ impl ToySpace {
         debug_assert!(proto < (1 << self.proto_bits));
         (dst << (self.src_bits + self.proto_bits)) | (src << self.proto_bits) | proto
     }
-
-    /// Number of distinct destination values.
-    pub fn dst_count(&self) -> u32 {
-        1 << self.dst_bits
-    }
 }
 
 #[cfg(test)]

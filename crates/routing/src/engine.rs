@@ -229,12 +229,6 @@ impl RoutingEngine {
         self.links.iter().map(|l| (l.a, l.b)).collect()
     }
 
-    /// Whether every link between the two devices is currently down.
-    pub fn is_link_down(&self, a: DeviceId, b: DeviceId) -> bool {
-        let ls = self.links_between(a, b);
-        !ls.is_empty() && ls.iter().all(|&l| self.link_down[l])
-    }
-
     /// Whether the device is currently down.
     pub fn is_device_down(&self, device: DeviceId) -> bool {
         self.device_down

@@ -153,11 +153,6 @@ impl SuiteVerdict {
     pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64, usize)> + '_ {
         self.entries.iter().map(|(n, c, f)| (*n, *c, f.len()))
     }
-
-    /// Total number of failing checks across all tests.
-    pub fn failure_count(&self) -> usize {
-        self.entries.iter().map(|(_, _, f)| f.len()).sum()
-    }
 }
 
 #[cfg(test)]
