@@ -4,8 +4,15 @@
 //! or a resident engine's, and exposes the standard per-component metrics
 //! plus aggregation over arbitrary component collections with user
 //! filters — the "zoom in on a subset of components" facility of §6.
+//!
+//! Every metric but incoming-interface coverage is a sum over one table
+//! of `(P(M[r]), P(T[r]))` per rule, read from the manager once, on first
+//! use: Equation 2's weights are the match-set measures themselves, and
+//! because match sets are disjoint a device's coverage is
+//! ΣP(T[r]) / ΣP(M[r]) over its rules, with no union built.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 use netbdd::Bdd;
 use netmodel::topology::{DeviceId, IfaceKind, Role};
@@ -45,6 +52,8 @@ pub struct Analyzer<'a> {
     ms: &'a MatchSets,
     trace: &'a CoverageTrace,
     covered: Cow<'a, CoveredSets>,
+    /// `(P(M[r]), P(T[r]))` per rule, `[device][index]`, once read.
+    measures: OnceCell<Vec<Vec<(f64, f64)>>>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -75,6 +84,7 @@ impl<'a> Analyzer<'a> {
             ms,
             trace,
             covered: covered.into(),
+            measures: OnceCell::new(),
         }
     }
 
@@ -100,49 +110,69 @@ impl<'a> Analyzer<'a> {
 
     // ----- per-component metrics -------------------------------------------
 
+    /// `(P(M[r]), P(T[r]))` for every rule, indexed `[device][index]`:
+    /// read from the manager once, on first use, and summed by every
+    /// metric below. Reading it builds no BDD node.
+    fn measures(&self, bdd: &mut Bdd) -> &[Vec<(f64, f64)>] {
+        let (ms, covered) = (self.ms, &self.covered);
+        self.measures.get_or_init(|| {
+            let net = self.net;
+            net.topology()
+                .devices()
+                .map(|(device, _)| {
+                    net.device_rule_ids(device)
+                        .map(|id| {
+                            (
+                                bdd.probability(ms.get(id)),
+                                bdd.probability(covered.get(id)),
+                            )
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    /// ΣP(M[r]) and ΣP(T[r]) over `device`'s rules, in table order.
+    fn device_sums(&self, bdd: &mut Bdd, device: DeviceId) -> (f64, f64) {
+        sums(self.measures(bdd)[device.0 as usize].iter())
+    }
+
+    /// ΣP(M[r]) and ΣP(T[r]) over the rules that forward out of `iface`,
+    /// in table order.
+    fn out_iface_sums(&self, bdd: &mut Bdd, iface: IfaceId) -> (f64, f64) {
+        let device = self.net.topology().iface(iface).device;
+        sums(
+            self.net
+                .device_rules(device)
+                .iter()
+                .zip(&self.measures(bdd)[device.0 as usize])
+                .filter(|(rule, _)| rule.action.out_ifaces().contains(&iface))
+                .map(|(_, measure)| measure),
+        )
+    }
+
     /// Rule coverage: fraction of the rule's match set covered.
     /// `None` for fully-shadowed rules (empty match set — untestable).
     pub fn rule_coverage(&self, bdd: &mut Bdd, rule: RuleId) -> Option<f64> {
-        let m = self.ms.get(rule);
-        if m.is_false() {
-            return None;
-        }
-        let t = self.covered.get(rule);
-        Some(bdd.probability(t) / bdd.probability(m))
+        let (m, t) = self.measures(bdd)[rule.device.0 as usize][rule.index as usize];
+        ratio(m, t)
     }
 
     /// Device coverage: match-set-weighted average over the device's
-    /// rules. `None` when the device has no (testable) rules.
+    /// rules (Equation 2 with weights |M[r]|), ΣP(T[r]) / ΣP(M[r]).
+    /// `None` when the device has no (testable) rules.
     pub fn device_coverage(&self, bdd: &mut Bdd, device: DeviceId) -> Option<f64> {
-        let total = self.ms.device_total(device);
-        if total.is_false() {
-            return None;
-        }
-        // Weighted average with weights |M[r]| collapses to
-        // |∪ T[r]| / |∪ M[r]| because the match sets are disjoint.
-        let covered = bdd.or_all(
-            self.net
-                .device_rule_ids(device)
-                .map(|id| self.covered.get(id)),
-        );
-        Some(bdd.probability(covered) / bdd.probability(total))
+        let (m, t) = self.device_sums(bdd, device);
+        ratio(m, t)
     }
 
     /// Outgoing interface coverage: weighted average over the rules that
     /// forward out of `iface`. `None` when no rule uses the interface
     /// (it cannot carry traffic, so it is untestable).
     pub fn out_iface_coverage(&self, bdd: &mut Bdd, iface: IfaceId) -> Option<f64> {
-        let rules = self.net.rules_out_iface(iface);
-        let mut m_total = 0.0;
-        let mut t_total = 0.0;
-        for id in rules {
-            m_total += bdd.probability(self.ms.get(id));
-            t_total += bdd.probability(self.covered.get(id));
-        }
-        if m_total == 0.0 {
-            return None;
-        }
-        Some(t_total / m_total)
+        let (m, t) = self.out_iface_sums(bdd, iface);
+        ratio(m, t)
     }
 
     /// Incoming interface coverage: over the device's rules reachable
@@ -153,32 +183,29 @@ impl<'a> Analyzer<'a> {
     pub fn in_iface_coverage(&self, bdd: &mut Bdd, iface: IfaceId) -> Option<f64> {
         let device = self.net.topology().iface(iface).device;
         let arrived = self.trace.packets.at_device_iface(device, iface);
+        let measures = &self.measures(bdd)[device.0 as usize];
         let mut m_total = 0.0;
         let mut t_total = 0.0;
-        for id in self.net.device_rule_ids(device) {
+        for (id, &(m, _)) in self.net.device_rule_ids(device).zip(measures) {
             let rule = self.net.rule(id);
             if let Some(required) = rule.matches.in_iface {
                 if required != iface {
                     continue;
                 }
             }
-            let m = self.ms.get(id);
-            if m.is_false() {
+            if m == 0.0 {
                 continue;
             }
-            m_total += bdd.probability(m);
+            m_total += m;
             // Inspected rules are fully covered regardless of ingress.
             if self.trace.rules.contains(&id) {
-                t_total += bdd.probability(m);
+                t_total += m;
             } else {
-                let t = bdd.and(arrived, m);
+                let t = bdd.and(arrived, self.ms.get(id));
                 t_total += bdd.probability(t);
             }
         }
-        if m_total == 0.0 {
-            return None;
-        }
-        Some(t_total / m_total)
+        ratio(m_total, t_total)
     }
 
     // ----- aggregation (Equation 2) -----------------------------------------
@@ -191,43 +218,37 @@ impl<'a> Analyzer<'a> {
         agg: Aggregator,
         filter: impl Fn(RuleId, &netmodel::Rule) -> bool,
     ) -> Option<f64> {
-        let ids: Vec<RuleId> = self
+        let measures = self.measures(bdd);
+        let items: Vec<(f64, f64)> = self
             .net
             .rules()
             .filter(|(id, r)| filter(*id, r))
-            .map(|(id, _)| id)
+            .filter_map(|(id, _)| {
+                let (m, t) = measures[id.device.0 as usize][id.index as usize];
+                Some((ratio(m, t)?, m))
+            })
             .collect();
-        let mut items = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(c) = self.rule_coverage(bdd, id) {
-                let w = bdd.probability(self.ms.get(id));
-                items.push((c, w));
-            }
-        }
         agg.fold(&items)
     }
 
-    /// Aggregate device coverage over devices passing `filter`.
+    /// Aggregate device coverage over devices passing `filter`, each
+    /// weighted by ΣP(M[r]) over its rules.
     pub fn aggregate_devices(
         &self,
         bdd: &mut Bdd,
         agg: Aggregator,
         filter: impl Fn(DeviceId, &netmodel::Device) -> bool,
     ) -> Option<f64> {
-        let ids: Vec<DeviceId> = self
+        let items: Vec<(f64, f64)> = self
             .net
             .topology()
             .devices()
             .filter(|(id, d)| filter(*id, d))
-            .map(|(id, _)| id)
+            .filter_map(|(id, _)| {
+                let (m, t) = self.device_sums(bdd, id);
+                Some((ratio(m, t)?, m))
+            })
             .collect();
-        let mut items = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(c) = self.device_coverage(bdd, id) {
-                let w = bdd.probability(self.ms.device_total(id));
-                items.push((c, w));
-            }
-        }
         agg.fold(&items)
     }
 
@@ -242,52 +263,24 @@ impl<'a> Analyzer<'a> {
         agg: Aggregator,
         filter: impl Fn(IfaceId, &netmodel::Iface) -> bool,
     ) -> Option<f64> {
-        let ids: Vec<IfaceId> = self
+        let items: Vec<(f64, f64)> = self
             .net
             .topology()
             .ifaces()
             .filter(|(_, f)| f.kind != IfaceKind::Loopback)
             .filter(|(id, f)| filter(*id, f))
-            .map(|(id, _)| id)
-            .collect();
-        // ΣP(M[r]) and ΣP(T[r]) over the rules forwarding out of each
-        // interface, added in table order as `out_iface_coverage` adds
-        // them, from one pass over each device's table.
-        let topo = self.net.topology();
-        let mut sums = vec![(0.0f64, 0.0f64); topo.iface_count()];
-        let mut devices: Vec<DeviceId> = ids.iter().map(|&i| topo.iface(i).device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        for device in devices {
-            for id in self.net.device_rule_ids(device) {
-                let outs = self.net.rule(id).action.out_ifaces();
-                if outs.is_empty() {
-                    continue;
-                }
-                let m = bdd.probability(self.ms.get(id));
-                let t = bdd.probability(self.covered.get(id));
-                for (k, &o) in outs.iter().enumerate() {
-                    if topo.iface(o).device == device && !outs[..k].contains(&o) {
-                        let s = &mut sums[o.0 as usize];
-                        s.0 += m;
-                        s.1 += t;
-                    }
-                }
-            }
-        }
-        let items: Vec<(f64, f64)> = ids
-            .iter()
-            .map(|&i| {
-                let (m, t) = sums[i.0 as usize];
-                (if m == 0.0 { 0.0 } else { t / m }, m)
+            .map(|(id, _)| {
+                let (m, t) = self.out_iface_sums(bdd, id);
+                (ratio(m, t).unwrap_or(0.0), m)
             })
             .collect();
         agg.fold(&items)
     }
 
     /// Aggregate incoming-interface coverage over interfaces passing
-    /// `filter`. Host/external edges and P2p links all count; loopbacks
-    /// never receive transit packets and are excluded. Interfaces with no
+    /// `filter`, each weighted by ΣP(M[r]) over its device's rules.
+    /// Host/external edges and P2p links all count; loopbacks never
+    /// receive transit packets and are excluded. Interfaces with no
     /// reachable rules are vacuous and skipped.
     pub fn aggregate_in_ifaces(
         &self,
@@ -295,22 +288,17 @@ impl<'a> Analyzer<'a> {
         agg: Aggregator,
         filter: impl Fn(IfaceId, &netmodel::Iface) -> bool,
     ) -> Option<f64> {
-        let ids: Vec<IfaceId> = self
+        let items: Vec<(f64, f64)> = self
             .net
             .topology()
             .ifaces()
             .filter(|(_, f)| f.kind != IfaceKind::Loopback)
             .filter(|(id, f)| filter(*id, f))
-            .map(|(id, _)| id)
+            .filter_map(|(id, f)| {
+                let c = self.in_iface_coverage(bdd, id)?;
+                Some((c, self.device_sums(bdd, f.device).0))
+            })
             .collect();
-        let mut items = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(c) = self.in_iface_coverage(bdd, id) {
-                let device = self.net.topology().iface(id).device;
-                let w = bdd.probability(self.ms.device_total(device));
-                items.push((c, w));
-            }
-        }
         agg.fold(&items)
     }
 
@@ -337,6 +325,17 @@ impl<'a> Analyzer<'a> {
             rule_weighted,
         }
     }
+}
+
+/// `t / m`, or `None` when the match-set mass `m` is zero (nothing to
+/// cover).
+fn ratio(m: f64, t: f64) -> Option<f64> {
+    (m > 0.0).then(|| t / m)
+}
+
+/// The componentwise sum of `(P(M[r]), P(T[r]))` pairs, in order.
+fn sums<'t>(measures: impl Iterator<Item = &'t (f64, f64)>) -> (f64, f64) {
+    measures.fold((0.0, 0.0), |(m, t), &(rm, rt)| (m + rm, t + rt))
 }
 
 /// Owned covered sets, as [`Analyzer::with_covered`] takes them from a

@@ -3,7 +3,7 @@
 //! are decided before the engine sees anything), writing an answer, the
 //! serve loop with its drain, and the built-in client.
 
-use std::io::{sink, BufRead, BufReader, Read, Write};
+use std::io::{sink, BufRead, BufReader, Read, Take, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -131,34 +131,25 @@ pub(super) const MAX_HEAD_BYTES: u64 = 64 << 10;
 ///
 /// The inner `Err` is a framing rejection to send back as is — `431` for
 /// a request line and headers longer than 64 KiB together, `400` for a
-/// `Content-Length` that is not a number, `413` for one above the 8 MiB
-/// body cap — decided before any body byte is read or allocated for, and
-/// without involving the engine.
+/// head line that is not UTF-8 or a `Content-Length` that is not a
+/// number, `413` for one above the 8 MiB body cap — decided before any
+/// body byte is read or allocated for, and without involving the engine.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
     let mut reader = BufReader::new(stream);
     let mut head = (&mut reader).take(MAX_HEAD_BYTES);
-    // A line cut short by the bound, not by the peer hanging up.
-    let truncated =
-        |line: &str, head: &std::io::Take<_>| !line.ends_with('\n') && head.limit() == 0;
-    let too_large = || Ok(Err(Response::error(431, "request head too large")));
-    let mut line = String::new();
-    head.read_line(&mut line)?;
-    if truncated(&line, &head) {
-        return too_large();
-    }
+    let line = match head_line(&mut head)? {
+        Ok(line) => line,
+        Err(rejection) => return Ok(Err(rejection)),
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let target = parts.next().unwrap_or("/").to_string();
     let mut content_len = 0usize;
     loop {
-        let mut header = String::new();
-        let read = head.read_line(&mut header)?;
-        if truncated(&header, &head) {
-            return too_large();
-        }
-        if read == 0 {
-            break;
-        }
+        let header = match head_line(&mut head)? {
+            Ok(header) => header,
+            Err(rejection) => return Ok(Err(rejection)),
+        };
         let header = header.trim();
         if header.is_empty() {
             break;
@@ -180,6 +171,19 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, R
         &target,
         &String::from_utf8_lossy(&body),
     )))
+}
+
+/// One line of a request head, read as bytes (empty at the end of the
+/// stream), or its rejection: `431` for a line cut short by the head
+/// bound rather than by the peer hanging up, `400` for one that is not
+/// UTF-8.
+fn head_line(head: &mut Take<impl BufRead>) -> std::io::Result<Result<String, Response>> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line)?;
+    if !line.ends_with(b"\n") && head.limit() == 0 {
+        return Ok(Err(Response::error(431, "request head too large")));
+    }
+    Ok(String::from_utf8(line).map_err(|_| Response::error(400, "request head is not UTF-8")))
 }
 
 /// Write a [`Response`] as an HTTP/1.1 message.

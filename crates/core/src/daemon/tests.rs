@@ -639,3 +639,21 @@ fn an_oversized_request_head_is_refused_and_the_next_client_served() {
     assert_eq!(status, 200);
     server.join().unwrap();
 }
+
+#[test]
+fn a_request_head_that_is_not_utf8_gets_a_400_and_the_next_client_is_served() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let mut engine = build_engine();
+        serve(&mut engine, listener).unwrap();
+    });
+    let before = served_version(&addr);
+    // "café" in Latin-1: 0xE9 on its own is not UTF-8.
+    let latin1 = b"GET /metrics HTTP/1.1\r\nX: caf\xe9\r\n\r\n";
+    assert_eq!(raw_status(&addr, latin1), 400);
+    assert_eq!(served_version(&addr), before);
+    let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    server.join().unwrap();
+}

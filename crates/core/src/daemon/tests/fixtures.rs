@@ -80,9 +80,9 @@ pub(super) fn build_routed_engine() -> CoverageEngine {
 /// the built-in client would never produce. Returns the status. Only
 /// the status line is read: a daemon that refuses a request closes
 /// with the rest of it unread, which resets the connection.
-pub(super) fn raw_status(addr: &str, head: &str) -> u16 {
+pub(super) fn raw_status(addr: &str, head: impl AsRef<[u8]>) -> u16 {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(head.as_ref()).unwrap();
     let mut status = String::new();
     BufReader::new(stream).read_line(&mut status).unwrap();
     status.split_whitespace().nth(1).unwrap().parse().unwrap()

@@ -24,7 +24,7 @@
 //!   rule-delta refresh above. A device whose entries only swapped their
 //!   next-hops — every change an in-place replacement, as on every
 //!   device a ToR-uplink flap of a fat-tree touches — keeps both shards:
-//!   `M[r]`, `T[r]` and the device total are functions of match fields,
+//!   `M[r]` and `T[r]` are functions of match fields,
 //!   table order and the trace, and none of those moved. Only its
 //!   action classes ([`MatchSets::action_classes`]), the one thing
 //!   derived from actions, are dropped. A delta made of such devices

@@ -213,7 +213,7 @@ impl CoverageEngine {
     /// A device all of whose changes are in-place replacements
     /// ([`routing::FibChange::is_replacement`]: same key, same match
     /// fields, same index) keeps its match-set and covered-set shards —
-    /// `M[r]`, `T[r]` and the device total are functions of match
+    /// `M[r]` and `T[r]` are functions of match
     /// fields, table order and the trace, never of actions — and only
     /// drops its action classes. A device that gained or lost a prefix
     /// takes the whole-device refresh a rule delta takes. The delta is

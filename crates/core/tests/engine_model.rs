@@ -60,7 +60,10 @@ use yardstick::{
 };
 
 use batch::{combine, flat_role_metrics, reach_everywhere};
-use wire::{insert, mark_trace, over_loopback, raw_test_add, test_add, topo, withdraw};
+use wire::{
+    declares_a_longer_body, insert, mark_trace, over_loopback, raw_test_add, test_add, topo,
+    withdraw,
+};
 
 /// Prefixes the inserted rules and the test marks draw from, overlapping
 /// each other and the installed routes on purpose. None is a prefix the
@@ -707,8 +710,10 @@ proptest! {
 
     /// Arbitrary bytes on the socket, half of them as the body of a
     /// well-framed `/delta` (an arbitrary head is almost never UTF-8, and
-    /// `read_request` stops there): whatever request they make, `handle`
-    /// does not panic, and an answer other than 200 changes nothing.
+    /// `read_request` refuses it): whatever request they make, `handle`
+    /// does not panic, and an answer other than 200 changes nothing. The
+    /// framing answers every case itself or passes it on, unless the
+    /// bytes declare a body longer than they carry.
     #[test]
     fn raw_bytes_never_panic_and_a_refusal_changes_nothing(
         framed in any::<bool>(),
@@ -720,13 +725,17 @@ proptest! {
             wire.extend_from_slice(head.as_bytes());
         }
         wire.extend_from_slice(&bytes);
-        if let Some(request) = over_loopback(&wire) {
-            SERVED.with_borrow_mut(|model| {
+        match over_loopback(&wire) {
+            Ok(Ok(request)) => SERVED.with_borrow_mut(|model| {
                 let before = model.state();
                 let resp = handle(&mut model.engine, &request);
                 let at = format!("{} {:.100}", request.path, request.body);
                 assert!(resp.status == 200 || model.state() == before, "{at}: {resp:?}");
-            });
+            }),
+            Ok(Err(rejection)) => {
+                assert!(matches!(rejection.status, 400 | 413 | 431), "{rejection:?}")
+            }
+            Err(e) => assert!(declares_a_longer_body(&wire), "{e}"),
         }
     }
 }

@@ -9,7 +9,7 @@ use netbdd::Bdd;
 use netmodel::header;
 use netmodel::topology::DeviceId;
 use netmodel::{Location, Prefix, RuleId};
-use yardstick::daemon::{read_request, trace_to_json, Request};
+use yardstick::daemon::{read_request, trace_to_json, Request, Response};
 use yardstick::{CoverageTrace, PortableTrace};
 
 /// A portable trace marking `prefix` at `device`, optionally inspecting
@@ -55,10 +55,10 @@ pub fn topo(change: &str, (a, b): (DeviceId, DeviceId)) -> String {
 }
 
 /// `bytes` as one connection's request on a loopback socket, read back
-/// by the daemon's framing: `None` when `read_request` fails (the bytes
-/// end before a whole request, or the head is not UTF-8) or answers the
-/// request itself.
-pub fn over_loopback(bytes: &[u8]) -> Option<Request> {
+/// by the daemon's framing: the request, the rejection `read_request`
+/// answers itself, or the error it fails with (the bytes end before a
+/// whole request).
+pub fn over_loopback(bytes: &[u8]) -> std::io::Result<Result<Request, Response>> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     client.write_all(bytes).unwrap();
@@ -67,5 +67,28 @@ pub fn over_loopback(bytes: &[u8]) -> Option<Request> {
     server
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    read_request(&mut server).ok()?.ok()
+    read_request(&mut server)
+}
+
+/// Whether the head of `bytes` (the lines after the request line, up to
+/// the first blank one) has a `Content-Length` larger than the bytes
+/// after it carry.
+pub fn declares_a_longer_body(bytes: &[u8]) -> bool {
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let mut carried = bytes.len() - lines.next().map_or(0, <[u8]>::len);
+    let mut declared = 0u64;
+    for line in lines {
+        carried -= line.len();
+        let line = String::from_utf8_lossy(line);
+        let line = line.trim();
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                declared = value.trim().parse().unwrap_or(0);
+            }
+        }
+    }
+    declared > carried as u64
 }

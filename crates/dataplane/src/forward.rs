@@ -196,15 +196,15 @@ impl<'n> Forwarder<'n> {
     fn apply_action(&self, bdd: &mut Bdd, action: &Action, matched: Ref) -> Vec<Outcome> {
         match action {
             Action::Drop => vec![Outcome::Dropped { packets: matched }],
-            Action::Forward(outs) => outs.iter().map(|&o| self.emit(bdd, o, matched)).collect(),
+            Action::Forward(outs) => outs.iter().map(|&o| self.emit(o, matched)).collect(),
             Action::Rewrite(rw, outs) => {
                 let rewritten = rw.apply(bdd, matched);
-                outs.iter().map(|&o| self.emit(bdd, o, rewritten)).collect()
+                outs.iter().map(|&o| self.emit(o, rewritten)).collect()
             }
         }
     }
 
-    fn emit(&self, _bdd: &mut Bdd, iface: IfaceId, packets: Ref) -> Outcome {
+    fn emit(&self, iface: IfaceId, packets: Ref) -> Outcome {
         let ifc = self.net.topology().iface(iface);
         match ifc.kind {
             IfaceKind::P2p => match ifc.peer {

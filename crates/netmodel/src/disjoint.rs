@@ -152,15 +152,12 @@ pub struct ActionClass {
     pub set: Ref,
 }
 
-/// The disjoint match sets of every rule in a network, plus per-device
-/// totals. `M[r]` in the paper's notation.
+/// The disjoint match sets of every rule in a network. `M[r]` in the
+/// paper's notation.
 #[derive(Clone, Debug)]
 pub struct MatchSets {
     /// `sets[device][rule_index]` — the effective (residual) match set.
     sets: Vec<Vec<Ref>>,
-    /// Union of a device's match sets (the packet space the device can act
-    /// on at all).
-    device_total: Vec<Ref>,
     /// `classes[device]` — the device's action classes, derived from
     /// `sets` on first use and dropped whenever `sets` changes.
     classes: Vec<OnceLock<Vec<ActionClass>>>,
@@ -223,26 +220,18 @@ impl MatchSets {
         ms
     }
 
-    /// The match sets of every device in `net`, each device's sets and
-    /// total from `device_sets`.
+    /// The match sets of every device in `net`, each device's from
+    /// `device_sets`.
     fn per_device(
         net: &Network,
         bdd: &mut Bdd,
-        mut device_sets: impl FnMut(&mut Bdd, DeviceId) -> (Vec<Ref>, Ref),
+        mut device_sets: impl FnMut(&mut Bdd, DeviceId) -> Vec<Ref>,
     ) -> MatchSets {
         let _span = netobs::span!("match_sets");
-        let ndev = net.topology().device_count();
-        let mut sets = Vec::with_capacity(ndev);
-        let mut device_total = Vec::with_capacity(ndev);
-        for (device, _) in net.topology().devices() {
-            let (dev_sets, total) = device_sets(bdd, device);
-            sets.push(dev_sets);
-            device_total.push(total);
-        }
+        let topo = net.topology();
         MatchSets {
-            sets,
-            device_total,
-            classes: vec![OnceLock::new(); ndev],
+            sets: topo.devices().map(|(d, _)| device_sets(bdd, d)).collect(),
+            classes: vec![OnceLock::new(); topo.device_count()],
         }
     }
 
@@ -259,17 +248,15 @@ impl MatchSets {
         cache: &mut MatchSetCache,
         device: DeviceId,
     ) {
-        let (dev_sets, total) = device_match_sets(net, bdd, cache, device);
-        self.sets[device.0 as usize] = dev_sets;
-        self.device_total[device.0 as usize] = total;
+        self.sets[device.0 as usize] = device_match_sets(net, bdd, cache, device);
         self.drop_action_classes(device);
     }
 
     /// Drop one device's action classes after rules of its table were
     /// replaced in place ([`Network::replace_rule`]): match fields and
-    /// table order are what the match sets and the device total are
-    /// computed from, so those stay; the classes group rules by action
-    /// and are rebuilt on next use.
+    /// table order are what the match sets are computed from, so those
+    /// stay; the classes group rules by action and are rebuilt on next
+    /// use.
     pub fn drop_action_classes(&mut self, device: DeviceId) {
         self.classes[device.0 as usize] = OnceLock::new();
     }
@@ -317,11 +304,6 @@ impl MatchSets {
         self.sets[id.device.0 as usize][id.index as usize]
     }
 
-    /// Union of all match sets on a device.
-    pub fn device_total(&self, device: DeviceId) -> Ref {
-        self.device_total[device.0 as usize]
-    }
-
     /// Whether a rule is completely shadowed by earlier rules (its
     /// effective match set is empty). Shadowed rules cannot be exercised
     /// by any packet and are excluded from coverage denominators.
@@ -329,13 +311,12 @@ impl MatchSets {
         self.get(id).is_false()
     }
 
-    /// Append every match-set ref (per-rule residuals and device totals)
-    /// to `roots` (GC root registration).
+    /// Append every per-rule match-set ref to `roots` (GC root
+    /// registration).
     pub fn collect_refs(&self, roots: &mut Vec<Ref>) {
         for dev in &self.sets {
             roots.extend(dev.iter().copied());
         }
-        roots.extend(self.device_total.iter().copied());
     }
 
     /// Rewrite every held ref through `f` (a GC relocation map). The
@@ -346,9 +327,6 @@ impl MatchSets {
             for r in dev.iter_mut() {
                 *r = f(*r);
             }
-        }
-        for r in &mut self.device_total {
-            *r = f(*r);
         }
         for c in &mut self.classes {
             *c = OnceLock::new();
@@ -363,7 +341,7 @@ fn device_match_sets(
     bdd: &mut Bdd,
     cache: &mut MatchSetCache,
     device: DeviceId,
-) -> (Vec<Ref>, Ref) {
+) -> Vec<Ref> {
     let rules = net.device_rules(device);
     let mixed = rules.iter().any(|r| r.matches.in_iface.is_some())
         && rules.iter().any(|r| r.matches.in_iface.is_none());
@@ -376,17 +354,14 @@ fn device_match_sets(
     // Independent first-match chains per ingress scope.
     let mut matched_by_scope: HashMap<Option<IfaceId>, Ref> = HashMap::new();
     let mut dev_sets = Vec::with_capacity(rules.len());
-    let mut total = bdd.empty();
     for rule in rules {
         let scope = rule.matches.in_iface;
         let matched = matched_by_scope.entry(scope).or_insert_with(|| Ref::FALSE);
         let raw = cache.to_bdd(bdd, &rule.matches);
-        let effective = bdd.diff(raw, *matched);
+        dev_sets.push(bdd.diff(raw, *matched));
         *matched = bdd.or(*matched, raw);
-        total = bdd.or(total, effective);
-        dev_sets.push(effective);
     }
-    (dev_sets, total)
+    dev_sets
 }
 
 #[cfg(test)]
@@ -411,6 +386,23 @@ mod tests {
 
     fn fwd(prefix: &str) -> Rule {
         Rule::forward(prefix.parse().unwrap(), vec![IfaceId(0)], RouteClass::Other)
+    }
+
+    /// Whether `device`'s match sets tile its raw matches: per ingress
+    /// scope, the union of the rules' `M[r]` is the union of their raw
+    /// matches.
+    fn tiles_raw_matches(net: &Network, ms: &MatchSets, bdd: &mut Bdd, device: DeviceId) -> bool {
+        let mut by_scope: HashMap<Option<IfaceId>, (Ref, Ref)> = HashMap::new();
+        for id in net.device_rule_ids(device) {
+            let matches = &net.rule(id).matches;
+            let raw = matches.to_bdd(bdd);
+            let (sets, raws) = by_scope
+                .entry(matches.in_iface)
+                .or_insert((Ref::FALSE, Ref::FALSE));
+            *sets = bdd.or(*sets, ms.get(id));
+            *raws = bdd.or(*raws, raw);
+        }
+        by_scope.values().all(|(sets, raws)| sets == raws)
     }
 
     #[test]
@@ -465,14 +457,12 @@ mod tests {
                 assert!(!bdd.intersects(all[i], all[j]), "rules {i} and {j} overlap");
             }
         }
+        assert!(tiles_raw_matches(&net, &ms, &mut bdd, d));
+        // Prefix::v4_default() is family-tagged, so the union is exactly
+        // the v4 plane.
         let union = bdd.or_all(all);
-        assert!(bdd.equal(union, ms.device_total(d)));
-        // The default route makes the device total the full v4 plane ∪ ...
-        // here: everything, since default matches both families? No — the
-        // v4 default constrains family; actually Prefix::v4_default() is
-        // family-tagged, so the total is exactly the v4 plane.
         let v4 = crate::header::family_is(&mut bdd, crate::addr::Family::V4);
-        assert!(bdd.equal(ms.device_total(d), v4));
+        assert!(bdd.equal(union, v4));
     }
 
     #[test]
@@ -548,6 +538,7 @@ mod tests {
             device: d,
             index: 1
         }));
+        assert!(tiles_raw_matches(&n, &ms, &mut bdd, d));
     }
 
     #[test]
@@ -591,7 +582,7 @@ mod tests {
         for id in net.device_rule_ids(d) {
             assert_eq!(ms1.get(id), ms2.get(id));
         }
-        assert_eq!(ms1.device_total(d), ms2.device_total(d));
+        assert!(tiles_raw_matches(&net, &ms2, &mut bdd, d));
     }
 
     #[test]
@@ -674,7 +665,7 @@ mod tests {
         for id in net.device_rule_ids(d) {
             assert_eq!(ms.get(id), batch.get(id), "rule {id:?} diverged");
         }
-        assert_eq!(ms.device_total(d), batch.device_total(d));
+        assert!(tiles_raw_matches(&net, &ms, &mut bdd, d));
         // Withdraw it again (it sorted to index 0, ahead of the /8):
         // back to the original sets, bit-identical.
         let withdrawn = net.withdraw_rule(crate::RuleId {
@@ -724,14 +715,22 @@ mod tests {
         assert_eq!(classes[0].set, bdd.or(ms.get(id(0)), ms.get(id(2))));
         assert_eq!(classes[2].set, ms.get(id(4)));
         let union = bdd.or_all(classes.iter().map(|c| c.set));
-        assert_eq!(union, ms.device_total(d));
+        assert_eq!(
+            union,
+            bdd.or_all(net.device_rule_ids(d).map(|id| ms.get(id)))
+        );
+        assert!(tiles_raw_matches(&net, &ms, &mut bdd, d));
         // A table change drops the device's classes with its sets.
         net.insert_rule(d, to("10.0.6.0/24", vec![i1]));
         ms.recompute_device(&net, &mut bdd, &mut MatchSetCache::new(), d);
         let classes = ms.action_classes(&net, &mut bdd, d);
         assert_eq!(classes.len(), 5);
         let union = bdd.or_all(classes.iter().map(|c| c.set));
-        assert_eq!(union, ms.device_total(d));
+        assert_eq!(
+            union,
+            bdd.or_all(net.device_rule_ids(d).map(|id| ms.get(id)))
+        );
+        assert!(tiles_raw_matches(&net, &ms, &mut bdd, d));
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! bottom-up from relative values with [`Bdd::branch`] or read off the
 //! match sets, and packets are walked top-down with [`Bdd::cofactors`]:
 //! no ITE call, no running union, no garbage from intermediate unions.
-//! The one counted operation is the complement that turns a table's
-//! uncovered space into its device total. Hash-consing makes each result the same `Ref`
-//! the first-match chain in [`crate::disjoint`] builds, which stays the
-//! path for every other table and the oracle for this one.
+//! Hash-consing makes each result the same `Ref` the first-match chain
+//! in [`crate::disjoint`] builds, which stays the path for every other
+//! table and the oracle for this one.
 //!
 //! [`PrefixTries`] holds one whole-network derivation's results per
 //! distinct table: devices with the same table (every device of a
@@ -85,8 +84,8 @@ pub struct PrefixTries {
     /// Each distinct destination table, in rule order, to its slot in
     /// `match_sets`.
     tables: HashMap<Vec<Option<Prefix>>, usize>,
-    /// Match sets and their union by table, once derived.
-    match_sets: Vec<Option<(Vec<Ref>, Ref)>>,
+    /// Match sets by table, once derived.
+    match_sets: Vec<Option<Vec<Ref>>>,
     /// Covered sets by table, packets and marked rules.
     covered: HashMap<(usize, Ref, Vec<u32>), Vec<Ref>>,
 }
@@ -130,14 +129,13 @@ impl PrefixTries {
     }
 
     /// `device`'s match sets `M[r]` in table order (`FALSE` for a
-    /// shadowed rule) and their union, or `None` when its table is not
-    /// destination-only.
+    /// shadowed rule), or `None` when its table is not destination-only.
     pub fn match_sets(
         &mut self,
         net: &Network,
         bdd: &mut Bdd,
         device: DeviceId,
-    ) -> Option<(Vec<Ref>, Ref)> {
+    ) -> Option<Vec<Ref>> {
         let (slot, table) = self.table_of(net, device)?;
         let sets =
             self.match_sets[slot].get_or_insert_with(|| PrefixTrie::new(&table).match_sets(bdd));
@@ -257,14 +255,14 @@ impl PrefixTrie {
     }
 
     /// Every rule's disjoint match set `M[r]`, in table order (shadowed
-    /// rules get `FALSE`), and their union.
+    /// rules get `FALSE`).
     ///
     /// Bottom-up, each node gets `¬below`, the complement of the union of
     /// the present nodes at or under it, relative to it (an absent child
     /// contributes `TRUE`). A present node's match set is then its cube
     /// minus its present strict descendants: the `¬below` of its two
     /// children under its own branch, lifted to its cube.
-    fn match_sets(&self, bdd: &mut Bdd) -> (Vec<Ref>, Ref) {
+    fn match_sets(&self, bdd: &mut Bdd) -> Vec<Ref> {
         let mut sets = vec![Ref::FALSE; self.rules];
         let mut uncovered = vec![Ref::FALSE; self.nodes.len()];
         for at in (0..self.nodes.len()).rev() {
@@ -280,8 +278,7 @@ impl PrefixTrie {
                 sets[node.owner as usize] = self.lift(bdd, at, residual);
             }
         }
-        let total = bdd.not(uncovered[0]);
-        (sets, total)
+        sets
     }
 
     /// `f` restricted to the cube of node `at`, relative to it: the
@@ -447,10 +444,11 @@ mod tests {
             vec![dst("10.0.0.0/8"), dst("10.1.0.0/16"), dst("10.0.0.0/8")],
         );
         let mut bdd = Bdd::new();
-        let (sets, total) = PrefixTries::new().match_sets(&net, &mut bdd, d).unwrap();
+        let sets = PrefixTries::new().match_sets(&net, &mut bdd, d).unwrap();
         let eight = header::dst_in(&mut bdd, &"10.0.0.0/8".parse().unwrap());
         assert_eq!(sets, vec![eight, Ref::FALSE, Ref::FALSE]);
-        assert_eq!(total, eight);
+        // The sets tile the raw matches: /8 ∪ /16 ∪ /8 is the /8.
+        assert_eq!(bdd.or_all(sets), eight);
     }
 
     #[test]
@@ -460,10 +458,11 @@ mod tests {
             vec![dst("10.0.0.0/8"), MatchFields::default()],
         );
         let mut bdd = Bdd::new();
-        let (sets, total) = PrefixTries::new().match_sets(&net, &mut bdd, d).unwrap();
+        let sets = PrefixTries::new().match_sets(&net, &mut bdd, d).unwrap();
         let eight = header::dst_in(&mut bdd, &"10.0.0.0/8".parse().unwrap());
         assert_eq!(sets[1], bdd.not(eight));
-        assert!(total.is_true());
+        // The sets tile the raw matches: /8 ∪ everything is everything.
+        assert!(bdd.or_all(sets).is_true());
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Report {
                 quote(&t.label),
                 t.events_dropped
             );
-            span_json(&mut out, &t.root, 2);
+            span_json(&mut out, &t.root);
             out.push('}');
             out.push_str(if i + 1 < self.threads.len() {
                 ",\n"
@@ -144,7 +144,7 @@ impl Report {
     }
 }
 
-fn span_json(out: &mut String, n: &SpanNode, _depth: usize) {
+fn span_json(out: &mut String, n: &SpanNode) {
     let _ = write!(
         out,
         "{{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
@@ -159,7 +159,7 @@ fn span_json(out: &mut String, n: &SpanNode, _depth: usize) {
         if i > 0 {
             out.push_str(", ");
         }
-        span_json(out, c, _depth + 1);
+        span_json(out, c);
     }
     out.push_str("]}");
 }
