@@ -49,7 +49,7 @@ use netmodel::provenance::{Construct, Marks};
 use netmodel::topology::DeviceId;
 use netmodel::{Prefix, RuleId};
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{ratio, Analyzer};
 
 /// Coverage of one configuration construct: its FIB-rule footprint and
 /// the covered/match probability mass accumulated over it.
@@ -72,11 +72,7 @@ impl ConstructCoverage {
     /// The weighted metric `Σ P(T[r]) / Σ P(M[r])`, or `None` when the
     /// footprint carries no probability mass at all.
     pub fn weighted(&self) -> Option<f64> {
-        if self.match_probability == 0.0 {
-            None
-        } else {
-            Some(self.covered_probability / self.match_probability)
-        }
+        ratio(self.match_probability, self.covered_probability)
     }
 }
 
@@ -252,15 +248,14 @@ pub(crate) fn footprint(
                 device,
                 index: index as u32,
             };
-            let m = ms.get(id);
-            if m.is_false() {
+            if ms.get(id).is_false() {
                 continue;
             }
-            let t = analyzer.covered_sets().get(id);
+            let (m, t) = analyzer.rule_measures(bdd, id);
             entry.rules.push(id);
-            entry.match_probability += bdd.probability(m);
-            entry.covered_probability += bdd.probability(t);
-            entry.covered |= !t.is_false();
+            entry.match_probability += m;
+            entry.covered_probability += t;
+            entry.covered |= analyzer.covered_sets().is_exercised(id);
         }
     }
     entry

@@ -6,7 +6,7 @@ use netmodel::provenance::Construct;
 use netmodel::RuleId;
 
 use super::{CoverageEngine, EngineError};
-use crate::analyzer::Analyzer;
+use crate::analyzer::{ratio, Analyzer};
 use crate::config::{self, ConfigCoverage, ConstructCoverage};
 use crate::covered::rule_covered;
 use crate::framework::Aggregator;
@@ -53,24 +53,19 @@ impl CoverageEngine {
         self.covered.is_exercised(id)
     }
 
-    /// Coverage of one rule, straight from the resident shards.
+    /// Coverage of one rule, read through [`CoverageEngine::analyzer`]
+    /// from the resident shards: that one rule's measures, no table.
     pub fn rule_coverage(&mut self, id: RuleId) -> Result<RuleCoverage, EngineError> {
         self.check_rule(id)?;
-        let m = self.ms.get(id);
-        let t = self.covered.get(id);
-        let match_probability = self.bdd.probability(m);
-        let covered_probability = self.bdd.probability(t);
-        let coverage = if m.is_false() {
-            None
-        } else {
-            Some(covered_probability / match_probability)
-        };
+        let exercised = self.is_exercised(id);
+        let (analyzer, bdd) = self.analyzer();
+        let (match_probability, covered_probability) = analyzer.rule_measures(bdd, id);
         Ok(RuleCoverage {
             id,
             match_probability,
             covered_probability,
-            coverage,
-            exercised: !t.is_false(),
+            coverage: ratio(match_probability, covered_probability),
+            exercised,
         })
     }
 

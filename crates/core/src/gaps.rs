@@ -16,7 +16,7 @@ use netmodel::region::{describe_set, Region};
 use netmodel::rule::RouteClass;
 use netmodel::RuleId;
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{ratio, Analyzer};
 use crate::testgen::{rule_seed, seeded_witness, WITNESS_SEED};
 
 /// One under-covered rule with its untested space described.
@@ -114,10 +114,9 @@ impl Analyzer<'_> {
             if untested.is_false() {
                 continue;
             }
-            let m_w = bdd.probability(m);
-            let u_w = bdd.probability(untested);
-            let coverage = 1.0 - u_w / m_w;
-            gaps.push((id, untested, coverage, u_w));
+            let (m_w, t_w) = self.rule_measures(bdd, id);
+            let coverage = ratio(m_w, t_w).expect("a non-empty match set has mass");
+            gaps.push((id, untested, coverage, bdd.probability(untested)));
         }
         // Most untested weight first; ties by id for determinism.
         gaps.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap().then(a.0.cmp(&b.0)));

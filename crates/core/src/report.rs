@@ -38,7 +38,7 @@ pub struct CoverageReport {
 pub struct RoleMetricsOverall {
     /// Mean fractional device coverage over all devices.
     pub device_fractional: Option<f64>,
-    /// Mean fractional incoming-interface coverage.
+    /// Mean fractional out-interface coverage.
     pub iface_fractional: Option<f64>,
     /// Mean fractional rule coverage.
     pub rule_fractional: Option<f64>,
@@ -50,7 +50,6 @@ impl CoverageReport {
     /// Build the standard per-role report over the roles present in the
     /// network, in fixed display order.
     pub fn by_role(bdd: &mut Bdd, analyzer: &Analyzer<'_>) -> CoverageReport {
-        use crate::framework::Aggregator;
         let topo = analyzer.network().topology();
         let mut rows = Vec::new();
         const ORDER: [Role; 7] = [
@@ -77,13 +76,7 @@ impl CoverageReport {
                 rules,
             });
         }
-        let overall = RoleMetricsOverall {
-            device_fractional: analyzer.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
-            iface_fractional: analyzer
-                .aggregate_out_ifaces(bdd, Aggregator::Fractional, |_, _| true),
-            rule_fractional: analyzer.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
-            rule_weighted: analyzer.aggregate_rules(bdd, Aggregator::Weighted, |_, _| true),
-        };
+        let overall = analyzer.figure6(bdd, |_| true);
         CoverageReport { rows, overall }
     }
 

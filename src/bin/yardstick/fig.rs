@@ -168,12 +168,14 @@ fn fig7(opts: &FigOpts, bdd: &mut Bdd, csv: &mut String) -> Result<String, Strin
             return Err(FAILED.into());
         };
         let a = Analyzer::new(&net, &ms, &trace, bdd);
-        // device, interface and rule fractional, rule weighted
+        // The report's ALL row: device, interface and rule fractional,
+        // rule weighted.
+        let all = CoverageReport::by_role(bdd, &a).overall;
         let cells = [
-            a.aggregate_devices(bdd, Aggregator::Fractional, |_, _| true),
-            a.aggregate_out_ifaces(bdd, Aggregator::Fractional, |_, _| true),
-            a.aggregate_rules(bdd, Aggregator::Fractional, |_, _| true),
-            a.aggregate_rules(bdd, Aggregator::Weighted, |_, _| true),
+            all.device_fractional,
+            all.iface_fractional,
+            all.rule_fractional,
+            all.rule_weighted,
         ]
         .map(|v| v.unwrap_or(0.0));
         let pcts: String = cells.map(|v| format!(" {:>7.1}%", v * 100.0)).concat();
