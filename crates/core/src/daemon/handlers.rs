@@ -15,8 +15,9 @@ use super::{Request, Response};
 use crate::engine::{CoverageEngine, EngineError};
 use crate::testgen::{autogen, GenConfig};
 
-fn engine_error_status(e: &EngineError) -> u16 {
-    match e {
+/// An engine error as its answer: 404 for a missing thing, else 400.
+fn engine_error(e: EngineError) -> Response {
+    let status = match e {
         EngineError::UnknownDevice { .. }
         | EngineError::UnknownTest { .. }
         | EngineError::BadRuleIndex { .. } => 404,
@@ -24,38 +25,52 @@ fn engine_error_status(e: &EngineError) -> u16 {
             routing::RibError::UnknownDevice { .. } | routing::RibError::UnknownLink { .. },
         ) => 404,
         _ => 400,
+    };
+    Response::error(status, &e.to_string())
+}
+
+/// The answer stored in the query LRU under `key`, or else `render`'s.
+/// Only a successful answer is stored: a refused read is rendered, and
+/// counts its miss, every time it is asked.
+fn cached(
+    engine: &mut CoverageEngine,
+    key: String,
+    render: impl FnOnce(&mut CoverageEngine) -> Result<String, Response>,
+) -> Response {
+    if let Some(body) = engine.query_cache().get(&key) {
+        return Response::ok(body);
+    }
+    match render(engine) {
+        Ok(body) => {
+            engine.query_cache().insert(key, body.clone());
+            Response::ok(body)
+        }
+        Err(refused) => refused,
     }
 }
 
 fn handle_covers(engine: &mut CoverageEngine, req: &Request) -> Response {
-    let raw = match req.param("rule") {
-        Some(r) => r,
-        None => return Response::error(400, "missing query parameter: rule"),
+    let Some(raw) = req.param("rule") else {
+        return Response::error(400, "missing query parameter: rule");
     };
-    let id = match parse_rule_id(raw) {
-        Some(id) => id,
-        None => return Response::error(400, "rule must look like <device>.<index>"),
+    let Some(id) = parse_rule_id(raw) else {
+        return Response::error(400, "rule must look like <device>.<index>");
     };
     let key = format!("covers:{}.{}", id.device.0, id.index);
-    if let Some(cached) = engine.query_cache().get(&key) {
-        return Response::ok(cached);
-    }
-    let c = match engine.rule_coverage(id) {
-        Ok(c) => c,
-        Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
-    };
-    let body = format!(
-        "{{\"rule\":\"r{}.{}\",\"version\":{},\"match_probability\":{},\"covered_probability\":{},\"coverage\":{},\"exercised\":{}}}",
-        id.device.0,
-        id.index,
-        engine.version(),
-        number(c.match_probability),
-        number(c.covered_probability),
-        jopt(c.coverage),
-        c.exercised
-    );
-    engine.query_cache().insert(key, body.clone());
-    Response::ok(body)
+    cached(engine, key, |engine| {
+        let c = engine.rule_coverage(id).map_err(engine_error)?;
+        Ok(format!(
+            "{{\"rule\":\"r{}.{}\",\"version\":{},\"match_probability\":{},\
+             \"covered_probability\":{},\"coverage\":{},\"exercised\":{}}}",
+            id.device.0,
+            id.index,
+            engine.version(),
+            number(c.match_probability),
+            number(c.covered_probability),
+            jopt(c.coverage),
+            c.exercised
+        ))
+    })
 }
 
 /// `GET /config-coverage`: the headline config-level summary, or — with
@@ -63,21 +78,14 @@ fn handle_covers(engine: &mut CoverageEngine, req: &Request) -> Response {
 /// registered tests exercise it. Both forms ride the query LRU, keyed
 /// like `/covers`, so deltas invalidate them automatically.
 fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Response {
-    match req.param("construct") {
-        None => {
-            let key = "config-coverage".to_string();
-            if let Some(cached) = engine.query_cache().get(&key) {
-                return Response::ok(cached);
-            }
-            let cov = match engine.config_coverage() {
-                Ok(c) => c,
-                Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
-            };
+    let Some(raw) = req.param("construct") else {
+        return cached(engine, "config-coverage".to_string(), |engine| {
+            let cov = engine.config_coverage().map_err(engine_error)?;
             let wire_ids = |cs: &[Construct]| -> Vec<String> {
                 cs.iter().map(|c| quote(&c.wire_id())).collect()
             };
             let (uncovered, unreferenced) = (wire_ids(&cov.uncovered), wire_ids(&cov.unreferenced));
-            let body = format!(
+            Ok(format!(
                 "{{\"version\":{},\"coverable\":{},\"covered\":{},\"fractional\":{},\
                  \"uncovered\":[{}],\"unreferenced\":[{}]}}",
                 engine.version(),
@@ -86,71 +94,58 @@ fn handle_config_coverage(engine: &mut CoverageEngine, req: &Request) -> Respons
                 jopt(cov.fractional()),
                 uncovered.join(","),
                 unreferenced.join(",")
-            );
-            engine.query_cache().insert(key, body.clone());
-            Response::ok(body)
+            ))
+        });
+    };
+    let Some(construct) = Construct::parse_wire_id(raw) else {
+        return Response::error(
+            400,
+            "construct must be a wire id like session:d0-d4 or orig:d3:10.0.1.0/24",
+        );
+    };
+    let key = format!("config-coverage:{}", construct.wire_id());
+    cached(engine, key, |engine| {
+        let entry = engine
+            .construct_coverage(&construct)
+            .map_err(engine_error)?
+            .ok_or_else(|| {
+                Response::error(
+                    404,
+                    &format!("no such construct in the current config: {raw}"),
+                )
+            })?;
+        if entry.rules.is_empty() {
+            return Ok(format!(
+                "{{\"construct\":{},\"version\":{},\"covered\":false,\
+                 \"unreferenced\":true,\"rules\":[],\"tests\":[]}}",
+                quote(&construct.wire_id()),
+                engine.version()
+            ));
         }
-        Some(raw) => {
-            let construct = match Construct::parse_wire_id(raw) {
-                Some(c) => c,
-                None => {
-                    return Response::error(
-                        400,
-                        "construct must be a wire id like session:d0-d4 or orig:d3:10.0.1.0/24",
-                    )
-                }
-            };
-            let key = format!("config-coverage:{}", construct.wire_id());
-            if let Some(cached) = engine.query_cache().get(&key) {
-                return Response::ok(cached);
-            }
-            let entry = match engine.construct_coverage(&construct) {
-                Ok(entry) => entry,
-                Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
-            };
-            let body = match entry {
-                Some(entry) if !entry.rules.is_empty() => {
-                    let rules: Vec<String> = entry
-                        .rules
-                        .iter()
-                        .map(|id| quote(&format!("r{}.{}", id.device.0, id.index)))
-                        .collect();
-                    let tests: Vec<String> = engine
-                        .tests_exercising(&entry.rules)
-                        .iter()
-                        .map(|name| quote(name))
-                        .collect();
-                    format!(
-                        "{{\"construct\":{},\"version\":{},\"covered\":{},\
-                         \"match_probability\":{},\"covered_probability\":{},\"weighted\":{},\
-                         \"rules\":[{}],\"tests\":[{}]}}",
-                        quote(&construct.wire_id()),
-                        engine.version(),
-                        entry.covered,
-                        number(entry.match_probability),
-                        number(entry.covered_probability),
-                        jopt(entry.weighted()),
-                        rules.join(","),
-                        tests.join(",")
-                    )
-                }
-                Some(_) => format!(
-                    "{{\"construct\":{},\"version\":{},\"covered\":false,\
-                     \"unreferenced\":true,\"rules\":[],\"tests\":[]}}",
-                    quote(&construct.wire_id()),
-                    engine.version()
-                ),
-                None => {
-                    return Response::error(
-                        404,
-                        &format!("no such construct in the current config: {raw}"),
-                    )
-                }
-            };
-            engine.query_cache().insert(key, body.clone());
-            Response::ok(body)
-        }
-    }
+        let rules: Vec<String> = entry
+            .rules
+            .iter()
+            .map(|id| quote(&format!("r{}.{}", id.device.0, id.index)))
+            .collect();
+        let tests: Vec<String> = engine
+            .tests_exercising(&entry.rules)
+            .iter()
+            .map(|name| quote(name))
+            .collect();
+        Ok(format!(
+            "{{\"construct\":{},\"version\":{},\"covered\":{},\
+             \"match_probability\":{},\"covered_probability\":{},\"weighted\":{},\
+             \"rules\":[{}],\"tests\":[{}]}}",
+            quote(&construct.wire_id()),
+            engine.version(),
+            entry.covered,
+            number(entry.match_probability),
+            number(entry.covered_probability),
+            jopt(entry.weighted()),
+            rules.join(","),
+            tests.join(",")
+        ))
+    })
 }
 
 fn handle_metrics(engine: &mut CoverageEngine) -> Response {
@@ -167,16 +162,14 @@ fn handle_metrics(engine: &mut CoverageEngine) -> Response {
         .collect();
     let body = format!(
         "{{\"version\":{},\"devices\":{},\"rules\":{},\"tests\":{},\
-         \"headline\":{{\"rule_fractional\":{},\"rule_weighted\":{},\"device_fractional\":{}}},\
+         \"headline\":{},\
          \"query_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\
          \"gauges\":{{{}}},\"counters\":{{{}}}}}",
         engine.version(),
         engine.network().topology().device_count(),
         engine.network().rule_count(),
         engine.test_names().count(),
-        jopt(headline.rule_fractional),
-        jopt(headline.rule_weighted),
-        jopt(headline.device_fractional),
+        headline_json(&headline),
         stats.hits,
         stats.misses,
         stats.evictions,
@@ -206,7 +199,7 @@ fn handle_delta_since(engine: &mut CoverageEngine, req: &Request) -> Response {
                 ),
             }
         }
-        Err(e) => return Response::error(engine_error_status(&e), &e.to_string()),
+        Err(e) => return engine_error(e),
     };
     Response::ok(format!(
         "{{\"since\":{},\"version\":{},\"deltas\":[{}]}}",
@@ -217,89 +210,8 @@ fn handle_delta_since(engine: &mut CoverageEngine, req: &Request) -> Response {
 }
 
 fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
-    let doc = match json::parse(&req.body) {
-        Ok(doc) => doc,
-        Err(e) => return Response::error(400, &format!("malformed JSON body: {e}")),
-    };
-    let kind = match doc.get("kind").and_then(Json::as_str) {
-        Some(k) => k,
-        None => return Response::error(400, "missing delta kind"),
-    };
-    let outcome = match kind {
-        "rule-insert" => {
-            let device = match num_u32(doc.get("device"), "device") {
-                Ok(d) => DeviceId(d),
-                Err(e) => return Response::error(400, &e),
-            };
-            let rule = match doc.get("rule") {
-                None => return Response::error(400, "missing rule"),
-                Some(j) => match decode_rule(j) {
-                    Ok(r) => r,
-                    Err(e) => return Response::error(400, &e),
-                },
-            };
-            engine.insert_rule(device, rule).map(drop)
-        }
-        "rule-withdraw" => {
-            let id = match (
-                num_u32(doc.get("device"), "device"),
-                num_u32(doc.get("index"), "index"),
-            ) {
-                (Ok(d), Ok(i)) => RuleId {
-                    device: DeviceId(d),
-                    index: i,
-                },
-                (Err(e), _) | (_, Err(e)) => return Response::error(400, &e),
-            };
-            engine.withdraw_rule(id).map(drop)
-        }
-        "test-add" => {
-            let name = match doc.get("name").and_then(Json::as_str) {
-                Some(n) => n,
-                None => return Response::error(400, "missing test name"),
-            };
-            let trace = match doc
-                .get("trace")
-                .ok_or("missing trace".to_string())
-                .and_then(decode_trace)
-            {
-                Ok(t) => t,
-                Err(e) => return Response::error(400, &e),
-            };
-            engine.add_test(name, &trace).map(drop)
-        }
-        "test-remove" => match doc.get("name").and_then(Json::as_str) {
-            Some(name) => engine.remove_test(name).map(drop),
-            None => return Response::error(400, "missing test name"),
-        },
-        "link-down" | "link-up" => {
-            let (a, b) = match (num_u32(doc.get("a"), "a"), num_u32(doc.get("b"), "b")) {
-                (Ok(a), Ok(b)) => (DeviceId(a), DeviceId(b)),
-                (Err(e), _) | (_, Err(e)) => return Response::error(400, &e),
-            };
-            let delta = if kind == "link-down" {
-                routing::TopologyDelta::LinkDown { a, b }
-            } else {
-                routing::TopologyDelta::LinkUp { a, b }
-            };
-            engine.apply_topology(&delta).map(drop)
-        }
-        "device-down" | "device-up" => {
-            let device = match num_u32(doc.get("device"), "device") {
-                Ok(d) => DeviceId(d),
-                Err(e) => return Response::error(400, &e),
-            };
-            let delta = if kind == "device-down" {
-                routing::TopologyDelta::DeviceDown { device }
-            } else {
-                routing::TopologyDelta::DeviceUp { device }
-            };
-            engine.apply_topology(&delta).map(drop)
-        }
-        other => return Response::error(400, &format!("unknown delta kind {other:?}")),
-    };
-    if let Err(e) = outcome {
-        return Response::error(engine_error_status(&e), &e.to_string());
+    if let Err(refused) = apply_delta(engine, req) {
+        return refused;
     }
     // The answer is the record the engine logged for the delta.
     let r = engine.last_delta().expect("an applied delta is logged");
@@ -309,6 +221,64 @@ fn handle_delta(engine: &mut CoverageEngine, req: &Request) -> Response {
         quote(&r.detail),
         devices_json(&r.devices)
     ))
+}
+
+/// A malformed request as its answer.
+fn bad(e: String) -> Response {
+    Response::error(400, &e)
+}
+
+/// Decode the delta in `req`'s body, field by field, and apply it.
+fn apply_delta(engine: &mut CoverageEngine, req: &Request) -> Result<(), Response> {
+    let doc = json::parse(&req.body).map_err(|e| bad(format!("malformed JSON body: {e}")))?;
+    let device = |key: &str| num_u32(doc.get(key), key).map(DeviceId).map_err(bad);
+    let name = || {
+        let name = doc.get("name").and_then(Json::as_str);
+        name.ok_or_else(|| bad("missing test name".into()))
+    };
+    let kind = doc.get("kind").and_then(Json::as_str);
+    let outcome = match kind.ok_or_else(|| bad("missing delta kind".into()))? {
+        "rule-insert" => {
+            let device = device("device")?;
+            let rule = doc.get("rule").ok_or("missing rule".to_string());
+            engine
+                .insert_rule(device, rule.and_then(decode_rule).map_err(bad)?)
+                .map(drop)
+        }
+        "rule-withdraw" => {
+            let device = device("device")?;
+            let index = num_u32(doc.get("index"), "index").map_err(bad)?;
+            engine.withdraw_rule(RuleId { device, index }).map(drop)
+        }
+        "test-add" => {
+            let name = name()?;
+            let trace = doc.get("trace").ok_or("missing trace".to_string());
+            engine
+                .add_test(name, &trace.and_then(decode_trace).map_err(bad)?)
+                .map(drop)
+        }
+        "test-remove" => engine.remove_test(name()?).map(drop),
+        kind @ ("link-down" | "link-up") => {
+            let (a, b) = (device("a")?, device("b")?);
+            let delta = if kind == "link-down" {
+                routing::TopologyDelta::LinkDown { a, b }
+            } else {
+                routing::TopologyDelta::LinkUp { a, b }
+            };
+            engine.apply_topology(&delta).map(drop)
+        }
+        kind @ ("device-down" | "device-up") => {
+            let device = device("device")?;
+            let delta = if kind == "device-down" {
+                routing::TopologyDelta::DeviceDown { device }
+            } else {
+                routing::TopologyDelta::DeviceUp { device }
+            };
+            engine.apply_topology(&delta).map(drop)
+        }
+        other => return Err(bad(format!("unknown delta kind {other:?}"))),
+    };
+    outcome.map_err(engine_error)
 }
 
 /// One round of coverage-guided generation ([`autogen`]), bounded so an

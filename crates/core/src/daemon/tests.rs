@@ -184,6 +184,38 @@ fn covers_is_cached_and_warm_answers_hit_the_lru() {
     assert_eq!((stats.hits, stats.misses), (1, 1));
 }
 
+/// A refused read is looked up, misses and is not stored, so asking it
+/// again misses again; a malformed one is never looked up.
+#[test]
+fn refused_reads_count_their_miss_and_store_nothing() {
+    let mut engine = build_routed_engine();
+    let get = |engine: &mut crate::CoverageEngine, target: &str| {
+        handle(engine, &Request::new("GET", target, "")).status
+    };
+    assert_eq!(get(&mut engine, "/covers?rule=0.0"), 200);
+    let past_the_end = format!(
+        "/covers?rule=0.{}",
+        engine.network().device_rules(DeviceId(0)).len()
+    );
+    let stats = |engine: &crate::CoverageEngine| {
+        let s = engine.query_cache_stats();
+        (s.hits, s.misses, s.evictions, s.entries)
+    };
+    assert_eq!(stats(&engine), (0, 1, 0, 1));
+    for round in 0..2 {
+        let misses = 2 + 2 * round;
+        assert_eq!(get(&mut engine, &past_the_end), 404);
+        assert_eq!(stats(&engine), (0, misses, 0, 1));
+        assert_eq!(
+            get(&mut engine, "/config-coverage?construct=session:d7-d9"),
+            404
+        );
+        assert_eq!(stats(&engine), (0, misses + 1, 0, 1));
+        assert_eq!(get(&mut engine, "/config-coverage?construct=nope"), 400);
+        assert_eq!(stats(&engine), (0, misses + 1, 0, 1));
+    }
+}
+
 #[test]
 fn rule_delta_changes_the_covers_answer_and_flushes_the_cache() {
     let mut engine = build_engine();
