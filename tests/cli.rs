@@ -254,6 +254,30 @@ fn figures_draw_their_rows_and_write_their_csv() {
     }
 }
 
+/// `fig --trace` writes one span tree, labelled `main`, with every
+/// chrome event on thread 0 and the BDD gauges beside it.
+#[test]
+fn fig_trace_writes_one_main_tree_on_tid_zero() {
+    let path = format!("{}/fig9_trace.json", env!("CARGO_TARGET_TMPDIR"));
+    let (ok, _, err) = yardstick(&["fig", "9", "--max-k", "4", "--trace", &path]);
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let trace = body(&text);
+
+    let spans = trace.get("spans").and_then(Json::as_array).unwrap();
+    assert_eq!(spans.len(), 1, "{text}");
+    assert_eq!(spans[0].get("thread").and_then(Json::as_str), Some("main"));
+    let tree = spans[0].get("tree").and_then(|t| t.get("children"));
+    assert!(!tree.and_then(Json::as_array).unwrap().is_empty(), "{text}");
+
+    let events = trace.get("traceEvents").and_then(Json::as_array).unwrap();
+    assert!(!events.is_empty());
+    for e in events {
+        assert_eq!(e.get("tid").and_then(Json::as_f64), Some(0.0), "{e:?}");
+    }
+    assert!(trace.get("gauges").unwrap().get("bdd.nodes").is_some());
+}
+
 /// The analysis views print exactly `tests/golden/<file>`: every
 /// percentage, rule id, region and witness packet, byte for byte.
 #[test]
