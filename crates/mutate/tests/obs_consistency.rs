@@ -43,9 +43,8 @@ fn evaluation_produces_one_consistent_span_per_mutant() {
         report.render()
     );
 
-    // Evaluation runs on the calling thread: one tree, and in it one span
-    // per mutant, each entered exactly once.
-    assert_eq!(report.threads.len(), 1, "{}", report.render());
+    // Evaluation runs on the calling thread: its tree holds one span per
+    // mutant, each entered exactly once.
     let root = report.thread("main").expect("calling thread's tree");
     for m in &mutants {
         let span = root
@@ -53,16 +52,9 @@ fn evaluation_produces_one_consistent_span_per_mutant() {
             .unwrap_or_else(|| panic!("no span for mutant-{}", m.id));
         assert_eq!(span.count, 1, "mutant-{} judged once", m.id);
     }
-    assert!(
-        report
-            .threads
-            .iter()
-            .all(|t| !t.label.starts_with("mutate-worker-")),
-        "no worker trees"
-    );
 
-    // The export round-trips through our own JSON parser.
+    // The export round-trips through our own JSON parser, one tree in it.
     let parsed = netobs::json::parse(&report.to_json()).expect("report JSON parses");
     let spans = parsed.get("spans").and_then(|s| s.as_array()).unwrap();
-    assert_eq!(spans.len(), report.threads.len());
+    assert_eq!(spans.len(), 1);
 }

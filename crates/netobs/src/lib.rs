@@ -6,12 +6,12 @@
 //! that functionality — exactly the slice the coverage pipeline needs:
 //!
 //! * **Spans** ([`span!`]): thread-local RAII guards recording nested
-//!   wall-clock timings. Each thread owns a private span tree (no locks
-//!   on the hot path); a finished thread [`flush`]es its tree into a
-//!   global sink, and [`report`] assembles everything into a [`Report`]
+//!   wall-clock timings into a private span tree (no locks on the hot
+//!   path). [`report`] takes the calling thread's tree into a [`Report`]
 //!   exportable as a JSON span tree and a flat chrome-trace-compatible
 //!   event list (`chrome://tracing` / Perfetto accept the emitted file
-//!   directly).
+//!   directly). The pipeline runs on one thread, so that tree is the
+//!   whole picture; spans another thread opens are never reported.
 //! * **Gauges and counters** ([`gauge`], [`counter`]): a global registry
 //!   for point-in-time values (BDD node counts, cache hit rates) and
 //!   monotone tallies, snapshotted into the same report.
@@ -45,15 +45,15 @@ mod report;
 mod span;
 
 pub use registry::{counter, counters_snapshot, gauge, gauges_snapshot};
-pub use report::{Report, ThreadSpans};
-pub use span::{flush, SpanGuard, SpanNode, SpanStats};
+pub use report::Report;
+pub use span::{SpanGuard, SpanNode, SpanStats};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The one flag every instrumented call site checks first. Relaxed is
 /// enough: enabling happens-before the instrumented work via the usual
-/// program order on the enabling thread, and worker threads are always
-/// spawned after `enable()` by the code that wants their spans.
+/// program order on the enabling thread, and a thread spawned after
+/// `enable()` sees it through the spawn.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether instrumentation is currently collecting.
@@ -63,10 +63,10 @@ pub fn enabled() -> bool {
 }
 
 /// Start collecting. Clears everything a previous enable/report cycle
-/// left behind (sink, gauges, counters, the calling thread's span tree),
-/// so back-to-back measured sections don't bleed into each other.
+/// left behind (gauges, counters, the calling thread's span tree), so
+/// back-to-back measured sections don't bleed into each other.
 pub fn enable() {
-    span::reset_all();
+    span::take();
     registry::reset();
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -82,7 +82,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     span::enter(std::borrow::Cow::Borrowed(name))
 }
 
-/// Open a span with a runtime-built name (e.g. `worker-3`).
+/// Open a span with a runtime-built name (e.g. `mutant-3`).
 #[inline]
 pub fn span_owned(name: String) -> SpanGuard {
     if !enabled() {
@@ -93,7 +93,7 @@ pub fn span_owned(name: String) -> SpanGuard {
 
 /// Open a named span; the returned guard closes it when dropped.
 ///
-/// Takes a format string — `span!("phase")`, `span!("worker-{i}")` —
+/// Takes a format string — `span!("phase")`, `span!("job-{i}")` —
 /// built only when collection is enabled, so disabled call sites pay one
 /// atomic load. (The name is always routed through `format!`: a literal
 /// with inline captures must not silently become a static name.)
@@ -126,20 +126,17 @@ macro_rules! span {
     };
 }
 
-/// Flush the calling thread's spans under the label `main`, then gather
-/// every flushed thread plus the gauge/counter registry into a
-/// [`Report`]. Collection stays enabled; the collected data is drained.
+/// Take the calling thread's span tree and chrome events, reported under
+/// the label `main`, together with the gauge/counter registry. Collection
+/// stays enabled; the span data is drained, the registry is not.
 pub fn report() -> Report {
-    report_as("main")
-}
-
-/// [`report`] with an explicit label for the calling thread.
-pub fn report_as(label: &str) -> Report {
-    span::flush(label);
+    let (tree, events, events_dropped) = span::take();
     Report {
-        threads: span::drain_sink(),
-        gauges: registry::gauges(),
-        counters: registry::counters(),
+        tree,
+        events,
+        events_dropped,
+        gauges: gauges_snapshot(),
+        counters: counters_snapshot(),
     }
 }
 
@@ -186,7 +183,7 @@ mod tests {
             }
         }
         let report = report();
-        let main = report.thread("main").expect("main thread flushed");
+        let main = report.thread("main").expect("main tree reported");
         let outer = main.child("outer").expect("outer span recorded");
         assert_eq!(outer.count, 1);
         let inner = outer.child("inner").expect("inner nested under outer");
@@ -211,26 +208,29 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_flush_under_their_own_label() {
+    fn other_threads_spans_stay_out_while_their_gauges_reach_the_report() {
         let _l = locked();
         enable();
         std::thread::scope(|scope| {
-            for i in 0..2 {
-                scope.spawn(move || {
-                    {
-                        let _s = span!("worker-{i}");
-                    }
-                    flush(&format!("worker-{i}"));
-                });
-            }
+            scope.spawn(|| {
+                let _s = span!("worker");
+                gauge("worker.gauge", 3.0);
+                counter("worker.counter", 2);
+            });
         });
         {
             let _m = span!("merge");
         }
         let report = report();
-        assert!(report.thread("worker-0").is_some());
-        assert!(report.thread("worker-1").is_some());
-        assert!(report.thread("main").unwrap().child("merge").is_some());
+        let main = report.thread("main").unwrap();
+        assert!(main.child("merge").is_some());
+        assert!(main.child("worker").is_none());
+        assert!(report.thread("worker").is_none());
+        assert_eq!(report.gauges["worker.gauge"], 3.0);
+        assert_eq!(report.counters["worker.counter"], 2);
+        let parsed = json::parse(&report.to_json()).unwrap();
+        let spans = parsed.get("spans").and_then(|s| s.as_array()).unwrap();
+        assert_eq!(spans.len(), 1);
         disable();
     }
 

@@ -47,24 +47,16 @@ pub(crate) fn reset() {
     r.counters.clear();
 }
 
-pub(crate) fn gauges() -> BTreeMap<String, f64> {
-    lock().gauges.clone()
-}
-
-pub(crate) fn counters() -> BTreeMap<String, u64> {
-    lock().counters.clone()
-}
-
 /// Snapshot every gauge without draining anything — unlike
-/// [`crate::report`], which flushes the span sink as a side effect.
-/// This is what a serving endpoint (`/metrics`) wants: read-only,
-/// repeatable, cheap.
+/// [`crate::report`], which takes the calling thread's span tree as a
+/// side effect. This is what a serving endpoint (`/metrics`) wants:
+/// read-only, repeatable, cheap.
 pub fn gauges_snapshot() -> BTreeMap<String, f64> {
-    gauges()
+    lock().gauges.clone()
 }
 
 /// Snapshot every counter without draining anything; see
 /// [`gauges_snapshot`].
 pub fn counters_snapshot() -> BTreeMap<String, u64> {
-    counters()
+    lock().counters.clone()
 }

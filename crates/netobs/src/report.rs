@@ -1,6 +1,6 @@
 //! Assembling and exporting the observability report.
 //!
-//! One [`Report`] holds every flushed thread's span tree plus the
+//! One [`Report`] holds the recording thread's span tree plus the
 //! gauge/counter registry. [`Report::to_json`] emits a single JSON
 //! document that is simultaneously:
 //!
@@ -16,85 +16,67 @@ use std::fmt::Write as _;
 use crate::json::{number, quote};
 use crate::span::{Event, SpanNode};
 
-/// One flushed thread: its span tree and flat event list.
-#[derive(Clone, Debug)]
-pub struct ThreadSpans {
-    /// The label the thread flushed under.
-    pub label: String,
-    /// Virtual root container; real spans are its descendants.
-    pub root: SpanNode,
-    /// Retained events, in emission order.
-    pub events: Vec<Event>,
-    /// Events discarded beyond the per-thread retention cap (the tree
-    /// keeps aggregating regardless).
-    pub events_dropped: u64,
-}
-
 /// Everything one measured section produced.
 #[derive(Clone, Debug)]
 pub struct Report {
-    /// One entry per flushed thread, in flush order.
-    pub threads: Vec<ThreadSpans>,
+    /// The recording thread's span tree (its virtual root), if it
+    /// recorded any span.
+    pub(crate) tree: Option<SpanNode>,
+    /// Retained chrome events, in emission order.
+    pub(crate) events: Vec<Event>,
+    /// Events discarded beyond the retention cap (the tree keeps
+    /// aggregating regardless).
+    pub(crate) events_dropped: u64,
     /// Last-write-wins named measurements.
     pub gauges: BTreeMap<String, f64>,
     /// Monotone named tallies.
     pub counters: BTreeMap<String, u64>,
 }
 
+/// The label the one span tree is reported under.
+const MAIN: &str = "main";
+
 impl Report {
-    /// The span tree of the thread flushed under `label`.
+    /// The span tree recorded under `label`: the recording thread's tree
+    /// answers to `"main"`, and no other label has one.
     pub fn thread(&self, label: &str) -> Option<&SpanNode> {
-        self.threads
-            .iter()
-            .find(|t| t.label == label)
-            .map(|t| &t.root)
+        self.tree.as_ref().filter(|_| label == MAIN)
     }
 
-    /// Whether every thread's tree satisfies the nesting invariant
-    /// (children sum to at most their parent).
+    /// Whether the span tree satisfies the nesting invariant (children
+    /// sum to at most their parent).
     pub fn check_consistent(&self) -> bool {
-        self.threads.iter().all(|t| t.root.check_consistent())
+        self.tree.as_ref().is_none_or(SpanNode::check_consistent)
     }
 
     /// Serialise as chrome-trace-compatible JSON with the span-tree
     /// report alongside (see module docs).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"traceEvents\": [\n");
-        let mut first = true;
-        for (tid, t) in self.threads.iter().enumerate() {
-            for e in &t.events {
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "    {{\"name\": {}, \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
-                     \"ts\": {}, \"dur\": {}}}",
-                    quote(&e.name),
-                    tid,
-                    e.ts_ns / 1_000,
-                    (e.dur_ns / 1_000).max(1)
-                );
+        for (i, e) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n");
             }
+            let _ = write!(
+                out,
+                "    {{\"name\": {}, \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \
+                 \"ts\": {}, \"dur\": {}}}",
+                quote(&e.name),
+                e.ts_ns / 1_000,
+                (e.dur_ns / 1_000).max(1)
+            );
         }
         out.push_str("\n  ],\n");
-        // Thread name metadata so chrome://tracing labels rows usefully.
         out.push_str("  \"spans\": [\n");
-        for (i, t) in self.threads.iter().enumerate() {
+        if let Some(tree) = &self.tree {
             let _ = write!(
                 out,
                 "    {{\"thread\": {}, \"events_dropped\": {}, \"tree\": ",
-                quote(&t.label),
-                t.events_dropped
+                quote(MAIN),
+                self.events_dropped
             );
-            span_json(&mut out, &t.root);
-            out.push('}');
-            out.push_str(if i + 1 < self.threads.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            span_json(&mut out, tree);
+            out.push_str("}\n");
         }
         out.push_str("  ],\n");
         out.push_str("  \"gauges\": {\n");
@@ -114,12 +96,12 @@ impl Report {
         out
     }
 
-    /// Human-oriented indented rendering of every thread's span tree.
+    /// Human-oriented indented rendering of the span tree.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for t in &self.threads {
-            let _ = writeln!(out, "[{}]", t.label);
-            t.root.walk(&mut |n, depth| {
+        if let Some(tree) = &self.tree {
+            let _ = writeln!(out, "[{MAIN}]");
+            tree.walk(&mut |n, depth| {
                 if depth == 0 {
                     return; // virtual root
                 }

@@ -1,22 +1,19 @@
 //! Thread-local span recording.
 //!
-//! Each thread owns a private [`Recorder`]: an arena of span-tree nodes
-//! plus the stack of currently-open spans. Opening and closing a span
-//! touches only that thread-local state — **no lock is taken on the hot
-//! path**, which is why instrumented worker loops don't serialise on the
-//! observability layer. The only synchronised structure is the sink that
-//! finished threads [`flush`] their trees into, locked once per thread
-//! lifetime, not once per span.
+//! The recording thread owns a private [`Recorder`]: an arena of
+//! span-tree nodes plus the stack of currently-open spans. Opening and
+//! closing a span touches only that thread-local state, so **no lock is
+//! taken on the hot path**. [`crate::report`] takes the calling thread's
+//! tree; spans another thread records stay in that thread's recorder and
+//! never reach a report.
 //!
 //! Timing uses `Instant`; chrome-trace timestamps are offsets from a
 //! process-wide epoch pinned at the first [`crate::enable`].
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
-
-use crate::report::ThreadSpans;
 
 /// Aggregated wall-clock statistics of one span-tree node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,7 +26,7 @@ pub struct SpanStats {
     pub max_ns: u64,
 }
 
-/// One node of a finished thread's span tree.
+/// One node of a reported span tree.
 #[derive(Clone, Debug)]
 pub struct SpanNode {
     /// The span's name as given to [`crate::span!`].
@@ -69,7 +66,7 @@ impl SpanNode {
     /// parent, so their totals must sum to at most the parent's total.
     /// A small absolute slack (1 ms per child) absorbs clock quantisation
     /// on very short spans. Container nodes (`count == 0`, e.g. the
-    /// per-thread root) carry no timing of their own and only recurse.
+    /// virtual root) carry no timing of their own and only recurse.
     pub fn check_consistent(&self) -> bool {
         let children_total: u64 = self.children.iter().map(|c| c.stats.total_ns).sum();
         let slack = 1_000_000u64 * self.children.len() as u64;
@@ -81,16 +78,16 @@ impl SpanNode {
 
 /// One closed span occurrence, for the flat chrome-trace event list.
 #[derive(Clone, Debug)]
-pub struct Event {
-    pub name: String,
+pub(crate) struct Event {
+    pub(crate) name: String,
     /// Start offset from the process trace epoch, nanoseconds.
-    pub ts_ns: u64,
-    pub dur_ns: u64,
+    pub(crate) ts_ns: u64,
+    pub(crate) dur_ns: u64,
 }
 
-/// Per-thread cap on retained chrome events; the span tree keeps
-/// aggregating past it, only the flat list stops growing.
-const MAX_EVENTS_PER_THREAD: usize = 1 << 20;
+/// Cap on retained chrome events; the span tree keeps aggregating past
+/// it, only the flat list stops growing.
+const MAX_EVENTS: usize = 1 << 20;
 
 struct RawNode {
     name: Cow<'static, str>,
@@ -115,14 +112,14 @@ impl RawNode {
 }
 
 struct Recorder {
-    /// Arena; node 0 is the virtual per-thread root container.
+    /// Arena; node 0 is the virtual root container.
     nodes: Vec<RawNode>,
     /// Indices of currently-open spans, innermost last.
     stack: Vec<usize>,
     events: Vec<Event>,
     events_dropped: u64,
-    /// Bumped on every reset/flush; guards opened against an older
-    /// generation (e.g. still open across a flush) are ignored on drop
+    /// Bumped on every reset and take; guards opened against an older
+    /// generation (e.g. still open across a report) are ignored on drop
     /// instead of touching a recycled arena.
     generation: u64,
 }
@@ -176,7 +173,7 @@ impl Recorder {
             n.min_ns.min(elapsed_ns)
         };
         n.max_ns = n.max_ns.max(elapsed_ns);
-        if self.events.len() < MAX_EVENTS_PER_THREAD {
+        if self.events.len() < MAX_EVENTS {
             let ts_ns = started
                 .checked_duration_since(epoch())
                 .map(|d| d.as_nanos() as u64)
@@ -210,18 +207,11 @@ thread_local! {
     static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::new(0));
 }
 
-/// Flushed per-thread trees, appended once per [`flush`].
-static SINK: Mutex<Vec<ThreadSpans>> = Mutex::new(Vec::new());
-
 /// Process-wide epoch for chrome-trace timestamps.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
-}
-
-fn lock_sink() -> std::sync::MutexGuard<'static, Vec<ThreadSpans>> {
-    SINK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// RAII guard returned by [`crate::span()`] and the [`span!`](macro@crate::span)
@@ -271,45 +261,16 @@ pub(crate) fn enter(name: Cow<'static, str>) -> SpanGuard {
     }
 }
 
-/// Push the calling thread's span tree (and chrome events) into the
-/// global sink under `label`, and reset the thread's recorder. Worker
-/// threads call this right before finishing; the main thread's flush is
-/// folded into [`crate::report`]. A thread with nothing recorded flushes
-/// nothing.
-pub fn flush(label: &str) {
-    let flushed = RECORDER.with(|r| {
-        let mut rec = r.borrow_mut();
-        if rec.is_empty() {
-            return None;
-        }
-        let root = rec.tree(0);
-        let events = std::mem::take(&mut rec.events);
-        let dropped = rec.events_dropped;
-        *rec = Recorder::new(rec.generation + 1);
-        Some(ThreadSpans {
-            label: label.to_string(),
-            root,
-            events,
-            events_dropped: dropped,
-        })
-    });
-    if let Some(t) = flushed {
-        lock_sink().push(t);
-    }
-}
-
-/// Drop everything collected so far: the sink and the calling thread's
-/// recorder. (Other threads' recorders reset themselves on their next
-/// flush; `enable()` is documented to precede worker spawning.)
-pub(crate) fn reset_all() {
+/// Take the calling thread's span tree (its virtual root, `None` when
+/// nothing was recorded), its chrome events and the count of events past
+/// the cap, leaving a fresh recorder behind.
+pub(crate) fn take() -> (Option<SpanNode>, Vec<Event>, u64) {
     epoch(); // pin the chrome-trace epoch no later than the first enable
-    lock_sink().clear();
     RECORDER.with(|r| {
         let mut rec = r.borrow_mut();
-        *rec = Recorder::new(rec.generation + 1);
-    });
-}
-
-pub(crate) fn drain_sink() -> Vec<ThreadSpans> {
-    std::mem::take(&mut *lock_sink())
+        let fresh = Recorder::new(rec.generation + 1);
+        let taken = std::mem::replace(&mut *rec, fresh);
+        let tree = (!taken.is_empty()).then(|| taken.tree(0));
+        (tree, taken.events, taken.events_dropped)
+    })
 }
