@@ -79,34 +79,24 @@ impl Response {
     }
 }
 
+/// Decode `%XX` escapes (two ASCII hex digits) and `+` as a space. Any
+/// other `%` stays literal.
 fn percent_decode(s: &str) -> String {
+    let hex = |b: Option<&u8>| b.and_then(|&b| char::from(b).to_digit(16));
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 3 <= bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
+        let (byte, len) = match bytes[i] {
+            b'%' => match (hex(bytes.get(i + 1)), hex(bytes.get(i + 2))) {
+                (Some(hi), Some(lo)) => ((hi * 16 + lo) as u8, 3),
+                _ => (b'%', 1),
+            },
+            b'+' => (b' ', 1),
+            b => (b, 1),
+        };
+        out.push(byte);
+        i += len;
     }
     String::from_utf8_lossy(&out).into_owned()
 }

@@ -156,6 +156,10 @@ fn request_parsing_splits_target_and_decodes() {
     assert_eq!(r.param("rule"), Some("r0.1"));
     assert_eq!(r.param("x"), Some("a b c"));
     assert_eq!(r.param("missing"), None);
+    // An escape is `%` and two hex digits; a sign is not a digit.
+    let r = Request::new("GET", "/covers?x=%2B1&y=%+41", "");
+    assert_eq!(r.param("x"), Some("+1"));
+    assert_eq!(r.param("y"), Some("% 41"));
 }
 
 #[test]
