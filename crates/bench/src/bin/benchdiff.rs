@@ -11,9 +11,12 @@
 //! never compared.
 //!
 //! When both files record a top-level `"host_cpus"` and the counts
-//! differ, the comparison is apples-to-oranges (`mutation_report`'s
-//! evaluate leg scales with the core count), so benchdiff prints a
-//! warning and exits 0 without gating anything.
+//! differ, a wall-clock leg (a metric named `*_secs`) compares machine
+//! shapes rather than code, so benchdiff prints a warning and marks each
+//! such row "not gated". Every other metric is an exact count that no
+//! core count moves (`surviving_mutants`, `uncovered_constructs`,
+//! netbdd's `nodes`) and still gates, and so does every structural
+//! mismatch.
 //!
 //! A metric is a regression when `new > old * (1 + tolerance)`. Exit
 //! status: 0 when nothing regressed, 1 on any regression, 2 on a bad
@@ -59,21 +62,20 @@ fn main() -> ExitCode {
         }
     };
 
-    // A baseline measured on a different core count gates nothing: it
-    // would compare machine shapes, not code.
-    if let (Some(o), Some(n)) = (
-        old.get("host_cpus").and_then(|v| v.as_f64()),
-        new.get("host_cpus").and_then(|v| v.as_f64()),
-    ) {
-        if o != n {
+    // A timing measured on a different core count would compare machine
+    // shapes, not code; the counts still gate.
+    let cpus = |f: &Json| f.get("host_cpus").and_then(|v| v.as_f64());
+    let shapes_differ = match (cpus(&old), cpus(&new)) {
+        (Some(o), Some(n)) if o != n => {
             println!(
                 "benchdiff: WARNING: host_cpus differ (baseline {} vs candidate {}); \
-                 skipping gating — re-measure the baseline on this host shape",
+                 `_secs` timings are not gated — re-measure the baseline on this host shape",
                 o as u64, n as u64
             );
-            return ExitCode::SUCCESS;
+            true
         }
-    }
+        _ => false,
+    };
 
     let (rows, mismatches) = collect_rows(&old, &new);
     if !mismatches.is_empty() {
@@ -110,8 +112,9 @@ fn main() -> ExitCode {
         } else {
             0.0
         };
-        let regressed = r.new > r.old * (1.0 + tolerance);
-        let status = if regressed {
+        let status = if shapes_differ && r.metric.ends_with("_secs") {
+            "not gated"
+        } else if r.new > r.old * (1.0 + tolerance) {
             regressions += 1;
             "REGRESSION"
         } else if r.new < r.old * (1.0 - tolerance) {
