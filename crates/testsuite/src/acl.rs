@@ -1,9 +1,10 @@
 //! ACL tests — the port-blocking rows of the Figure 2 taxonomy.
 //!
-//! * AclEntryCheck (`check_acl_entry`) is the state-inspection
-//!   flavour: "the access control list on router R must have an entry
-//!   that blocks packets to port P" — it finds the deny entry and reports
-//!   it via `markRule`.
+//! * AclEntryCheck is the state-inspection flavour: "the access control
+//!   list on router R must have an entry that blocks packets to port P".
+//!   It runs as a `yardstick::testgen::TestSpec::AclEntry`, the same
+//!   lookup coverage-guided generation emits: find the deny entry and
+//!   report it via `markRule`.
 //! * AclBehaviorCheck (`check_acl_behavior`) is the local symbolic
 //!   flavour: "router R must drop all packets to port P" — it injects the
 //!   full set of matching packets and verifies none survive, reporting
@@ -17,36 +18,6 @@ use netmodel::Location;
 use dataplane::{Forwarder, Outcome};
 
 use crate::context::{TestContext, TestReport};
-
-/// State inspection: `device` has a deny entry covering destination port
-/// `port` (any protocol or a protocol-qualified rule).
-pub(crate) fn check_acl_entry(
-    ctx: &mut TestContext<'_>,
-    report: &mut TestReport,
-    device: DeviceId,
-    port: u16,
-) {
-    let entry = ctx.net.device_rule_ids(device).find(|&id| {
-        let r = ctx.net.rule(id);
-        r.action.is_drop()
-            && r.matches
-                .dport
-                .map(|(lo, hi)| lo <= port && port <= hi)
-                .unwrap_or(false)
-    });
-    match entry {
-        Some(id) => {
-            ctx.tracker.mark_rule(id);
-            report.check(true, || unreachable!());
-        }
-        None => report.check(false, || {
-            format!(
-                "{}: no ACL entry blocking port {port}",
-                ctx.net.topology().device(device).name
-            )
-        }),
-    }
-}
 
 /// Local symbolic: `device` drops *all* packets to `port` (TCP),
 /// regardless of destination.

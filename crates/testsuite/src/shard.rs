@@ -22,7 +22,7 @@ use netmodel::{MatchSets, Network, Prefix};
 use yardstick::testgen::{ExpectedEnd, TestSpec};
 use yardstick::Tracker;
 
-use crate::acl::{check_acl_behavior, check_acl_entry};
+use crate::acl::check_acl_behavior;
 use crate::beyond::{check_host_port, check_wan_prefix};
 use crate::context::{NetworkInfo, TestContext, TestReport};
 use crate::e2e::{check_ping_pair, check_reachability_from, pair_seed};
@@ -351,17 +351,22 @@ pub fn run_job(
             dst_index,
             seed,
         } => check_ping_pair(bdd, cx, rep, src_index, dst_index, seed),
-        SuiteJob::AclEntry { device, port } => check_acl_entry(cx, rep, device, port),
+        SuiteJob::AclEntry { device, port } => {
+            check_spec(bdd, cx, rep, &TestSpec::AclEntry { device, port })
+        }
         SuiteJob::WanRoute { prefix } => check_wan_prefix(bdd, cx, rep, prefix),
         SuiteJob::HostPort { slice_index } => check_host_port(cx, rep, slice_index),
         SuiteJob::AclBehavior { device, port } => check_acl_behavior(bdd, cx, rep, device, port),
-        SuiteJob::Generated { ref spec } => {
-            let outcome = yardstick::testgen::run_spec(bdd, net, ms, &mut cx.tracker, spec);
-            rep.check(outcome.is_ok(), || outcome.unwrap_err());
-        }
+        SuiteJob::Generated { ref spec } => check_spec(bdd, cx, rep, spec),
     }
     *tracker = ctx.tracker;
     report
+}
+
+/// Run a [`TestSpec`] as one check that fails with the spec's message.
+fn check_spec(bdd: &mut Bdd, cx: &mut TestContext<'_>, rep: &mut TestReport, spec: &TestSpec) {
+    let outcome = yardstick::testgen::run_spec(bdd, cx.net, cx.ms, &mut cx.tracker, spec);
+    rep.check(outcome.is_ok(), || outcome.unwrap_err());
 }
 
 /// Run one job against a private tracker and return its *isolated*
