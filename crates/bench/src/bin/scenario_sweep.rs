@@ -114,9 +114,11 @@ fn make_probes(tors: &[(DeviceId, Prefix, netmodel::topology::IfaceId)], n: usiz
 /// Assert `net` is bit-identical to a from-scratch rebuild, device by
 /// device, and return the rebuild's wall clock. Also asserts — outside
 /// the timed section — that config provenance survives incremental
-/// re-convergence: the resident engine's [`RoutingEngine::config_db`]
-/// must equal the one a scratch build of the same degraded topology
-/// derives.
+/// re-convergence, read through the paths `/config-coverage` serves: the
+/// resident engine's construct universe
+/// ([`RoutingEngine::mark_constructs`] with no keys) and every
+/// construct's [`RoutingEngine::attributed_keys`] must equal those of a
+/// scratch build of the same degraded topology.
 fn check_rebuild(engine: &RoutingEngine, net: &Network, what: &str) -> Duration {
     let (rebuilt, dt) = time_it(|| engine.full_rebuild().expect("full rebuild"));
     for (d, _) in net.topology().devices() {
@@ -131,11 +133,19 @@ fn check_rebuild(engine: &RoutingEngine, net: &Network, what: &str) -> Duration 
         .degraded_builder()
         .into_engine()
         .expect("scratch provenance build");
+    let universe = engine.mark_constructs(Vec::new());
     assert_eq!(
-        engine.config_db(),
-        scratch.config_db(),
-        "config provenance diverged from a scratch build ({what})"
+        universe,
+        scratch.mark_constructs(Vec::new()),
+        "construct universe diverged from a scratch build ({what})"
     );
+    for (c, _) in &universe {
+        assert_eq!(
+            engine.attributed_keys(c),
+            scratch.attributed_keys(c),
+            "provenance of {c:?} diverged from a scratch build ({what})"
+        );
+    }
     dt
 }
 
