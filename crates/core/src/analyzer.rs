@@ -9,7 +9,7 @@
 //! of `(P(M[r]), P(T[r]))` per rule, read from the manager once, on first
 //! use: Equation 2's weights are the match-set measures themselves, and
 //! because match sets are disjoint a device's coverage is
-//! ΣP(T[r]) / ΣP(M[r]) over its rules, with no union built.
+//! `ΣP(T[r]) / ΣP(M[r])` over its rules, with no union built.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -182,7 +182,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Device coverage: match-set-weighted average over the device's
-    /// rules (Equation 2 with weights |M[r]|), ΣP(T[r]) / ΣP(M[r]).
+    /// rules (Equation 2 with weights `|M[r]|`), `ΣP(T[r]) / ΣP(M[r])`.
     /// `None` when the device has no (testable) rules.
     pub fn device_coverage(&self, bdd: &mut Bdd, device: DeviceId) -> Option<f64> {
         let (m, t) = self.device_sums(bdd, device);
@@ -254,7 +254,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Aggregate device coverage over devices passing `filter`, each
-    /// weighted by ΣP(M[r]) over its rules.
+    /// weighted by `ΣP(M[r])` over its rules.
     pub fn aggregate_devices(
         &self,
         bdd: &mut Bdd,
@@ -301,7 +301,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Aggregate incoming-interface coverage over interfaces passing
-    /// `filter`, each weighted by ΣP(M[r]) over its device's rules.
+    /// `filter`, each weighted by `ΣP(M[r])` over its device's rules.
     /// Host/external edges and P2p links all count; loopbacks never
     /// receive transit packets and are excluded. Interfaces with no
     /// reachable rules are vacuous and skipped.

@@ -61,7 +61,10 @@ impl Analyzer<'_> {
     }
 
     /// An uncovered ATU of this rule, if any — a concrete example of
-    /// what a new test should exercise (the gap report's witness).
+    /// what a new test should exercise. The packet is
+    /// [`sample_packet`]'s unseeded pick from `M[r] \ T[r]`; the gap
+    /// report draws its witness with
+    /// [`seeded_witness`](crate::testgen::seeded_witness) instead.
     pub fn sample_uncovered_atu(&self, bdd: &mut Bdd, rule: RuleId) -> Option<Atu> {
         let m = self.match_sets().get(rule);
         let t = self.covered_sets().get(rule);
