@@ -118,8 +118,8 @@ struct Recorder {
     stack: Vec<usize>,
     events: Vec<Event>,
     events_dropped: u64,
-    /// Bumped on every reset and take; guards opened against an older
-    /// generation (e.g. still open across a report) are ignored on drop
+    /// Bumped on every take; guards opened against an older generation
+    /// (e.g. still open across a report) are ignored on drop
     /// instead of touching a recycled arena.
     generation: u64,
 }
